@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -54,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--out", type=Path, default=Path("geolab-out"))
     ap.add_argument("--grid", type=int, default=None, help="spectral grid size")
-    ap.add_argument("--tol", type=float, default=None, help="on-surface tolerance")
     ap.add_argument("--k", type=float, default=None)
     ap.add_argument("--mu", type=float, default=None)
     ap.add_argument("--a", type=str, default=None, help="ellipsoid coefficients a1,a2,a3")
@@ -83,7 +81,6 @@ def load_config(args) -> dict:
     overrides = {
         "seed": args.seed,
         "grid": args.grid,
-        "tol": args.tol,
         "p": args.p,
         "n_seeds": args.n_seeds,
         "cap": args.cap,
@@ -105,14 +102,19 @@ def load_config(args) -> dict:
         if args.mu is not None:
             cfg["surface"]["mu"] = args.mu
     if args.a is not None:
-        cfg["surface"] = {"type": "ellipsoid", "a": [float(x) for x in args.a.split(",")]}
-    for key in ("tol", "cap", "delta", "flow_step"):
+        a = [float(x) for x in args.a.split(",")]
+        if len(a) != 3:
+            raise ConfigInvalid(f"--a needs three coefficients a1,a2,a3, got {len(a)}")
+        cfg["surface"] = {"type": "ellipsoid", "a": a}
+    for key in ("cap", "delta", "flow_step"):
         if key in cfg and cfg[key] is not None and cfg[key] <= 0:
             raise ConfigInvalid(f"{key} must be positive")
+    for key in ("n_seeds", "p"):
+        if key in cfg and cfg[key] is not None and cfg[key] < 1:
+            raise ConfigInvalid(f"{key} must be at least 1")
     if "seed" in cfg and cfg["seed"] is not None:
         cfg["seed"] = int(cfg["seed"])
     cfg.setdefault("seed", 0)
-    cfg["threads"] = int(os.environ.get("GEOLAB_THREADS", "1"))
     return cfg
 
 
@@ -432,11 +434,7 @@ def run(argv=None) -> int:
     try:
         cfg = load_config(args)
         payload, checks = HANDLERS[args.command](cfg, out)
-    except ConfigInvalid as exc:
-        write_json(out / "error.json", {"error": "ConfigInvalid", "message": str(exc)})
-        print(f"geolab: ConfigInvalid: {exc}", file=sys.stderr)
-        return 1
-    except GeolabError as exc:
+    except (GeolabError, ValueError) as exc:
         write_json(
             out / "error.json",
             {"error": type(exc).__name__, "message": str(exc)},

@@ -41,10 +41,6 @@ class AmbiguousCluster(GeolabError):
     """Two vertex clusters are closer than twice the clustering radius."""
 
 
-class HypothesisViolated(GeolabError):
-    """A curvature hypothesis of a checker is violated by the surface."""
-
-
 class OffsetTooLarge(GeolabError):
     """Detour offset would leave the working ball."""
 

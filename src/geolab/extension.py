@@ -26,7 +26,13 @@ from scipy.spatial import cKDTree
 
 from .bumps import plateau
 from .errors import EtaTooLarge, FlowLeftSurface, NotGPlus, OriginMismatch
-from .geodesics import GeodesicCurve, curve_length, periodic_derivative, require_geodesic
+from .geodesics import (
+    GeodesicCurve,
+    curve_length,
+    periodic_derivative,
+    require_geodesic,
+    rk4_integrate,
+)
 from .jacobi import second_variation
 from .networks import GeodesicNetwork, is_g_plus
 from .surfaces import SurfaceModel
@@ -371,21 +377,22 @@ def flow_network_length(
 ) -> float:
     """Total network length after flowing every curve by the field for time t."""
     surface = network.ambient_surface
+    max_drift = drift_tol * max(1.0, surface.diameter())
+
+    def rhs(pts):
+        return (ambient_field(pts),)
+
+    def reproject(i, y):
+        drift = np.max(np.abs(surface.level(y[0])))
+        if drift > max_drift:
+            raise FlowLeftSurface(f"|F| = {drift:.2e} before reprojection")
+        return (surface.project(y[0]),)
+
     total = 0.0
     for c in network.curves:
-        pts = c.samples.copy()
+        pts = c.samples
         if t != 0.0:
-            h = t / n_substeps
-            for _ in range(n_substeps):
-                k1 = ambient_field(pts)
-                k2 = ambient_field(pts + 0.5 * h * k1)
-                k3 = ambient_field(pts + 0.5 * h * k2)
-                k4 = ambient_field(pts + h * k3)
-                pts = pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                drift = np.max(np.abs(surface.level(pts)))
-                if drift > drift_tol * max(1.0, surface.diameter()):
-                    raise FlowLeftSurface(f"|F| = {drift:.2e} before reprojection")
-                pts = surface.project(pts)
+            (pts,) = rk4_integrate(rhs, (pts,), t / n_substeps, n_substeps, reproject)
         total += curve_length(pts, surface, closed=c.closed)
     return total
 

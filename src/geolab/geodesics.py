@@ -149,7 +149,7 @@ def curve_length(curve_or_samples, surface: Optional[SurfaceModel] = None, close
 
 
 # ---------------------------------------------------------------------------
-# level-set integrator (batched RK4)
+# the RK4 stepper and the geodesic flows built on it
 # ---------------------------------------------------------------------------
 
 
@@ -198,6 +198,30 @@ def _project_state(surface: SurfaceModel, P, V, speed):
     return P, V
 
 
+def rk4_integrate(rhs, y, h, n_steps: int, after_step):
+    """Classical fixed-step RK4 for y' = rhs(*y), y a tuple of arrays.
+
+    ``h`` may be a scalar or an array broadcasting against each component
+    (one step size per batch row).  ``after_step(i, y)`` runs after step i
+    and returns the state to continue from; flows use it to project onto
+    the surface, check domains and record paths.  Every flow in geolab is a
+    right-hand side plus such a hook on this one stepper.
+    """
+    for i in range(n_steps):
+        k1 = rhs(*y)
+        k2 = rhs(*(a + 0.5 * h * b for a, b in zip(y, k1)))
+        k3 = rhs(*(a + 0.5 * h * b for a, b in zip(y, k2)))
+        k4 = rhs(*(a + h * b for a, b in zip(y, k3)))
+        y = after_step(
+            i,
+            tuple(
+                a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+            ),
+        )
+    return y
+
+
 def flow_levelset(
     surface: SurfaceModel,
     P0: np.ndarray,
@@ -213,24 +237,20 @@ def flow_levelset(
     P = np.atleast_2d(np.array(P0, dtype=float))
     V = np.atleast_2d(np.array(V0, dtype=float))
     T = np.atleast_1d(np.asarray(T, dtype=float))
-    m = P.shape[0]
-    h = (T / n_steps)[:, None]
-    path = np.empty((m, n_steps + 1, 3)) if store_path else None
+    path = np.empty((P.shape[0], n_steps + 1, 3)) if store_path else None
     if store_path:
         path[:, 0] = P
-    for i in range(n_steps):
-        k1p, k1v = V, _accel_levelset(surface, P, V)
-        k2p = V + 0.5 * h * k1v
-        k2v = _accel_levelset(surface, P + 0.5 * h * k1p, k2p)
-        k3p = V + 0.5 * h * k2v
-        k3v = _accel_levelset(surface, P + 0.5 * h * k2p, k3p)
-        k4p = V + h * k3v
-        k4v = _accel_levelset(surface, P + h * k3p, k4p)
-        P = P + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        V = V + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        P, V = _project_state(surface, P, V, 1.0)
+
+    def rhs(P, V):
+        return V, _accel_levelset(surface, P, V)
+
+    def after_step(i, y):
+        P, V = _project_state(surface, *y, 1.0)
         if store_path:
             path[:, i + 1] = P
+        return P, V
+
+    P, V = rk4_integrate(rhs, (P, V), (T / n_steps)[:, None], n_steps, after_step)
     if store_path:
         return P, V, path
     return P, V
@@ -245,28 +265,23 @@ def flow_chart(
     store_path: bool = False,
 ):
     """Chart geodesic flow via x''^c = -Gamma^c_{ab} x'^a x'^b (single seed)."""
-
-    def acc(x, v):
-        gam = christoffel(surface, x)
-        return -np.einsum("cab,a,b->c", gam, v, v)
-
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
-    h = T / n_steps
     path = np.empty((n_steps + 1, 2)) if store_path else None
     if store_path:
         path[0] = x
-    for i in range(n_steps):
-        k1x, k1v = v, acc(x, v)
-        k2x, k2v = v + 0.5 * h * k1v, acc(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = v + 0.5 * h * k2v, acc(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = v + h * k3v, acc(x + h * k3x, v + h * k3v)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not surface.in_chart_domain(x):
+
+    def rhs(x, v):
+        return v, -np.einsum("cab,a,b->c", christoffel(surface, x), v, v)
+
+    def after_step(i, y):
+        if not surface.in_chart_domain(y[0]):
             raise LeftChartDomain(f"left chart domain at step {i}")
         if store_path:
-            path[i + 1] = x
+            path[i + 1] = y[0]
+        return y
+
+    x, v = rk4_integrate(rhs, (x, v), T / n_steps, n_steps, after_step)
     if store_path:
         return x, v, path
     return x, v
@@ -342,7 +357,9 @@ def shoot_closed_batch(
     a member of the family; such seeds are flagged ``degenerate``.
 
     Runs a coarse-grid Newton phase first and polishes on the fine grid.
-    Returns a dict of arrays: ok, p0, v0, period, residual, degenerate.
+    Returns a dict of arrays: ok, p0, v0, period, residual, degenerate, and
+    each shot's final flow on the fine grid: its end velocity v1 and its
+    path, shape (m, n_steps+1, 3).
     """
     P_seed = np.atleast_2d(np.asarray(seeds_p, dtype=float))
     V_seed = np.atleast_2d(np.asarray(seeds_v, dtype=float))
@@ -360,7 +377,7 @@ def shoot_closed_batch(
     resid = np.full(m, np.inf)
     EPS = 1e-7
 
-    def residual(xv, seed_idx, steps):
+    def residual(xv, seed_idx, steps, store_path=False):
         """xv: (q,3) unknowns for seeds seed_idx (q,)."""
         tau, theta, dT = xv[:, 0], xv[:, 1], xv[:, 2]
         Ps, Vs, Ts = P_seed[seed_idx], V_seed[seed_idx], T0[seed_idx]
@@ -368,7 +385,8 @@ def shoot_closed_batch(
         e1, e2, _ = _frames_at(surface, P0, Vs)
         V0 = np.cos(theta)[:, None] * e1 + np.sin(theta)[:, None] * e2
         T = np.maximum(Ts + dT, 0.3 * Ts)
-        P1, V1 = flow_levelset(surface, P0, V0, T, steps)
+        flow = flow_levelset(surface, P0, V0, T, steps, store_path)
+        P1, V1 = flow[:2]
         d = P1 - P0
         a1 = np.arctan2(np.sum(V1 * e2, axis=1), np.sum(V1 * e1, axis=1))
         ang = np.arctan2(np.sin(a1 - theta), np.cos(a1 - theta))
@@ -376,7 +394,7 @@ def shoot_closed_batch(
             [np.sum(d * e1, axis=1), np.sum(d * e2, axis=1), ang * T / (2 * np.pi)],
             axis=1,
         )
-        return r, P0, V0, T
+        return r, P0, V0, T, flow
 
     active = np.ones(m, dtype=bool)
     for phase_steps, phase_iters, phase_tol in (
@@ -394,7 +412,7 @@ def shoot_closed_batch(
             for col in range(3):
                 xs[4 * np.arange(q) + 1 + col, col] += EPS
             seed_rep = np.repeat(idx, 4)
-            r_all, _, _, _ = residual(xs, seed_rep, phase_steps)
+            r_all = residual(xs, seed_rep, phase_steps)[0]
             r_all = r_all.reshape(q, 4, 3)
             r0 = r_all[:, 0]
             rn = np.linalg.norm(r0, axis=1)
@@ -425,7 +443,7 @@ def shoot_closed_batch(
         if phase_steps == coarse_steps:
             active = resid < 1e-6  # only polish seeds the coarse phase closed
 
-    r_final, P0, V0, T = residual(x, np.arange(m), n_steps)
+    r_final, P0, V0, T, (_, V1, path) = residual(x, np.arange(m), n_steps, True)
     rn = np.linalg.norm(r_final, axis=1)
     on_surface = np.abs(surface.level(P0)) < 1e-11
     ok = (rn <= 1e-10) & on_surface
@@ -436,15 +454,9 @@ def shoot_closed_batch(
         "period": T,
         "residual": rn,
         "degenerate": degenerate,
+        "v1": V1,
+        "path": path,
     }
-
-
-def _flow_closure_residual(surface, p0, v0, period, n_steps):
-    """Position + direction mismatch of the discrete flow after one period."""
-    P1, V1 = flow_levelset(surface, p0, v0, np.atleast_1d(period), n_steps)
-    d_pos = np.linalg.norm(P1[0] - np.atleast_2d(p0)[0])
-    d_dir = np.linalg.norm(V1[0] - np.atleast_2d(v0)[0])
-    return float(d_pos + d_dir)
 
 
 def _detect_cover(path: np.ndarray, max_mult: int = 6, tol: float = 1e-7):
@@ -460,6 +472,42 @@ def _detect_cover(path: np.ndarray, max_mult: int = 6, tol: float = 1e-7):
         if np.max(np.linalg.norm(shifted - path, axis=1)) < tol * scale:
             return mult
     return 1
+
+
+def curves_from_shots(surface, shots) -> list:
+    """Primitive GeodesicCurves from converged shots.
+
+    ``shots`` holds rows of a ``shoot_closed_batch`` result.  The samples
+    are each shot's own final flow and the closure residual is that flow's
+    position plus direction mismatch.  A shot that closes as an m-fold
+    cover is flowed again over period / m, so the curve holds one primitive
+    loop with ``cover_multiplicity`` m.
+    """
+    P0, V0, paths = shots["p0"], shots["v0"], shots["path"]
+    periods = shots["period"].copy()
+    n_samples = paths.shape[1] - 1
+    residuals = np.linalg.norm(paths[:, -1] - P0, axis=1) + np.linalg.norm(
+        shots["v1"] - V0, axis=1
+    )
+    mults = np.array([_detect_cover(path[:-1]) for path in paths])
+    covers = np.where(mults > 1)[0]
+    if covers.size:
+        periods[covers] = periods[covers] / mults[covers]
+        paths = paths.copy()
+        _, _, paths[covers] = flow_levelset(
+            surface, P0[covers], V0[covers], periods[covers], n_samples, store_path=True
+        )
+    return [
+        GeodesicCurve(
+            samples=paths[i][:-1],
+            speeds=np.full(n_samples, periods[i] / (2 * np.pi)),
+            length=float(periods[i]),
+            closure_residual=float(residuals[i]),
+            surface=surface,
+            cover_multiplicity=int(mults[i]),
+        )
+        for i in range(P0.shape[0])
+    ]
 
 
 def close_geodesic(
@@ -483,6 +531,7 @@ def close_geodesic(
         np.array([float(T)]),
         tol=tol,
         max_iter=max_iter,
+        n_steps=n_samples,
     )
     if not out["ok"][0]:
         if out["degenerate"][0]:
@@ -490,37 +539,9 @@ def close_geodesic(
                 "singular shooting differential (nontrivial Jacobi field?)"
             )
         raise NoConvergence(f"shooting residual {out['residual'][0]:.3e}")
-    period = float(out["period"][0])
-    residual = _flow_closure_residual(
-        surface, out["p0"], out["v0"], period, n_samples
-    )
-    _, _, path = flow_levelset(
-        surface, out["p0"], out["v0"], np.array([period]), n_samples, store_path=True
-    )
-    samples = path[0][:-1]
-    mult = _detect_cover(samples)
-    if mult > 1:
-        period /= mult
-        _, _, path = flow_levelset(
-            surface,
-            out["p0"],
-            out["v0"],
-            np.array([period]),
-            n_samples,
-            store_path=True,
-        )
-        samples = path[0][:-1]
-    speeds = np.full(n_samples, period / (2 * np.pi))
-    return GeodesicCurve(
-        samples=samples,
-        speeds=speeds,
-        length=period,
-        closure_residual=residual,
-        surface=surface,
-        primitive=True,
-        cover_multiplicity=mult,
-        extra={"degenerate_jacobian": bool(out["degenerate"][0])},
-    )
+    (curve,) = curves_from_shots(surface, out)
+    curve.extra = {"degenerate_jacobian": bool(out["degenerate"][0])}
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +585,7 @@ def geodesic_curvature_profile(curve, surface: Optional[SurfaceModel] = None):
             dnf = _normal_derivative_of_factor(surface, samples, n_curve)
             kappa = np.exp(-f) * (kappa + dnf)
         return kappa
-    return _chart_curvature(surface, samples, d1, d2)
+    return chart_curvature(surface, samples, d1, d2)
 
 
 def _normal_derivative_of_factor(surface, samples, n_curve, h=1e-6):
@@ -573,7 +594,7 @@ def _normal_derivative_of_factor(surface, samples, n_curve, h=1e-6):
     return (fp - fm) / (2 * h)
 
 
-def _chart_curvature(surface, samples, d1, d2, fd_h=None):
+def chart_curvature(surface, samples, d1, d2, fd_h=None):
     """Signed curvature in a chart metric (vectorized over samples)."""
     from .surfaces import christoffel_batch
 

@@ -19,6 +19,8 @@ from math import comb
 from typing import List, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import AmbiguousCluster
@@ -185,12 +187,13 @@ def detect_vertices(
     # separation clearly exceeds the acceptance scale; nearby segments of
     # one strand otherwise sit within tolerance of each other and would
     # chain-cluster along the whole curve
-    arc_i = np.array([cumlens[cids[q]][sids[q]] for q in i])
-    arc_j = np.array([cumlens[cids[q]][sids[q]] for q in j])
-    totals = np.array([cumlens[c][-1] for c in cids[i]])
-    arc_gap = np.abs(arc_i - arc_j)
-    closed_i = np.array([curves[c].closed for c in cids[i]])
-    arc_gap = np.where(closed_i, np.minimum(arc_gap, totals - arc_gap), arc_gap)
+    flat = np.concatenate(cumlens)
+    offsets = np.cumsum([0] + [len(c) for c in cumlens])
+    arc = flat[offsets[cids] + sids]  # chord arclength at each segment start
+    totals = flat[offsets[cids + 1] - 1]
+    closed = np.array([c.closed for c in curves])[cids]
+    arc_gap = np.abs(arc[i] - arc[j])
+    arc_gap = np.where(closed[i], np.minimum(arc_gap, totals[i] - arc_gap), arc_gap)
     strand_window = np.maximum(
         6.0 * np.maximum(seg_len[i], seg_len[j]), 4.0 * accept_tol
     )
@@ -214,32 +217,25 @@ def detect_vertices(
 
     # single-linkage clustering at the acceptance scale: each chain is one
     # crossing (tangential near-misses chain along their whole overlap)
-    ptree = cKDTree(points)
-    parent = np.arange(points.shape[0])
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in ptree.query_pairs(accept_tol, output_type="ndarray"):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    roots = np.array([find(x) for x in range(points.shape[0])])
+    links = cKDTree(points).query_pairs(accept_tol, output_type="ndarray")
+    n_points = points.shape[0]
+    graph = coo_matrix(
+        (np.ones(links.shape[0]), (links[:, 0], links[:, 1])),
+        shape=(n_points, n_points),
+    )
+    n_clusters, labels = connected_components(graph, directed=False)
     records = []
     centroids = []
-    for root in np.unique(roots):
-        sel = roots == root
+    for label in range(n_clusters):
+        sel = labels == label
         centroid = points[sel].mean(axis=0)
         if surface.kind == "levelset":
             centroid = surface.project(centroid)
         passes = []
         for ii, jj, ss, tt in zip(i[sel], j[sel], s[sel], t[sel]):
             ci, cj = int(cids[ii]), int(cids[jj])
-            passes.append((ci, cumlens[ci][sids[ii]] + ss * seg_len[ii]))
-            passes.append((cj, cumlens[cj][sids[jj]] + tt * seg_len[jj]))
+            passes.append((ci, arc[ii] + ss * seg_len[ii]))
+            passes.append((cj, arc[jj] + tt * seg_len[jj]))
         strands = _group_strands(passes, curves, cumlens, clustering_radius)
         if len(strands) < 2:
             continue

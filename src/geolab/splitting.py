@@ -34,7 +34,7 @@ from .errors import (
     OffsetTooLarge,
     VertexNotOnStrand,
 )
-from .geodesics import GeodesicCurve, curve_from_samples, flow_chart
+from .geodesics import GeodesicCurve, chart_curvature, curve_from_samples, flow_chart
 from .networks import GeodesicNetwork, VertexRecord, detect_vertices
 from .surfaces import ConformalFactor, SurfaceModel, gauss_curvature
 
@@ -126,14 +126,12 @@ class DetourCurve:
         return k
 
     def _curved_correction(self, s):
-        from .geodesics import _chart_curvature
-
         s = np.atleast_1d(np.asarray(s, dtype=float))
         h = 1e-5 * self.ball_radius
         pts = self.position(s)
         d1 = (self.position(s + h) - self.position(s - h)) / (2 * h)
         d2 = (self.position(s + h) - 2 * pts + self.position(s - h)) / h**2
-        kap_full = _chart_curvature(self.surface, pts, d1, d2)
+        kap_full = chart_curvature(self.surface, pts, d1, d2)
         du = self.offset(s, 1)
         ddu = self.offset(s, 2)
         return kap_full - ddu / (1.0 + du * du) ** 1.5
@@ -263,15 +261,13 @@ def detour_curvature_in(
     an independent check of the conformal cancellation when ``surface``
     carries the splitting factor.
     """
-    from .geodesics import _chart_curvature
-
     s = np.atleast_1d(np.asarray(s_values, dtype=float))
     pts = detour.position(s)
     d1 = detour.e_hat + detour.offset(s, 1)[:, None] * detour.n_left
     d2 = detour.offset(s, 2)[:, None] * detour.n_left
     # FD step scaled to the ball so coefficient differencing resolves the
     # factor's feature scale (d0 shrinks with the ball on nested splits)
-    return _chart_curvature(surface, pts, d1, d2, fd_h=2e-6 * detour.ball_radius)
+    return chart_curvature(surface, pts, d1, d2, fd_h=2e-6 * detour.ball_radius)
 
 
 def _probe_grid(detour: DetourCurve, n: int = 401) -> np.ndarray:
@@ -294,8 +290,6 @@ def strand_curvature_in(
     For the synthetic line strands the base derivatives are exact, so any
     nonzero value measures conformal-factor leakage onto the strand.
     """
-    from .geodesics import _chart_curvature
-
     samples = curve.samples
     if mask_radius is not None and center is not None:
         keep = np.linalg.norm(samples - np.asarray(center), axis=1) <= mask_radius
@@ -305,7 +299,7 @@ def strand_curvature_in(
     d = (b - a) / np.linalg.norm(b - a)
     d1 = np.tile(d, (samples.shape[0], 1))
     d2 = np.zeros_like(d1)
-    return _chart_curvature(surface, samples, d1, d2)
+    return chart_curvature(surface, samples, d1, d2)
 
 
 def default_ball_radius(

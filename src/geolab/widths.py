@@ -10,7 +10,7 @@ giving the bound  omega_p <= p * omega_1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,14 +20,11 @@ from .errors import SeedBudgetExhausted
 from .geodesics import (
     GeodesicCurve,
     close_geodesic,
-    curve_from_samples,
-    curve_length,
-    flow_levelset,
+    curves_from_shots,
     hausdorff_distance,
     mk_seed_directions,
     sample_level_circle,
     shoot_closed_batch,
-    _detect_cover,
 )
 from .jacobi import degeneracy_criterion_mk, jacobi_spectrum
 from .networks import detect_vertices
@@ -45,9 +42,6 @@ class OneSweepout:
     argmax_t: float
     surface: SurfaceModel
     samples_per_circle: int
-
-    def mass(self, t: np.ndarray) -> np.ndarray:
-        return np.interp(t, self.t_values, self.masses)
 
 
 @dataclass
@@ -106,33 +100,16 @@ def level_circle_sweepout(
     )
 
 
-def guth_p_sweepout_bound(
-    sweepout: OneSweepout, p: int, grid_check: int = 0
-) -> WidthBound:
+def guth_p_sweepout_bound(sweepout: OneSweepout, p: int) -> WidthBound:
     """Width upper bound from summing p shifted copies of a 1-sweepout.
 
-    upper_bound = p * max_mass exactly.  With ``grid_check`` > 0, a direct
-    search over a coarse simplex grid t_1 <= ... <= t_p verifies the
-    supremum of the summed masses never exceeds the bound.
+    upper_bound = p * max_mass exactly.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    bound = p * sweepout.max_mass
-    if grid_check:
-        grid = np.linspace(0.0, 1.0, grid_check)
-        masses = sweepout.mass(grid)
-        best = 0.0
-        for combo in combinations_with_replacement(range(grid_check), p):
-            s = float(masses[list(combo)].sum())
-            if s > best:
-                best = s
-        if best > bound + 1e-9:
-            raise AssertionError(
-                f"simplex grid search {best} exceeded the bound {bound}"
-            )
     return WidthBound(
         p=int(p),
-        upper_bound=float(bound),
+        upper_bound=float(p * sweepout.max_mass),
         construction=f"{p} shifted copies of the level-circle 1-sweepout",
     )
 
@@ -147,39 +124,6 @@ def round_sphere_width(p: int) -> float:
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
-
-
-def _curves_from_shots(surface, P0, V0, periods, n_samples):
-    """Batched path construction for converged shots, with cover reduction."""
-    P0 = np.atleast_2d(P0)
-    V0 = np.atleast_2d(V0)
-    periods = np.atleast_1d(np.asarray(periods, dtype=float)).copy()
-    _, V1, paths = flow_levelset(surface, P0, V0, periods, n_samples, store_path=True)
-    residuals = np.linalg.norm(paths[:, -1] - P0, axis=1) + np.linalg.norm(
-        V1 - V0, axis=1
-    )
-    mults = np.array([_detect_cover(paths[i][:-1]) for i in range(P0.shape[0])])
-    covers = np.where(mults > 1)[0]
-    if covers.size:
-        periods[covers] = periods[covers] / mults[covers]
-        _, _, re_paths = flow_levelset(
-            surface, P0[covers], V0[covers], periods[covers], n_samples, store_path=True
-        )
-        for k, i in enumerate(covers):
-            paths[i] = re_paths[k]
-    curves = []
-    for i in range(P0.shape[0]):
-        curves.append(
-            GeodesicCurve(
-                samples=paths[i][:-1],
-                speeds=np.full(n_samples, periods[i] / (2 * np.pi)),
-                length=float(periods[i]),
-                closure_residual=float(residuals[i]),
-                surface=surface,
-                cover_multiplicity=int(mults[i]),
-            )
-        )
-    return curves
 
 
 def _count_self_vertices(curve: GeodesicCurve, radius: float) -> int:
@@ -223,7 +167,9 @@ def mk_multiplicity_experiment(
     pts, dirs = mk_seed_directions(surface, n_seeds, seed)
     found = []
     for T_guess in (2.0 * np.pi, min(cap, 4.0 * np.pi) * 0.999):
-        out = shoot_closed_batch(surface, pts, dirs, np.full(n_seeds, T_guess))
+        out = shoot_closed_batch(
+            surface, pts, dirs, np.full(n_seeds, T_guess), n_steps=n_samples
+        )
         idx = [
             int(i)
             for i in np.where(out["ok"])[0]
@@ -231,13 +177,7 @@ def mk_multiplicity_experiment(
         ]
         if not idx:
             continue
-        curves = _curves_from_shots(
-            surface,
-            out["p0"][idx],
-            out["v0"][idx],
-            out["period"][idx],
-            n_samples,
-        )
+        curves = curves_from_shots(surface, {key: v[idx] for key, v in out.items()})
         found.extend(
             (seed_i, float(T_guess), cur) for seed_i, cur in zip(idx, curves)
         )
@@ -256,11 +196,16 @@ def mk_multiplicity_experiment(
                 {"curve": cur, "members": 1, "first_seed": seed_idx}
             )
 
+    # sorted once here so records and kept curves share the length order
+    classes.sort(key=lambda cls: (cls["curve"].length, cls["first_seed"]))
     gamma0 = sample_level_circle(surface, 0.0, n_samples)
     records = []
     for cls in classes:
         cur = cls["curve"]
-        min_x3 = float(np.min(np.abs(cur.samples[:, 2])))
+        x3 = cur.samples[:, 2]
+        min_x3 = float(np.min(np.abs(x3)))
+        # a transverse crossing usually falls between samples: x3 changes sign
+        crosses = min_x3 <= equator_tol or x3.min() < 0.0 < x3.max()
         is_g0 = (
             hausdorff_distance(cur.samples, gamma0.samples) <= equator_tol
             and abs(cur.length - 2 * np.pi) < 0.01
@@ -271,7 +216,7 @@ def mk_multiplicity_experiment(
             "cover_multiplicity": int(cur.cover_multiplicity),
             "members": int(cls["members"]),
             "first_seed": int(cls["first_seed"]),
-            "intersects_equator": bool(min_x3 <= equator_tol),
+            "intersects_equator": bool(crosses),
             "min_abs_x3": min_x3,
             "is_gamma0": bool(is_g0),
             "self_vertices": _count_self_vertices(cur, equator_tol),
@@ -284,7 +229,6 @@ def mk_multiplicity_experiment(
                 k, cur.cover_multiplicity
             )
         records.append(rec)
-    records.sort(key=lambda r: (r["length"], r["first_seed"]))
 
     sweep = level_circle_sweepout(surface)
     table = []

@@ -260,9 +260,12 @@ def test_criterion_07_width_bounds():
     t0 = time.time()
     mk = make_mk(100.0, 1.0)
     sweep = level_circle_sweepout(mk)
-    guth_ok = True
+    # level circle x3 = c of M_k has radius rho(c) = sqrt(1 - c^2 / k)
+    rho = np.sqrt(np.maximum(1.0 - sweep.heights**2 / 100.0, 0.0))
+    mass_err = float(np.max(np.abs(sweep.masses - 2 * np.pi * rho)))
+    guth_ok = mass_err <= 1e-9
     for p in range(1, 6):
-        wb = guth_p_sweepout_bound(sweep, p, grid_check=20 if p <= 2 else 8)
+        wb = guth_p_sweepout_bound(sweep, p)
         guth_ok = guth_ok and abs(wb.upper_bound - p * 2 * np.pi) <= p * 2 * np.pi * 1e-6
     table_ok = all(
         round_sphere_width(p) == 2 * np.pi * int(np.sqrt(p)) for p in range(1, 17)
@@ -271,7 +274,8 @@ def test_criterion_07_width_bounds():
     report(
         7,
         guth_ok and table_ok and elapsed < 5.0,
-        "Guth bounds p*2pi for p<=5 (grid oracle below bound); round table ok",
+        f"Guth bounds p*2pi for p<=5; sweepout masses = 2 pi rho(c) to {mass_err:.1e}; "
+        "round table ok",
         elapsed,
     )
 

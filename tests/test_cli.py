@@ -10,10 +10,39 @@ def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text())
 
 
+def read_curve_lengths(out_dir):
+    """Length of each curve_XX.csv from its uniform arclength column."""
+    lengths = []
+    for path in sorted(out_dir.glob("curve_*.csv")):
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        lengths.append(data[1, 0] * data.shape[0])
+    return lengths
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["find-geodesics", "--n-seeds", "0"],
+        ["index", "--cover", "0"],
+        ["index", "--grid", "100"],
+        ["mk-experiment", "--k", "0.5"],
+        ["ellipsoid-experiment", "--a", "1.0,0.96,1.04"],
+        ["ellipsoid-experiment", "--a", "0.96,1.0"],
+        ["sweepout-bound", "--p", "0"],
+    ],
+)
+def test_invalid_input_exit_1_with_error_json(tmp_path, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] and err["message"]
+    assert not (out / "report.json").exists()
+
+
 class TestCli:
     def test_invalid_config_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.json"
-        cfg.write_text('{"tol": -1}')
+        cfg.write_text('{"cap": -1}')
         rc = run(["index", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = json.loads((tmp_path / "o" / "error.json").read_text())
@@ -109,3 +138,18 @@ class TestCli:
         assert rc in (0, 2)  # property flags depend on what 8 seeds find
         rep = read_report(out)
         assert rep["command"] == "find-geodesics"
+
+    def test_mk_meridians_meet_equator_and_files_follow_found(self, tmp_path):
+        # k = 4: meridians (length 9.69) cross the equator between samples,
+        # and the shots find classes out of length order
+        out = tmp_path / "o"
+        argv = ["find-geodesics", "--k", "4", "--n-seeds", "8", "--seed", "0"]
+        assert run(argv + ["--out", str(out)]) in (0, 2)
+        result = read_report(out)["result"]
+        found = result["found"]
+        assert len(found) >= 3
+        assert result["properties"]["all_intersect_equator"]
+        assert all(r["intersects_equator"] for r in found)
+        assert read_curve_lengths(out) == pytest.approx(
+            [r["length"] for r in found], rel=1e-12
+        )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.transform import Rotation
 
 from geolab.errors import AmbiguousCluster
 from geolab.geodesics import curve_from_samples, sample_great_circle
@@ -106,6 +108,72 @@ class TestDetect:
         assert len(net.vertices) >= 1
         assert all(not v.transverse for v in net.vertices)
         assert not is_g_plus(net)
+
+
+def assert_same_vertices(a, b, tol=1e-9):
+    """Records agree up to list order, strand order and rounding."""
+    assert len(a) == len(b)
+    for va in a:
+        vb = min(b, key=lambda v: np.linalg.norm(v.position - va.position))
+        assert np.linalg.norm(vb.position - va.position) <= tol
+        assert (vb.order, vb.transverse, vb.clustering_radius) == (
+            va.order,
+            va.transverse,
+            va.clustering_radius,
+        )
+        # strand angles are line directions: compare as sets modulo pi
+        for ang in va.strand_angles:
+            d = np.abs(np.asarray(vb.strand_angles) - ang) % np.pi
+            assert np.min(np.minimum(d, np.pi - d)) <= tol
+
+
+def relabel_and_reverse(surface, curves, perm, flips):
+    return [
+        curve_from_samples(
+            surface,
+            curves[i].samples[::-1] if flip else curves[i].samples,
+            closed=curves[i].closed,
+        )
+        for i, flip in zip(perm, flips)
+    ]
+
+
+class TestDetectInvariance:
+    """Vertex records do not depend on how the curves are listed or oriented."""
+
+    relabelings = dict(
+        perm=st.permutations(range(3)),
+        flips=st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(
+        angles=st.tuples(*[st.floats(0.0, 2 * np.pi)] * 3), **relabelings
+    )
+    def test_great_circles(self, sphere, angles, perm, flips):
+        R = Rotation.from_euler("zyz", angles).as_matrix()
+        e = R.T  # rows: rotated coordinate axes
+        curves = [
+            sample_great_circle(sphere, e[0], e[1]),
+            sample_great_circle(sphere, e[0], e[2]),
+            sample_great_circle(sphere, e[1], e[2]),
+        ]
+        base = detect_vertices(curves, 0.01, surface=sphere)
+        assert len(base) == 6
+        other = relabel_and_reverse(sphere, curves, perm, flips)
+        assert_same_vertices(base, detect_vertices(other, 0.01, surface=sphere))
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(turn=st.floats(0.0, np.pi), **relabelings)
+    def test_concurrent_lines(self, turn, perm, flips):
+        chart = make_flat_chart(2.6, 2.6)
+        curves = [
+            chart_segment(chart, turn + np.pi * j / 3, n=2000) for j in range(3)
+        ]
+        base = detect_vertices(curves, 0.01, surface=chart)
+        assert [v.order for v in base] == [3]
+        other = relabel_and_reverse(chart, curves, perm, flips)
+        assert_same_vertices(base, detect_vertices(other, 0.01, surface=chart))
 
 
 class TestCounts:

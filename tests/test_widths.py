@@ -45,10 +45,12 @@ class TestSweepout:
             assert bp.upper_bound == pytest.approx(p * b1.upper_bound, abs=1e-12)
         assert b1.upper_bound == pytest.approx(sw.max_mass, abs=1e-12)
 
-    def test_grid_search_oracle_never_exceeds(self, mk4):
+    def test_masses_match_level_circle_formula(self, mk4):
+        # the circle x3 = c of x1^2 + x2^2 + x3^2 / k = 1 has radius
+        # rho(c) = sqrt(1 - c^2 / k)
         sw = level_circle_sweepout(mk4, 257)
-        guth_p_sweepout_bound(sw, 2, grid_check=20)  # raises on violation
-        guth_p_sweepout_bound(sw, 3, grid_check=12)
+        rho = np.sqrt(np.maximum(1.0 - sw.heights**2 / 4.0, 0.0))
+        assert np.max(np.abs(sw.masses - 2 * np.pi * rho)) < 1e-9
 
     def test_round_sphere_width_table(self):
         assert round_sphere_width(1) == pytest.approx(2 * np.pi)
