@@ -69,6 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_INT_KEYS = ("seed", "grid", "p", "n_seeds", "cover", "order")
+_FLOAT_KEYS = ("cap", "delta", "flow_step", "K0", "omega1")
+
+
 def load_config(args) -> dict:
     cfg = {}
     if args.config is not None:
@@ -106,15 +110,24 @@ def load_config(args) -> dict:
         if len(a) != 3:
             raise ConfigInvalid(f"--a needs three coefficients a1,a2,a3, got {len(a)}")
         cfg["surface"] = {"type": "ellipsoid", "a": a}
+    for key in _INT_KEYS + _FLOAT_KEYS:
+        if key not in cfg or (key == "cap" and cfg[key] is None):  # null cap: no cap
+            continue
+        val = cfg[key]
+        number = isinstance(val, (int, float)) and not isinstance(val, bool)
+        integral = number and (isinstance(val, int) or val.is_integer())
+        if not (integral if key in _INT_KEYS else number):
+            kind = "an integer" if key in _INT_KEYS else "a number"
+            raise ConfigInvalid(f"{key} must be {kind}, got {val!r}")
     for key in ("cap", "delta", "flow_step"):
-        if key in cfg and cfg[key] is not None and cfg[key] <= 0:
+        if cfg.get(key) is not None and cfg[key] <= 0:
             raise ConfigInvalid(f"{key} must be positive")
     for key in ("n_seeds", "p"):
-        if key in cfg and cfg[key] is not None and cfg[key] < 1:
+        if key in cfg and cfg[key] < 1:
             raise ConfigInvalid(f"{key} must be at least 1")
-    if "seed" in cfg and cfg["seed"] is not None:
-        cfg["seed"] = int(cfg["seed"])
-    cfg.setdefault("seed", 0)
+    if "surface" in cfg:
+        surface_from_config(cfg["surface"])
+    cfg["seed"] = int(cfg.get("seed", 0))
     return cfg
 
 

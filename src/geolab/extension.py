@@ -80,26 +80,35 @@ class _CurveFrame:
         self.normals = np.cross(N, self.T)
         self.tree = cKDTree(curve.samples)
 
-    def nearest(self, pts: np.ndarray):
-        """Foot data: (arclength s, distance d, foot point, index)."""
+    def nearest(self, pts: np.ndarray, bound: float = np.inf):
+        """Foot data: (arclength s, distance d, foot point, index).
+
+        Exact for every point closer than ``bound`` to the curve.  A point
+        whose nearest sample is farther than ``bound`` plus one sample
+        spacing (so farther than ``bound`` from the curve) gets d = inf,
+        s = 0, a zero foot point and index n.
+        """
         pts = np.atleast_2d(pts)
-        idx = self.tree.query(pts)[1]
         n = self.curve.n
+        dist, idx = self.tree.query(pts, distance_upper_bound=bound + self.ds)
+        near = np.flatnonzero(np.isfinite(dist))
+        q, i = pts[near], idx[near]
         best_d = np.full(pts.shape[0], np.inf)
         best_s = np.zeros(pts.shape[0])
         best_foot = np.zeros_like(pts)
         for off in (-1, 0):
-            a = self.curve.samples[(idx + off) % n]
-            b = self.curve.samples[(idx + off + 1) % n]
+            a = self.curve.samples[(i + off) % n]
+            b = self.curve.samples[(i + off + 1) % n]
             ab = b - a
             denom = np.sum(ab * ab, axis=1)
-            t = np.clip(np.sum((pts - a) * ab, axis=1) / denom, 0.0, 1.0)
+            t = np.clip(np.sum((q - a) * ab, axis=1) / denom, 0.0, 1.0)
             foot = a + t[:, None] * ab
-            d = np.linalg.norm(pts - foot, axis=1)
-            better = d < best_d
-            best_d[better] = d[better]
-            best_foot[better] = foot[better]
-            best_s[better] = ((idx + off)[better] + t[better]) * self.ds
+            d = np.linalg.norm(q - foot, axis=1)
+            better = d < best_d[near]
+            rows = near[better]
+            best_d[rows] = d[better]
+            best_foot[rows] = foot[better]
+            best_s[rows] = ((i + off)[better] + t[better]) * self.ds
         return best_s % self.curve.length, best_d, best_foot, idx
 
     def interp(self, values: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -133,7 +142,7 @@ class AmbientField:
         Nx = surface.unit_normal(pts)
         Z = np.zeros_like(pts)
         for fr, phi in zip(self.frames, self.phis):
-            s, d, foot, _ = fr.nearest(pts)
+            s, d, foot, _ = fr.nearest(pts, self.tube_radius)
             cut = plateau(d, self.tube_radius / 2.0, self.tube_radius)
             live = cut > 0
             if not live.any():
@@ -352,7 +361,7 @@ class TangentialField:
         out = np.zeros_like(pts)
         Nx = self.surface.unit_normal(pts)
         for fr, prof in zip(self.frames, self.profiles):
-            s, d, foot, _ = fr.nearest(pts)
+            s, d, foot, _ = fr.nearest(pts, self.tube_radius)
             cut = plateau(d, self.tube_radius / 2.0, self.tube_radius)
             live = cut > 0
             if not live.any():

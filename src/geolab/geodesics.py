@@ -30,7 +30,7 @@ from .errors import (
     NotAGeodesic,
     StepTooLarge,
 )
-from .surfaces import SurfaceModel, christoffel
+from .surfaces import SurfaceModel, christoffel, christoffel_batch
 
 DEFAULT_STEPS = 4096
 GEODESIC_KAPPA_TOL = 1e-6
@@ -119,8 +119,6 @@ def curve_speeds(samples: np.ndarray, surface: SurfaceModel, closed: bool = True
     )
     if surface.kind == "levelset":
         sp = np.linalg.norm(deriv, axis=1)
-        if surface.conformal_factor is not None:
-            sp = sp * np.exp(surface.factor_value(samples))
     else:
         g = surface.chart_metric(samples)
         sp = np.sqrt(np.einsum("ni,nij,nj->n", deriv, g, deriv))
@@ -158,29 +156,7 @@ def _accel_levelset(surface: SurfaceModel, P: np.ndarray, V: np.ndarray):
     H = surface.hess(P)
     vHv = np.einsum("...i,...ij,...j->...", V, H, V)
     gg = np.sum(g * g, axis=-1)
-    a = (-vHv / gg)[..., None] * g
-    if surface.conformal_factor is not None:
-        a = a + _conformal_accel(surface, P, V)
-    return a
-
-
-def _conformal_accel(surface: SurfaceModel, P: np.ndarray, V: np.ndarray, h=1e-5):
-    """Tangential correction -2 df(V) V + |V|^2 grad_s f for exp(2f) metrics."""
-    grad_f = np.zeros_like(P)
-    n = surface.unit_normal(P)
-    e1 = np.cross(n, np.broadcast_to([1.0, 0.0, 0.0], n.shape))
-    bad = np.linalg.norm(e1, axis=-1) < 0.1
-    if bad.any():
-        e1[bad] = np.cross(n[bad], [0.0, 1.0, 0.0])
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = np.cross(n, e1)
-    for e in (e1, e2):
-        fp = surface.factor_value(surface.project(P + h * e))
-        fm = surface.factor_value(surface.project(P - h * e))
-        grad_f += ((fp - fm) / (2 * h))[..., None] * e
-    dfV = np.sum(grad_f * V, axis=-1)
-    v2 = np.sum(V * V, axis=-1)
-    return -2.0 * dfV[..., None] * V + v2[..., None] * grad_f
+    return (-vHv / gg)[..., None] * g
 
 
 def _project_state(surface: SurfaceModel, P, V, speed):
@@ -579,25 +555,12 @@ def geodesic_curvature_profile(curve, surface: Optional[SurfaceModel] = None):
         sp = np.linalg.norm(d1, axis=1)
         T = d1 / sp[:, None]
         n_curve = np.cross(T, N)
-        kappa = -np.einsum("ni,ni->n", d2, n_curve) / sp**2
-        if surface.conformal_factor is not None:
-            f = surface.factor_value(samples)
-            dnf = _normal_derivative_of_factor(surface, samples, n_curve)
-            kappa = np.exp(-f) * (kappa + dnf)
-        return kappa
+        return -np.einsum("ni,ni->n", d2, n_curve) / sp**2
     return chart_curvature(surface, samples, d1, d2)
-
-
-def _normal_derivative_of_factor(surface, samples, n_curve, h=1e-6):
-    fp = surface.factor_value(surface.project(samples + h * n_curve))
-    fm = surface.factor_value(surface.project(samples - h * n_curve))
-    return (fp - fm) / (2 * h)
 
 
 def chart_curvature(surface, samples, d1, d2, fd_h=None):
     """Signed curvature in a chart metric (vectorized over samples)."""
-    from .surfaces import christoffel_batch
-
     g = surface.chart_metric(samples)
     if fd_h is None:
         gam = christoffel_batch(surface, samples)
@@ -605,13 +568,21 @@ def chart_curvature(surface, samples, d1, d2, fd_h=None):
         gam = christoffel_batch(surface, samples, h=fd_h)
     acc = d2 + np.einsum("ncab,na,nb->nc", gam, d1, d1)
     sp2 = np.einsum("ni,nij,nj->n", d1, g, d1)
-    t = d1 / np.sqrt(sp2)[:, None]
+    w = metric_right_normals(g, d1)
+    return -np.einsum("ni,nij,nj->n", acc, g, w) / sp2
+
+
+def metric_right_normals(g, d1):
+    """Right-of-travel normals to the chart tangents ``d1`` (n, 2), of unit
+    length in the metrics ``g`` (n, 2, 2).
+
+    Gram-Schmidt keeps det[t, w] < 0, the sign of the Euclidean right
+    normal it starts from.
+    """
+    t = d1 / np.sqrt(np.einsum("ni,nij,nj->n", d1, g, d1))[:, None]
     w = np.stack([t[:, 1], -t[:, 0]], axis=1)
     w = w - np.einsum("ni,nij,nj->n", w, g, t)[:, None] * t
-    w = w / np.sqrt(np.einsum("ni,nij,nj->n", w, g, w))[:, None]
-    flip = t[:, 0] * w[:, 1] - t[:, 1] * w[:, 0] > 0
-    w[flip] = -w[flip]
-    return -np.einsum("ni,nij,nj->n", acc, g, w) / sp2
+    return w / np.sqrt(np.einsum("ni,nij,nj->n", w, g, w))[:, None]
 
 
 def require_geodesic(curve, surface=None, tol: float = GEODESIC_KAPPA_TOL):
@@ -674,12 +645,17 @@ def sample_great_circle(surface: SurfaceModel, u, v, n: int = DEFAULT_STEPS):
     return curve_from_samples(surface, pts)
 
 
-def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two sample clouds."""
-    ta, tb = cKDTree(a), cKDTree(b)
-    d_ab = tb.query(a)[0].max()
-    d_ba = ta.query(b)[0].max()
-    return float(max(d_ab, d_ba))
+def hausdorff_distance(a: np.ndarray, b: np.ndarray, bound: float = np.inf) -> float:
+    """Symmetric Hausdorff distance between two sample clouds.
+
+    Exact up to ``bound``; inf once the distance exceeds it, which lets the
+    nearest-neighbour queries stop early.
+    """
+    bound = np.nextafter(bound, np.inf)  # cKDTree keeps distances < bound only
+    d_ab = cKDTree(b).query(a, distance_upper_bound=bound)[0].max()
+    if np.isinf(d_ab):
+        return np.inf
+    return float(max(d_ab, cKDTree(a).query(b, distance_upper_bound=bound)[0].max()))
 
 
 _PLASTIC = 1.32471795724474602596  # root of x^3 = x + 1

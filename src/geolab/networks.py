@@ -67,7 +67,7 @@ class GeodesicNetwork:
         radius = _effective_radius(surface, curves, clustering_radius)
         for i in range(len(curves)):
             for j in range(i + 1, len(curves)):
-                d = hausdorff_distance(curves[i].samples, curves[j].samples)
+                d = hausdorff_distance(curves[i].samples, curves[j].samples, radius)
                 if d <= radius:
                     raise ValueError(
                         f"curves {i} and {j} share their image "

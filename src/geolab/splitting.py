@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .bumps import plateau
 from .errors import (
@@ -34,7 +35,13 @@ from .errors import (
     OffsetTooLarge,
     VertexNotOnStrand,
 )
-from .geodesics import GeodesicCurve, chart_curvature, curve_from_samples, flow_chart
+from .geodesics import (
+    GeodesicCurve,
+    chart_curvature,
+    curve_from_samples,
+    flow_chart,
+    metric_right_normals,
+)
 from .networks import GeodesicNetwork, VertexRecord, detect_vertices
 from .surfaces import ConformalFactor, SurfaceModel, gauss_curvature
 
@@ -127,13 +134,11 @@ class DetourCurve:
 
     def _curved_correction(self, s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        h = 1e-5 * self.ball_radius
-        pts = self.position(s)
-        d1 = (self.position(s + h) - self.position(s - h)) / (2 * h)
-        d2 = (self.position(s + h) - 2 * pts + self.position(s - h)) / h**2
-        kap_full = chart_curvature(self.surface, pts, d1, d2)
         du = self.offset(s, 1)
         ddu = self.offset(s, 2)
+        d1 = self.e_hat + du[:, None] * self.n_left
+        d2 = ddu[:, None] * self.n_left
+        kap_full = chart_curvature(self.surface, self.position(s), d1, d2)
         return kap_full - ddu / (1.0 + du * du) ** 1.5
 
     # -- Fermi coordinates --------------------------------------------------
@@ -142,7 +147,9 @@ class DetourCurve:
         """Exact foot point and signed normal distance (s, t) per point.
 
         t is measured along the right-of-travel normal, the same normal
-        that signs ``kappa``.
+        that signs ``kappa``.  In a curved chart t is scaled so that its
+        derivative along the metric-unit normal is 1 on the curve, which
+        makes df/dn = -kappa hold in the chart metric.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         rel = pts - self.vertex_position
@@ -160,6 +167,9 @@ class DetourCurve:
         tangent = d1 / np.linalg.norm(d1, axis=1, keepdims=True)
         n_right = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
         t = np.sum((pts - c) * n_right, axis=1)
+        if not self.flat:
+            w = metric_right_normals(self.surface.chart_metric(c), d1)
+            t = t / np.sum(w * n_right, axis=1)
         return s, t
 
     def replace_in_samples(self, samples: np.ndarray) -> np.ndarray:
@@ -463,13 +473,7 @@ def conformal_factor_for(
     """
     bridges = detour.bridge_points()
     if other_strand_points is not None and other_strand_points.size:
-        dmin = float(
-            np.min(
-                np.linalg.norm(
-                    bridges[:, None, :] - other_strand_points[None, :, :], axis=2
-                )
-            )
-        )
+        dmin = float(cKDTree(other_strand_points).query(bridges)[0].min())
     else:
         dmin = INNER_FRAC * detour.ball_radius
     if d0 is None:

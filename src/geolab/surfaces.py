@@ -7,12 +7,15 @@ Two representations are supported:
   cylinder).  Gauss curvature uses the adjugate formula
   ``K = (grad F . adj(Hess F) . grad F) / |grad F|^4``, which has no chart
   singularities at the poles.
-* charts over a parameter rectangle with metric coefficients E, F, G and
-  optional periodic identifications per axis.
+* charts over a parameter rectangle with one vectorized metric function
+  ``uv -> g(uv)`` of shape (..., 2, 2) and optional periodic identifications
+  per axis.  Christoffel symbols and Brioschi curvature each take their
+  finite differences from one metric evaluation on a stencil.
 
-Either representation can carry a conformal factor f; the effective metric is
+Charts can carry a conformal factor f; the effective metric is
 ``exp(2 f) g``.  Factors are stored procedurally (callables with an explicit
-support ball), never as grids, so support containment is exact.
+support ball), never as grids, so support containment is exact.  Level sets
+carry no factor: vertex splitting works in charts.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ ON_SURFACE_TOL = 1e-10
 
 # step for finite differences of chart metric coefficients
 _FD_H = 1e-6
+# stencil offsets in steps of h: centre, +-e_u, +-e_v, then the four diagonals
+_STENCIL = np.array(
+    [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]]
+)
 
 
 @dataclass(frozen=True)
@@ -97,8 +104,9 @@ class SurfaceModel:
 
     Level-set surfaces provide vectorized ``level_fn`` (F), ``grad_fn``
     (grad F, shape (...,3)) and ``hess_fn`` (Hess F, shape (...,3,3)).
-    Chart surfaces provide metric coefficients ``chart_E/F/G`` over the
-    rectangle ``chart_domain`` with per-axis ``chart_periodic`` flags.
+    Chart surfaces provide a vectorized metric ``chart_metric_fn(uv)`` of
+    shape (..., 2, 2) over the rectangle ``chart_domain`` with per-axis
+    ``chart_periodic`` flags.
     """
 
     kind: str  # "levelset" | "chart"
@@ -107,9 +115,7 @@ class SurfaceModel:
     level_fn: Optional[Callable] = None
     grad_fn: Optional[Callable] = None
     hess_fn: Optional[Callable] = None
-    chart_E: Optional[Callable] = None
-    chart_F: Optional[Callable] = None
-    chart_G: Optional[Callable] = None
+    chart_metric_fn: Optional[Callable] = None
     chart_domain: tuple = (0.0, 1.0, 0.0, 1.0)
     chart_periodic: tuple = (False, False)
     conformal_factor: Optional[object] = None
@@ -122,7 +128,12 @@ class SurfaceModel:
         return 3 if self.kind == "levelset" else 2
 
     def with_conformal_factor(self, factor) -> "SurfaceModel":
-        """Return a copy carrying ``factor`` composed onto any existing one."""
+        """Return a copy carrying ``factor`` composed onto any existing one.
+
+        Raises ChartUnavailable for level sets: factors live on charts only.
+        """
+        if self.kind != "chart":
+            raise ChartUnavailable("conformal factors need a chart representation")
         if self.conformal_factor is None:
             return replace(self, conformal_factor=factor)
         old = self.conformal_factor
@@ -203,28 +214,16 @@ class SurfaceModel:
 
     # -- chart machinery ---------------------------------------------------
 
-    def _coeff(self, which: str, u, v):
-        fn = {"E": self.chart_E, "F": self.chart_F, "G": self.chart_G}[which]
-        base = np.asarray(fn(u, v), dtype=float)
-        if self.conformal_factor is not None:
-            pts = np.stack(np.broadcast_arrays(u, v), axis=-1)
-            base = base * np.exp(2.0 * self.factor_value(pts))
-        return base
-
     def chart_metric(self, uv: np.ndarray) -> np.ndarray:
-        """Metric components at chart points, shape (...,2,2)."""
+        """Metric components at chart points, shape (...,2,2), including the
+        conformal factor."""
         if self.kind != "chart":
             raise ChartUnavailable("surface has no chart representation")
         uv = np.asarray(uv, dtype=float)
-        u, v = uv[..., 0], uv[..., 1]
-        E = self._coeff("E", u, v)
-        F = self._coeff("F", u, v)
-        G = self._coeff("G", u, v)
-        g = np.empty(np.broadcast(u, v).shape + (2, 2))
-        g[..., 0, 0] = E
-        g[..., 0, 1] = F
-        g[..., 1, 0] = F
-        g[..., 1, 1] = G
+        g = self.chart_metric_fn(uv)
+        if self.conformal_factor is not None:
+            f = self.conformal_factor(uv.reshape(-1, 2)).reshape(uv.shape[:-1])
+            g = g * np.exp(2.0 * f)[..., None, None]
         return g
 
     def in_chart_domain(self, uv: np.ndarray) -> bool:
@@ -250,9 +249,9 @@ def make_mk(k: float, mu: float = 1.0) -> SurfaceModel:
     family converges to the unit cylinder.  The equator {x3 = 0} is a simple
     closed geodesic of length 2 pi for every k.
     """
-    if k <= 0:
+    if not k > 0:  # also rejects NaN
         raise ValueError("k must be positive")
-    if mu < 1:
+    if not mu >= 1:
         raise ValueError("mu must be >= 1")
 
     def F(p):
@@ -296,7 +295,7 @@ def _safe_pow(base: np.ndarray, expo: float) -> np.ndarray:
 
 def make_ellipsoid(a1: float, a2: float, a3: float) -> SurfaceModel:
     """Ellipsoid a1 x1^2 + a2 x2^2 + a3 x3^2 = 1 (coefficient convention)."""
-    if min(a1, a2, a3) <= 0:
+    if not all(a > 0 for a in (a1, a2, a3)):  # also rejects NaN
         raise ValueError("coefficients must be positive")
     a = np.array([a1, a2, a3])
 
@@ -356,15 +355,10 @@ def make_flat_chart(
     width: float = 2.0, height: float = 2.0, periodic=(False, False)
 ) -> SurfaceModel:
     """Flat chart [-w/2, w/2] x [-h/2, h/2] with E = G = 1, F = 0."""
-
-    one = lambda u, v: np.ones(np.broadcast(u, v).shape)
-    zero = lambda u, v: np.zeros(np.broadcast(u, v).shape)
     return SurfaceModel(
         kind="chart",
         name="flat_chart",
-        chart_E=one,
-        chart_F=zero,
-        chart_G=one,
+        chart_metric_fn=lambda uv: np.zeros(uv.shape + (2,)) + np.eye(2),
         chart_domain=(-width / 2, width / 2, -height / 2, height / 2),
         chart_periodic=tuple(periodic),
     )
@@ -390,15 +384,16 @@ def make_flat_torus(side: float = 1.0) -> SurfaceModel:
 def make_sphere_polar_chart() -> SurfaceModel:
     """Polar chart (phi, theta) of the unit sphere, metric dphi^2 + sin^2(phi) dtheta^2."""
 
-    one = lambda u, v: np.ones(np.broadcast(u, v).shape)
-    zero = lambda u, v: np.zeros(np.broadcast(u, v).shape)
-    sin2 = lambda u, v: np.sin(np.broadcast_arrays(u, v)[0]) ** 2
+    def metric(uv):
+        g = np.zeros(uv.shape + (2,))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = np.sin(uv[..., 0]) ** 2
+        return g
+
     return SurfaceModel(
         kind="chart",
         name="sphere_polar",
-        chart_E=one,
-        chart_F=zero,
-        chart_G=sin2,
+        chart_metric_fn=metric,
         chart_domain=(1e-3, np.pi - 1e-3, 0.0, 2 * np.pi),
         chart_periodic=(False, True),
     )
@@ -412,25 +407,19 @@ def sphere_exp_chart(radius: float = 1.2) -> SurfaceModel:
     g_ij = x_i x_j / r^2 + (sin r / r)^2 (delta_ij - x_i x_j / r^2).
     """
 
-    def coeff(i, j):
-        def fn(u, v):
-            u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-            r2 = u * u + v * v
-            r = np.sqrt(r2)
-            s = np.where(r > 1e-12, np.sin(r) / np.where(r > 1e-12, r, 1.0), 1.0)
-            x = np.stack([u, v], axis=-1)
-            rad = np.where(r2 > 1e-24, x[..., i] * x[..., j] / np.where(r2 > 1e-24, r2, 1.0), 0.0)
-            delta = 1.0 if i == j else 0.0
-            return rad + s * s * (delta - rad)
-
-        return fn
+    def metric(x):
+        r2 = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
+        r = np.sqrt(r2)
+        s = np.where(r > 1e-12, np.sin(r) / np.where(r > 1e-12, r, 1.0), 1.0)
+        big = (r2 > 1e-24)[..., None, None]
+        xx = x[..., :, None] * x[..., None, :]
+        rad = np.where(big, xx / np.where(big, r2[..., None, None], 1.0), 0.0)
+        return rad + (s * s)[..., None, None] * (np.eye(2) - rad)
 
     return SurfaceModel(
         kind="chart",
         name="sphere_exp",
-        chart_E=coeff(0, 0),
-        chart_F=coeff(0, 1),
-        chart_G=coeff(1, 1),
+        chart_metric_fn=metric,
         chart_domain=(-radius, radius, -radius, radius),
         chart_periodic=(False, False),
     )
@@ -452,8 +441,8 @@ def surface_from_config(spec: dict) -> SurfaceModel:
         if t == "mk":
             return make_mk(float(spec["k"]), float(spec.get("mu", 1.0)))
         if t == "ellipsoid":
-            a = spec["a"]
-            return make_ellipsoid(float(a[0]), float(a[1]), float(a[2]))
+            a1, a2, a3 = (float(x) for x in spec["a"])
+            return make_ellipsoid(a1, a2, a3)
         if t == "sphere":
             return make_sphere()
         if t == "cylinder":
@@ -474,19 +463,15 @@ def metric_at(surface: SurfaceModel, point: np.ndarray) -> MetricTensor:
     """First fundamental form at a point.
 
     For level-set surfaces the form is expressed in an orthonormal ambient
-    tangent frame, so the base components are the identity; a conformal
-    factor multiplies them by exp(2 f).  Chart surfaces return the
-    coefficient matrix [[E, F], [F, G]].
+    tangent frame, so the components are the identity.  Chart surfaces
+    return the coefficient matrix [[E, F], [F, G]].
 
     Raises PointOffSurface when |F(point)| exceeds the on-surface tolerance.
     """
     point = np.asarray(point, dtype=float)
     if surface.kind == "levelset":
         surface.check_on_surface(point)
-        comp = np.eye(2)
-        if surface.conformal_factor is not None:
-            comp = comp * np.exp(2.0 * float(surface.factor_value(point)))
-        return MetricTensor(comp)
+        return MetricTensor(np.eye(2))
     if not surface.in_chart_domain(point):
         raise PointOffSurface("chart point outside parameter rectangle")
     return MetricTensor(surface.chart_metric(point))
@@ -495,11 +480,10 @@ def metric_at(surface: SurfaceModel, point: np.ndarray) -> MetricTensor:
 def gauss_curvature(surface: SurfaceModel, points: np.ndarray):
     """Gauss curvature of the (possibly conformally rescaled) metric.
 
-    Level sets use K = (grad F . adj(Hess F) . grad F)/|grad F|^4; a
-    conformal factor contributes K -> exp(-2f) (K - Lap_g f) with the
-    Laplacian evaluated by second differences along a tangent frame.
-    Charts use the Brioschi formula with finite-difference coefficient
-    derivatives (the conformal factor is already folded into E, F, G).
+    Level sets use K = (grad F . adj(Hess F) . grad F)/|grad F|^4.  Flat
+    charts use K = -exp(-2 f) Lap f for their conformal factor f; other
+    charts use the Brioschi formula with finite-difference coefficient
+    derivatives (the conformal factor is already folded into the metric).
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
@@ -507,10 +491,6 @@ def gauss_curvature(surface: SurfaceModel, points: np.ndarray):
     if surface.kind == "levelset":
         surface.check_on_surface(pts2)
         K = _levelset_curvature(surface, pts2)
-        if surface.conformal_factor is not None:
-            f = surface.factor_value(pts2)
-            lap = _surface_laplacian(surface, pts2)
-            K = np.exp(-2.0 * f) * (K - lap)
     else:
         if not surface.in_chart_domain(pts2):
             raise PointOffSurface("chart point outside parameter rectangle")
@@ -532,7 +512,7 @@ def gauss_curvature(surface: SurfaceModel, points: np.ndarray):
                     ) / h**2
                 K = -np.exp(-2.0 * f0) * lap
         else:
-            K = np.array([_brioschi(surface, uv) for uv in pts2])
+            K = _brioschi(surface, pts2)
     return float(K[0]) if single else K
 
 
@@ -563,101 +543,52 @@ def _adjugate3(H: np.ndarray) -> np.ndarray:
     return adj
 
 
-def _surface_laplacian(surface: SurfaceModel, pts: np.ndarray, h: float = 1e-4):
-    """Laplace-Beltrami of the conformal factor by projected second differences."""
-    f0 = surface.factor_value(pts)
-    lap = np.zeros(pts.shape[0])
-    for i in range(pts.shape[0]):
-        e1, e2, _ = surface.tangent_frame(pts[i])
-        acc = 0.0
-        for e in (e1, e2):
-            fp = surface.factor_value(surface.project(pts[i] + h * e))
-            fm = surface.factor_value(surface.project(pts[i] - h * e))
-            acc += (fp - 2.0 * f0[i] + fm) / h**2
-        lap[i] = acc
-    return lap
+def _brioschi(surface: SurfaceModel, pts: np.ndarray, h: float = 1e-4):
+    """Gauss curvature of a chart metric via the Brioschi formula, at a
+    batch of points (n, 2), from one metric evaluation on a 9-point stencil."""
+    g = surface.chart_metric(pts[:, None, :] + h * _STENCIL)
+    E, F, G = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+    E0, F0, G0 = E[:, 0], F[:, 0], G[:, 0]
+    Eu = (E[:, 1] - E[:, 2]) / (2 * h)
+    Ev = (E[:, 3] - E[:, 4]) / (2 * h)
+    Gu = (G[:, 1] - G[:, 2]) / (2 * h)
+    Gv = (G[:, 3] - G[:, 4]) / (2 * h)
+    Fu = (F[:, 1] - F[:, 2]) / (2 * h)
+    Fv = (F[:, 3] - F[:, 4]) / (2 * h)
+    Evv = (E[:, 3] - 2 * E0 + E[:, 4]) / h**2
+    Guu = (G[:, 1] - 2 * G0 + G[:, 2]) / h**2
+    Fuv = (F[:, 5] - F[:, 6] - F[:, 7] + F[:, 8]) / (4 * h**2)
 
-
-def _brioschi(surface: SurfaceModel, uv: np.ndarray, h: float = 1e-4) -> float:
-    """Gauss curvature of a chart metric via the Brioschi formula."""
-    u, v = float(uv[0]), float(uv[1])
-
-    def c(name, uu, vv):
-        return float(surface._coeff(name, uu, vv))
-
-    E, F, G = c("E", u, v), c("F", u, v), c("G", u, v)
-    Eu = (c("E", u + h, v) - c("E", u - h, v)) / (2 * h)
-    Ev = (c("E", u, v + h) - c("E", u, v - h)) / (2 * h)
-    Gu = (c("G", u + h, v) - c("G", u - h, v)) / (2 * h)
-    Gv = (c("G", u, v + h) - c("G", u, v - h)) / (2 * h)
-    Fu = (c("F", u + h, v) - c("F", u - h, v)) / (2 * h)
-    Fv = (c("F", u, v + h) - c("F", u, v - h)) / (2 * h)
-    Evv = (c("E", u, v + h) - 2 * E + c("E", u, v - h)) / h**2
-    Guu = (c("G", u + h, v) - 2 * G + c("G", u - h, v)) / h**2
-    Fuv = (
-        c("F", u + h, v + h)
-        - c("F", u + h, v - h)
-        - c("F", u - h, v + h)
-        + c("F", u - h, v - h)
-    ) / (4 * h**2)
-
-    M1 = np.array(
-        [
-            [-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
-            [Fv - 0.5 * Gu, E, F],
-            [0.5 * Gv, F, G],
-        ]
-    )
-    M2 = np.array(
-        [
-            [0.0, 0.5 * Ev, 0.5 * Gu],
-            [0.5 * Ev, E, F],
-            [0.5 * Gu, F, G],
-        ]
-    )
-    den = (E * G - F * F) ** 2
-    return float((np.linalg.det(M1) - np.linalg.det(M2)) / den)
+    M1 = [
+        [-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
+        [Fv - 0.5 * Gu, E0, F0],
+        [0.5 * Gv, F0, G0],
+    ]
+    M2 = [
+        [np.zeros_like(Ev), 0.5 * Ev, 0.5 * Gu],
+        [0.5 * Ev, E0, F0],
+        [0.5 * Gu, F0, G0],
+    ]
+    det1, det2 = (np.linalg.det(np.moveaxis(np.array(M), -1, 0)) for M in (M1, M2))
+    return (det1 - det2) / (E0 * G0 - F0 * F0) ** 2
 
 
 def christoffel_batch(surface: SurfaceModel, pts: np.ndarray, h: float = _FD_H):
     """Christoffel symbols at a batch of chart points, shape (n, 2, 2, 2).
 
-    Coefficient derivatives are taken by vectorized central differences of
-    the (conformally rescaled) E, F, G.
+    Metric derivatives are central differences from one evaluation of the
+    (conformally rescaled) metric on a 5-point stencil.
     """
     if surface.kind != "chart":
         raise ChartUnavailable("Christoffel symbols need a chart representation")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    u, v = pts[:, 0], pts[:, 1]
-    n = pts.shape[0]
-    g = surface.chart_metric(pts)
-    ginv = np.linalg.inv(g)
+    gs = surface.chart_metric(pts[:, None, :] + h * _STENCIL[:5])
+    ginv = np.linalg.inv(gs[:, 0])
     # dg[:, c, a, b] = d g_{ab} / d x_c
-    dg = np.empty((n, 2, 2, 2))
-    for axis in range(2):
-        up = (u + h, u) if axis == 0 else (u, u)
-        um = (u - h, u) if axis == 0 else (u, u)
-        vp = v + h if axis == 1 else v
-        vm = v - h if axis == 1 else v
-        E = (surface._coeff("E", up[0], vp) - surface._coeff("E", um[0], vm)) / (2 * h)
-        F = (surface._coeff("F", up[0], vp) - surface._coeff("F", um[0], vm)) / (2 * h)
-        G = (surface._coeff("G", up[0], vp) - surface._coeff("G", um[0], vm)) / (2 * h)
-        dg[:, axis, 0, 0] = E
-        dg[:, axis, 0, 1] = F
-        dg[:, axis, 1, 0] = F
-        dg[:, axis, 1, 1] = G
+    dg = np.stack([gs[:, 1] - gs[:, 2], gs[:, 3] - gs[:, 4]], axis=1) / (2 * h)
     # Gamma^c_{ab} = 1/2 g^{cd} (dg_a[d,b] + dg_b[d,a] - dg_d[a,b])
-    gamma = np.empty((n, 2, 2, 2))
-    for c in range(2):
-        for a in range(2):
-            for b in range(2):
-                s = np.zeros(n)
-                for d in range(2):
-                    s += ginv[:, c, d] * (
-                        dg[:, a, d, b] + dg[:, b, d, a] - dg[:, d, a, b]
-                    )
-                gamma[:, c, a, b] = 0.5 * s
-    return gamma
+    bracket = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
+    return 0.5 * np.einsum("ncd,ndab->ncab", ginv, bracket)
 
 
 def christoffel(surface: SurfaceModel, uv: np.ndarray) -> np.ndarray:

@@ -187,7 +187,7 @@ def mk_multiplicity_experiment(
     for seed_idx, T_guess, cur in found:
         for cls in classes:
             if abs(cls["curve"].length - cur.length) < 0.05 and hausdorff_distance(
-                cls["curve"].samples, cur.samples
+                cls["curve"].samples, cur.samples, dedup_tol
             ) <= dedup_tol:
                 cls["members"] += 1
                 break
@@ -207,7 +207,7 @@ def mk_multiplicity_experiment(
         # a transverse crossing usually falls between samples: x3 changes sign
         crosses = min_x3 <= equator_tol or x3.min() < 0.0 < x3.max()
         is_g0 = (
-            hausdorff_distance(cur.samples, gamma0.samples) <= equator_tol
+            hausdorff_distance(cur.samples, gamma0.samples, equator_tol) <= equator_tol
             and abs(cur.length - 2 * np.pi) < 0.01
         )
         rec = {

@@ -48,6 +48,25 @@ class TestCli:
         err = json.loads((tmp_path / "o" / "error.json").read_text())
         assert err["error"] == "ConfigInvalid"
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            (
+                "ellipsoid-experiment",
+                {"surface": {"type": "ellipsoid", "a": [0.96, 1.0]}},
+            ),
+            ("find-geodesics", {"n_seeds": "abc"}),
+            ("sweepout-bound", {"surface": {"type": "mk", "k": "nan"}}),
+        ],
+    )
+    def test_bad_config_value_exit_1(self, tmp_path, command, config):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        rc = run([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert err["error"] == "ConfigInvalid"
+
     def test_unreadable_config_exit_1(self, tmp_path):
         rc = run(
             ["index", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")]

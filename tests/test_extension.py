@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geolab.errors import EtaTooLarge, FlowLeftSurface, NotGPlus, OriginMismatch
 from geolab.extension import (
     SumField,
+    _CurveFrame,
     TangentialField,
     cross_extension,
     extend_normal_field,
@@ -26,6 +29,29 @@ def vec_poly(coeffs):
         )
 
     return f
+
+
+@pytest.fixture(scope="module")
+def circle_frame(sphere):
+    return _CurveFrame(sample_great_circle(sphere, [1, 0, 0], [0, 1, 0], n=512), sphere)
+
+
+class TestCurveFrame:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        pts=arrays(float, (64, 3), elements=st.floats(-1.5, 1.5)),
+        bound=st.floats(1e-3, 1.0),
+    )
+    def test_bounded_nearest_matches_unbounded_inside_bound(
+        self, circle_frame, pts, bound
+    ):
+        s, d, foot, _ = circle_frame.nearest(pts)
+        s_b, d_b, foot_b, _ = circle_frame.nearest(pts, bound)
+        inside = d < bound
+        assert np.array_equal(s_b[inside], s[inside])
+        assert np.array_equal(d_b[inside], d[inside])
+        assert np.array_equal(foot_b[inside], foot[inside])
+        assert np.all((d_b[~inside] == d[~inside]) | np.isinf(d_b[~inside]))
 
 
 class TestCrossExtension:
@@ -53,6 +79,23 @@ class TestCrossExtension:
         U = cross_extension(u1, u2)
         val = U(2.0, 3.0)
         assert np.allclose(val, [4.0 + np.sin(3.0), 1.0])
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        c1=arrays(float, (2, 4), elements=st.floats(-10.0, 10.0)),
+        c2=arrays(float, (2, 4), elements=st.floats(-10.0, 10.0)),
+        t=arrays(float, 16, elements=st.floats(-2.0, 2.0)),
+    )
+    def test_restricts_to_axis_data(self, c1, c2, t):
+        c2[:, 0] = c1[:, 0]  # the two strands agree at the crossing
+        u1, u2 = vec_poly(c1), vec_poly(c2)
+        U = cross_extension(u1, u2)
+        zero = np.zeros_like(t)
+        # U(x, 0) = (u1(x) + u2(0)) - u1(0): equal to u1(x) up to rounding
+        eps = np.finfo(float).eps
+        for restricted, axis in ((U(t, zero), u1(t)), (U(zero, t), u2(t))):
+            tol = 4 * eps * (np.abs(axis) + np.abs(c1[:, 0]))
+            assert np.all(np.abs(restricted - axis) <= tol)
 
     def test_origin_mismatch(self):
         u1 = vec_poly([[0.0, 1], [0, 0]])

@@ -166,6 +166,14 @@ class TestSplit:
             k = strand_curvature_in(net2.curves[j], surf)
             assert np.max(np.abs(k)) <= 1e-8
 
+    def test_full_reduction_order3_curved_chart(self):
+        chart = sphere_exp_chart(1.2)
+        net = concurrent_lines(chart, np.pi * np.arange(3) / 3)
+        _, net2, transcript = reduce_vertex_fully(chart, net, net.vertices[0])
+        assert all(s["curvature_residual_after"] <= 1e-6 for s in transcript)
+        assert sorted(v.order for v in net2.vertices) == [2, 2, 2]
+        assert all(v.transverse for v in net2.vertices)
+
     def test_full_reduction_order4(self, chart):
         net = concurrent_lines(chart, (0.0, np.pi / 2, np.pi / 4, -np.pi / 4))
         surf, net2, transcript = reduce_vertex_fully(chart, net, net.vertices[0])

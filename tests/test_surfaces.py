@@ -14,6 +14,7 @@ from geolab.surfaces import (
     make_sphere,
     make_sphere_polar_chart,
     metric_at,
+    sphere_exp_chart,
     surface_from_config,
 )
 
@@ -109,6 +110,29 @@ class TestGaussCurvature:
         pts = mk.project(rng.normal(size=(1000, 3)) * [1, 1, 1.5], iterations=8)
         K = gauss_curvature(mk, pts)
         assert K.min() >= -1e-9
+
+
+class TestChartCurvature:
+    def test_unit_sphere_charts(self):
+        rng = np.random.default_rng(4)
+        exp_pts = rng.uniform(-0.8, 0.8, size=(200, 2))
+        polar_pts = np.stack(
+            [rng.uniform(0.3, np.pi - 0.3, 200), rng.uniform(0.0, 2 * np.pi, 200)],
+            axis=1,
+        )
+        K_exp = gauss_curvature(sphere_exp_chart(1.2), exp_pts)
+        K_polar = gauss_curvature(make_sphere_polar_chart(), polar_pts)
+        assert np.max(np.abs(K_exp - 1.0)) < 1e-6
+        assert np.max(np.abs(K_polar - 1.0)) < 1e-6
+
+    def test_levelset_conformal_factor_raises(self, mk4):
+        factor = ConformalFactor(
+            value=lambda pts: np.full(pts.shape[0], 0.1),
+            center=np.zeros(3),
+            radius=1.0,
+        )
+        with pytest.raises(ChartUnavailable):
+            mk4.with_conformal_factor(factor)
 
 
 class TestChristoffel:
