@@ -17,10 +17,6 @@ class LeftChartDomain(GeolabError):
     """Integration left the chart's parameter rectangle."""
 
 
-class StepTooLarge(GeolabError):
-    """Energy or constraint drift exceeded tolerance during integration."""
-
-
 class NoConvergence(GeolabError):
     """Iterative solver did not converge within its iteration budget."""
 

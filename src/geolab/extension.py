@@ -60,6 +60,15 @@ def cross_extension(u_axis1: Callable, u_axis2: Callable) -> Callable:
     return U
 
 
+def _profile_samples(curve: GeodesicCurve, spec) -> np.ndarray:
+    """Per-sample values of a scalar profile along ``curve``: a constant, an
+    array on the curve's sample grid, or a callable of arclength."""
+    if callable(spec):
+        s = np.arange(curve.n) * (curve.length / curve.n)
+        return np.asarray(spec(s), dtype=float)
+    return np.broadcast_to(np.asarray(spec, dtype=float), (curve.n,)).copy()
+
+
 # ---------------------------------------------------------------------------
 # per-curve geometry caches
 # ---------------------------------------------------------------------------
@@ -223,13 +232,7 @@ def extend_normal_field(
     surface = network.ambient_surface
     curves = network.curves
     frames = [_CurveFrame(c, surface) for c in curves]
-    phis = []
-    for c, spec in zip(curves, normal_fields):
-        if callable(spec):
-            s = np.arange(c.n) * (c.length / c.n)
-            phis.append(np.asarray(spec(s), dtype=float))
-        else:
-            phis.append(np.broadcast_to(np.asarray(spec, dtype=float), (c.n,)).copy())
+    phis = [_profile_samples(c, spec) for c, spec in zip(curves, normal_fields)]
 
     verts = network.vertices
     if verts:
@@ -345,15 +348,9 @@ class TangentialField:
     def __init__(self, network: GeodesicNetwork, profiles, tube_radius=0.2):
         self.surface = network.ambient_surface
         self.frames = [_CurveFrame(c, self.surface) for c in network.curves]
-        self.profiles = []
-        for c, spec in zip(network.curves, profiles):
-            if callable(spec):
-                s = np.arange(c.n) * (c.length / c.n)
-                self.profiles.append(np.asarray(spec(s), dtype=float))
-            else:
-                self.profiles.append(
-                    np.broadcast_to(np.asarray(spec, dtype=float), (c.n,)).copy()
-                )
+        self.profiles = [
+            _profile_samples(c, spec) for c, spec in zip(network.curves, profiles)
+        ]
         self.tube_radius = tube_radius
 
     def __call__(self, pts):
@@ -406,6 +403,15 @@ def flow_network_length(
     return total
 
 
+def _length_second_difference(network, ambient_field, h, n_substeps):
+    """Centered second difference of total network length under the flow
+    of ``ambient_field`` with step h; returns it with the unflowed length."""
+    L0 = flow_network_length(network, ambient_field, 0.0, n_substeps)
+    Lp = flow_network_length(network, ambient_field, h, n_substeps)
+    Lm = flow_network_length(network, ambient_field, -h, n_substeps)
+    return (Lp - 2.0 * L0 + Lm) / h**2, L0
+
+
 def verify_second_variation_match(
     network: GeodesicNetwork,
     normal_fields: Sequence,
@@ -423,18 +429,11 @@ def verify_second_variation_match(
     Q_form = 0.0
     for c, spec in zip(network.curves, normal_fields):
         require_geodesic(c, network.ambient_surface)
-        if callable(spec):
-            s = np.arange(c.n) * (c.length / c.n)
-            phi = np.asarray(spec(s), dtype=float)
-        else:
-            phi = np.broadcast_to(np.asarray(spec, dtype=float), (c.n,)).copy()
+        phi = _profile_samples(c, spec)
         Q_form += second_variation(c, phi, phi, network.ambient_surface)
 
     h = flow_step
-    L0 = flow_network_length(network, ambient_field, 0.0, n_substeps)
-    Lp = flow_network_length(network, ambient_field, h, n_substeps)
-    Lm = flow_network_length(network, ambient_field, -h, n_substeps)
-    Q_flow = (Lp - 2.0 * L0 + Lm) / h**2
+    Q_flow, L0 = _length_second_difference(network, ambient_field, h, n_substeps)
     scale = max(abs(Q_form), 1e-12)
     report = {
         "Q_form": float(Q_form),
@@ -464,11 +463,7 @@ def flow_gram_matrix(
     """
 
     def q(fieldobj):
-        h = flow_step
-        L0 = flow_network_length(network, fieldobj, 0.0, n_substeps)
-        Lp = flow_network_length(network, fieldobj, h, n_substeps)
-        Lm = flow_network_length(network, fieldobj, -h, n_substeps)
-        return (Lp - 2.0 * L0 + Lm) / h**2
+        return _length_second_difference(network, fieldobj, flow_step, n_substeps)[0]
 
     k = len(ambient_fields)
     diag = [q(f) for f in ambient_fields]

@@ -13,10 +13,14 @@ exp(-f) (kappa + df/dn) vanishes.  The factor is supported in a tube of
 half-width d0 around the bridges, which by construction stays clear of the
 other strands and of an inner ball around the vertex, so the remaining
 strands stay geodesics and the deformation composes across nested splits.
+The chord and the strand outside the window are geodesics, so kappa is
+taken as 0 there and the factor vanishes in the tube around the chord.
 
 Vertices are worked on in a chart centered at the vertex in which all
 strands are straight lines through the origin (synthetic flat charts
-directly; the unit sphere via its analytic normal-coordinate chart).
+directly; the unit sphere via its analytic normal-coordinate chart).  In a
+curved chart the chord is shot with the batched chart flow: each Newton
+step flows the shot and its two finite-difference perturbations at once.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.spatial import cKDTree
 
 from .bumps import plateau
@@ -51,9 +56,17 @@ OUTER_FRAC = 0.8
 INNER_FRAC = 0.4
 
 
+def _piece(coeffs, s0, h):
+    """A graph-offset polynomial on [s0, s0 + h] as (s0, h, (c, c', c'')):
+    monomial coefficients in x = (s - s0)/h of the polynomial and of its
+    first and second x-derivative, built once."""
+    d1 = P.polyder(coeffs)
+    return s0, h, (coeffs, d1, P.polyder(d1))
+
+
 def _quintic(s0, s1, y0, dy0, ddy0, y1, dy1, ddy1):
-    """Quintic Hermite coefficients on [s0, s1] matching value, first and
-    second derivative at both ends (monomials in (s - s0)/(s1 - s0))."""
+    """Quintic Hermite piece on [s0, s1] matching value, first and second
+    derivative at both ends."""
     h = s1 - s0
     A = np.zeros((6, 6))
     b = np.array([y0, dy0 * h, ddy0 * h * h, y1, dy1 * h, ddy1 * h * h])
@@ -63,16 +76,13 @@ def _quintic(s0, s1, y0, dy0, ddy0, y1, dy1, ddy1):
     A[3] = 1.0
     A[4] = np.arange(6)
     A[5] = np.arange(6) * (np.arange(6) - 1)
-    return np.linalg.solve(A, b), s0, h
+    return _piece(np.linalg.solve(A, b), s0, h)
 
 
-def _eval_quintic(coeffs, s0, h, s, order=0):
-    x = (np.asarray(s, dtype=float) - s0) / h
-    p = np.polynomial.polynomial
-    c = coeffs
-    for _ in range(order):
-        c = p.polyder(c)
-    return p.polyval(x, c) / h**order
+def _right_normals(d1):
+    """Euclidean unit right-of-travel normals to chart tangents (..., 2)."""
+    tangent = d1 / np.linalg.norm(d1, axis=-1, keepdims=True)
+    return np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
 
 
 @dataclass
@@ -93,9 +103,9 @@ class DetourCurve:
     ball_radius: float
     offset_t: float
     s_window: tuple  # (s_P, s_p, s_q, s_Q)
-    bridge_in: tuple  # quintic data
-    chord: tuple  # (coeffs as linear poly data) offsets of sigma as graph
-    bridge_out: tuple
+    bridge_in: tuple  # _piece on [s_P, s_p)
+    chord: tuple  # _piece on [s_p, s_q): the chord's graph offsets
+    bridge_out: tuple  # _piece on [s_q, s_Q)
     flat: bool = True
 
     # -- graph offsets ----------------------------------------------------
@@ -104,14 +114,14 @@ class DetourCurve:
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
         sP, sp, sq, sQ = self.s_window
-        for lo, hi, piece in (
+        for lo, hi, (s0, h, derivs) in (
             (sP, sp, self.bridge_in),
             (sp, sq, self.chord),
             (sq, sQ, self.bridge_out),
         ):
             m = (s >= lo) & (s < hi)
             if m.any():
-                out[m] = _eval_quintic(*piece, s[m], order=order)
+                out[m] = P.polyval((s[m] - s0) / h, derivs[order]) / h**order
         return out
 
     def position(self, s):
@@ -123,23 +133,30 @@ class DetourCurve:
             + u[..., None] * self.n_left
         )
 
-    def kappa(self, s):
-        """Signed geodesic curvature wrt the right-of-travel normal."""
-        du = self.offset(s, 1)
-        ddu = self.offset(s, 2)
-        k = ddu / (1.0 + du * du) ** 1.5
-        if not self.flat:
-            k = k + self._curved_correction(s)
-        return k
+    def jet(self, s):
+        """Position and first and second s-derivatives at ``s``, each of
+        shape (..., 2)."""
+        s = np.asarray(s, dtype=float)
+        du, ddu = (self.offset(s, k)[..., None] for k in (1, 2))
+        return self.position(s), self.e_hat + du * self.n_left, ddu * self.n_left
 
-    def _curved_correction(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        du = self.offset(s, 1)
-        ddu = self.offset(s, 2)
-        d1 = self.e_hat + du[:, None] * self.n_left
-        d2 = ddu[:, None] * self.n_left
-        kap_full = chart_curvature(self.surface, self.position(s), d1, d2)
-        return kap_full - ddu / (1.0 + du * du) ** 1.5
+    def kappa(self, s):
+        """Signed geodesic curvature wrt the right-of-travel normal.
+
+        Zero off the bridges: the chord and the strand are geodesics by
+        construction.  Flat charts use the graph formula, curved charts
+        ``chart_curvature`` of the jet.
+        """
+        s = np.asarray(s, dtype=float)
+        sP, sp, sq, sQ = self.s_window
+        on = ((s >= sP) & (s < sp)) | ((s >= sq) & (s < sQ))
+        k = np.zeros_like(s)
+        if self.flat:
+            du, ddu = self.offset(s[on], 1), self.offset(s[on], 2)
+            k[on] = ddu / (1.0 + du * du) ** 1.5
+        elif on.any():
+            k[on] = chart_curvature(self.surface, *self.jet(s[on]))
+        return k
 
     # -- Fermi coordinates --------------------------------------------------
 
@@ -152,20 +169,15 @@ class DetourCurve:
         makes df/dn = -kappa hold in the chart metric.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = pts - self.vertex_position
-        s = rel @ self.e_hat
+        s = (pts - self.vertex_position) @ self.e_hat
         for _ in range(newton_iters):
-            c = self.position(s)
-            d1 = self.e_hat + self.offset(s, 1)[:, None] * self.n_left
-            d2 = self.offset(s, 2)[:, None] * self.n_left
+            c, d1, d2 = self.jet(s)
             r = pts - c
             g1 = -np.sum(r * d1, axis=1)
             g2 = np.sum(d1 * d1, axis=1) - np.sum(r * d2, axis=1)
             s = s - g1 / g2
-        c = self.position(s)
-        d1 = self.e_hat + self.offset(s, 1)[:, None] * self.n_left
-        tangent = d1 / np.linalg.norm(d1, axis=1, keepdims=True)
-        n_right = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+        c, d1, _ = self.jet(s)
+        n_right = _right_normals(d1)
         t = np.sum((pts - c) * n_right, axis=1)
         if not self.flat:
             w = metric_right_normals(self.surface.chart_metric(c), d1)
@@ -242,19 +254,10 @@ class ConformalFactorField:
             [np.linspace(sP, sp, n_grid), np.linspace(sq, sQ, n_grid)]
         )
         t = np.linspace(-self.fermi_half_width, self.fermi_half_width, 41)
-        pts = det.position(s)[:, None, :] + np.einsum(
-            "j,ni->nji",
-            t,
-            _right_normals(det, s),
-        )
+        pos, d1, _ = det.jet(s)
+        pts = pos[:, None, :] + np.einsum("j,ni->nji", t, _right_normals(d1))
         vals = np.abs(self.evaluate(pts.reshape(-1, 2)))
         return float(vals.max())
-
-
-def _right_normals(det: DetourCurve, s):
-    d1 = det.e_hat + det.offset(np.asarray(s, float), 1)[:, None] * det.n_left
-    tangent = d1 / np.linalg.norm(d1, axis=1, keepdims=True)
-    return np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +275,9 @@ def detour_curvature_in(
     carries the splitting factor.
     """
     s = np.atleast_1d(np.asarray(s_values, dtype=float))
-    pts = detour.position(s)
-    d1 = detour.e_hat + detour.offset(s, 1)[:, None] * detour.n_left
-    d2 = detour.offset(s, 2)[:, None] * detour.n_left
     # FD step scaled to the ball so coefficient differencing resolves the
     # factor's feature scale (d0 shrinks with the ball on nested splits)
-    return chart_curvature(surface, pts, d1, d2, fd_h=2e-6 * detour.ball_radius)
+    return chart_curvature(surface, *detour.jet(s), fd_h=2e-6 * detour.ball_radius)
 
 
 def _probe_grid(detour: DetourCurve, n: int = 401) -> np.ndarray:
@@ -383,7 +383,7 @@ def build_detour(
         # the chord p_t -> q is a straight segment: linear graph offsets
         slope = -offset_t / (sq - sp)
         chord_coeffs = np.array([offset_t, slope * (sq - sp), 0, 0, 0, 0], dtype=float)
-        chord = (chord_coeffs, sp, sq - sp)
+        chord = _piece(chord_coeffs, sp, sq - sp)
         dv_p, ddv_p = slope, 0.0
         dv_q, ddv_q = slope, 0.0
     else:
@@ -409,53 +409,46 @@ def build_detour(
 
 
 def _curved_chord(surface, V, e_hat, n_left, sp, sq, t):
-    """Geodesic chord from p_t to q in a curved chart, as graph offsets.
+    """Geodesic chord from p_t to q in a curved chart, as a graph-offset
+    piece plus the offsets' first and second derivative at both ends.
 
-    One-parameter shooting from p_t: Newton on the launch angle so the
-    geodesic hits q; offsets and end derivatives are read off the path.
+    Newton on the launch angle and length so the geodesic from p_t hits q.
+    Each iteration flows the shot and its two finite-difference
+    perturbations in one batched call; the offsets are fitted to the path.
     """
     p_t = V + sp * e_hat + t * n_left
     q = V + sq * e_hat
     gap = np.linalg.norm(q - p_t)
-
-    def endpoint_miss(angle, L):
-        d = np.cos(angle) * e_hat + np.sin(angle) * n_left
-        g = surface.chart_metric(p_t)
-        d = d / np.sqrt(d @ g @ d)
-        x1, v1, path = flow_chart(surface, p_t, d, L, n_steps=256, store_path=True)
-        return x1 - q, path
-
+    g = surface.chart_metric(p_t)
+    eps = 1e-7
     angle = float(np.arctan2(-t, sq - sp))
     L = gap
     for _ in range(30):
-        miss, path = endpoint_miss(angle, L)
-        if np.linalg.norm(miss) < 1e-12 * max(1.0, gap):
+        angles = angle + np.array([0.0, eps, 0.0])
+        d = np.cos(angles)[:, None] * e_hat + np.sin(angles)[:, None] * n_left
+        d = d / np.sqrt(np.einsum("ni,ij,nj->n", d, g, d))[:, None]
+        lengths = L + np.array([0.0, 0.0, eps])
+        x1, _, paths = flow_chart(
+            surface, np.tile(p_t, (3, 1)), d, lengths, n_steps=256, store_path=True
+        )
+        miss = x1 - q
+        if np.linalg.norm(miss[0]) < 1e-12 * max(1.0, gap):
             break
-        eps = 1e-7
-        J = np.empty((2, 2))
-        J[:, 0] = (endpoint_miss(angle + eps, L)[0] - miss) / eps
-        J[:, 1] = (endpoint_miss(angle, L + eps)[0] - miss) / eps
-        da, dL = np.linalg.solve(J, -miss)
+        J = (miss[1:] - miss[0]).T / eps
+        da, dL = np.linalg.solve(J, -miss[0])
         angle += float(np.clip(da, -0.3, 0.3))
         L += float(np.clip(dL, -0.3 * gap, 0.3 * gap))
-    rel = path - V
-    s_vals = rel @ e_hat
-    v_vals = rel @ n_left
-    # quintic fit of the graph offsets (geodesic chords are smooth graphs)
-    coeffs = np.polynomial.polynomial.polyfit(
-        (s_vals - sp) / (sq - sp), v_vals, 5
-    )
-    chord = (coeffs, sp, sq - sp)
-    dv = np.polynomial.polynomial.polyder(coeffs)
-    ddv = np.polynomial.polynomial.polyder(dv)
-    pv = np.polynomial.polynomial.polyval
+    rel = paths[0] - V
     h = sq - sp
+    # quintic fit of the graph offsets (geodesic chords are smooth graphs)
+    chord = _piece(P.polyfit((rel @ e_hat - sp) / h, rel @ n_left, 5), sp, h)
+    _, _, (_, dv, ddv) = chord
     return (
         chord,
-        pv(0.0, dv) / h,
-        pv(0.0, ddv) / h**2,
-        pv(1.0, dv) / h,
-        pv(1.0, ddv) / h**2,
+        P.polyval(0.0, dv) / h,
+        P.polyval(0.0, ddv) / h**2,
+        P.polyval(1.0, dv) / h,
+        P.polyval(1.0, ddv) / h**2,
     )
 
 

@@ -60,9 +60,11 @@ class MetricTensor:
 class ConformalFactor:
     """Procedural conformal factor with exact support control.
 
-    ``value(points)`` returns f; the metric is multiplied by exp(2 f).
-    ``center``/``radius`` bound the support: the factor is gated to return
-    exactly 0 outside the ball, so the metric is unchanged there.
+    ``value(points)`` returns f at an (n, 2) batch; the metric is
+    multiplied by exp(2 f).  ``center``/``radius`` bound the support: the
+    factor is gated to return exactly 0 outside the ball, so the metric is
+    unchanged there.  Called on points of shape (..., 2), the factor
+    returns shape (...).
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -72,14 +74,11 @@ class ConformalFactor:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts2 = np.atleast_2d(pts)
-        r = np.linalg.norm(pts2 - self.center, axis=-1)
-        inside = r < self.radius
-        out = np.zeros(pts2.shape[0])
+        inside = np.linalg.norm(pts - self.center, axis=-1) < self.radius
+        out = np.zeros(pts.shape[:-1])
         if inside.any():
-            out[inside] = np.asarray(self.value(pts2[inside]), dtype=float)
-        return out[0] if single else out
+            out[inside] = np.asarray(self.value(pts[inside]), dtype=float)
+        return out[()]
 
 
 class CompositeFactor:
@@ -90,12 +89,10 @@ class CompositeFactor:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts2 = np.atleast_2d(pts)
-        out = np.zeros(pts2.shape[0])
+        out = np.zeros(pts.shape[:-1])
         for part in self.parts:
-            out = out + part(pts2)
-        return out[0] if single else out
+            out = out + part(pts)
+        return out[()]
 
 
 @dataclass(frozen=True)
@@ -222,8 +219,7 @@ class SurfaceModel:
         uv = np.asarray(uv, dtype=float)
         g = self.chart_metric_fn(uv)
         if self.conformal_factor is not None:
-            f = self.conformal_factor(uv.reshape(-1, 2)).reshape(uv.shape[:-1])
-            g = g * np.exp(2.0 * f)[..., None, None]
+            g = g * np.exp(2.0 * self.conformal_factor(uv))[..., None, None]
         return g
 
     def in_chart_domain(self, uv: np.ndarray) -> bool:
@@ -499,18 +495,13 @@ def gauss_curvature(surface: SurfaceModel, points: np.ndarray):
             if surface.conformal_factor is None:
                 K = np.zeros(pts2.shape[0])
             else:
-                f0 = surface.factor_value(pts2)
                 h = 1e-5
-                lap = np.zeros(pts2.shape[0])
-                for ax in range(2):
-                    e = np.zeros(2)
-                    e[ax] = h
-                    lap += (
-                        surface.factor_value(pts2 + e)
-                        - 2.0 * f0
-                        + surface.factor_value(pts2 - e)
-                    ) / h**2
-                K = -np.exp(-2.0 * f0) * lap
+                f = surface.factor_value(pts2[:, None] + h * _STENCIL[:5])
+                # second differences along u, then v
+                lap = sum(
+                    (f[:, i] - 2.0 * f[:, 0] + f[:, i + 1]) / h**2 for i in (1, 3)
+                )
+                K = -np.exp(-2.0 * f[:, 0]) * lap
         else:
             K = _brioschi(surface, pts2)
     return float(K[0]) if single else K

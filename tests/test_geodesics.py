@@ -17,7 +17,7 @@ from geolab.geodesics import (
     sample_great_circle,
     sample_level_circle,
 )
-from geolab.surfaces import make_flat_chart, make_mk, make_sphere
+from geolab.surfaces import make_flat_chart, make_mk, make_sphere, sphere_exp_chart
 
 
 class TestIntegrate:
@@ -189,6 +189,30 @@ class TestHelpers:
         chart = make_flat_chart(4.0, 4.0)
         x1, v1 = flow_chart(chart, np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1.0)
         assert np.allclose(x1, [1.0, 0.0], atol=1e-12)
+
+    def test_chart_flow_batch_equals_single_rows(self):
+        chart = sphere_exp_chart(1.2)
+        x0 = np.array([[0.1, -0.2], [0.0, 0.3], [-0.4, 0.05]])
+        ang = np.array([0.3, 2.0, -1.1])
+        v0 = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        T = np.array([0.5, 0.7, 0.9])
+        x1, v1, path = flow_chart(chart, x0, v0, T, 256, store_path=True)
+        assert path.shape == (3, 257, 2)
+        for i in range(3):
+            xi, vi, pi = flow_chart(chart, x0[i], v0[i], T[i], 256, store_path=True)
+            # bit for bit: every row sees the same arithmetic as alone
+            assert np.array_equal(xi[0], x1[i])
+            assert np.array_equal(vi[0], v1[i])
+            assert np.array_equal(pi[0], path[i])
+
+    def test_chart_flow_batch_one_row_leaves(self):
+        chart = sphere_exp_chart(1.2)
+        x0 = np.array([[0.0, 0.0], [0.0, 0.0], [0.9, 0.0]])
+        v0 = np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]])
+        T = np.array([0.5, 0.5, 0.5])
+        flow_chart(chart, x0[:2], v0[:2], T[:2])
+        with pytest.raises(LeftChartDomain):
+            flow_chart(chart, x0, v0, T)
 
     def test_great_circle_sampler_on_surface(self, sphere, great_circle):
         assert np.max(np.abs(sphere.level(great_circle.samples))) < 1e-14

@@ -174,6 +174,15 @@ class TestSplit:
         assert sorted(v.order for v in net2.vertices) == [2, 2, 2]
         assert all(v.transverse for v in net2.vertices)
 
+    def test_full_reduction_order4_curved_chart(self):
+        chart = sphere_exp_chart(1.2)
+        net = concurrent_lines(chart, np.pi * np.arange(4) / 4)
+        _, net2, transcript = reduce_vertex_fully(chart, net, net.vertices[0])
+        assert len(transcript) == 2
+        assert all(s["curvature_residual_after"] <= 1e-6 for s in transcript)
+        assert sorted(v.order for v in net2.vertices) == [2] * 6
+        assert all(v.transverse for v in net2.vertices)
+
     def test_full_reduction_order4(self, chart):
         net = concurrent_lines(chart, (0.0, np.pi / 2, np.pi / 4, -np.pi / 4))
         surf, net2, transcript = reduce_vertex_fully(chart, net, net.vertices[0])

@@ -171,6 +171,23 @@ class TestChristoffel:
             christoffel(mk4, np.array([0.0, 0.0]))
 
 
+class TestConformalFactorShape:
+    def test_stacked_points_match_flat_call(self):
+        factor = ConformalFactor(
+            value=lambda pts: np.sin(pts[:, 0]) * pts[:, 1] + 1.0,
+            center=np.zeros(2),
+            radius=1.0,
+        )
+        composite = make_flat_chart().with_conformal_factor(factor)
+        composite = composite.with_conformal_factor(factor).conformal_factor
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 3, 2))
+        for f in (factor, composite):
+            vals = f(pts)
+            assert vals.shape == (4, 3)
+            assert np.array_equal(vals, f(pts.reshape(-1, 2)).reshape(4, 3))
+            assert f(pts[1, 2]) == vals[1, 2]
+
+
 class TestConformalCurvatureLaw:
     def test_trivial_cases(self):
         assert conformal_geodesic_curvature(2.5, 0.0, 0.0) == pytest.approx(2.5)
