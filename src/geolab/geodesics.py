@@ -1,14 +1,16 @@
 """Geodesic integration, closed-geodesic shooting, lengths and curvature.
 
-The integrator is a classical fixed-step RK4 on (position, velocity).  On a
-level set F = 0 the geodesic equation reads gamma'' = lambda grad F with
-lambda = -(gamma'^T Hess F gamma')/|grad F|^2; every step re-projects the
-point onto the surface and renormalizes the tangential speed, which keeps
-the constraint and energy drift at roundoff level.  In a chart it reads
-x''^c = -Gamma^c_{ab} x'^a x'^b, with the symbols of all rows from one
-``christoffel_batch`` call per stage.  Both flows are batched over a
-leading row axis with one length per row, so parameter sweeps and
-finite-difference shooting stay in one flow call.
+On a level set F = 0 the geodesic equation reads gamma'' = lambda grad F
+with lambda = -(gamma'^T Hess F gamma')/|grad F|^2.  It is integrated by
+fixed-step DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6),
+with samples from its 7th-order continuous extension; every step
+re-projects the point onto the surface and renormalizes the tangential
+speed, which keeps the constraint and energy drift at roundoff level.  In a
+chart it reads x''^c = -Gamma^c_{ab} x'^a x'^b, integrated by classical
+RK4 with the symbols of all rows from one ``christoffel_batch`` call per
+stage.  Both flows are batched over a leading row axis with one length per
+row and fixed steps, so each row is a smooth function of its own inputs and
+finite-difference shooting stays in one flow call.
 
 Closed geodesics are found by Gauss-Newton shooting.  The unknowns are
 (transversal base-point offset, initial direction angle, period); the
@@ -24,6 +26,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import simpson
+from scipy.integrate._ivp.dop853_coefficients import A as _DOP_A, D as _DOP_D
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -36,6 +40,7 @@ from .surfaces import SurfaceModel, christoffel_batch
 
 DEFAULT_STEPS = 4096
 GEODESIC_KAPPA_TOL = 1e-6
+SAMPLES_PER_STEP = 16  # output samples per DOP853 step of the level-set flow
 
 
 @dataclass
@@ -143,13 +148,11 @@ def curve_length(curve_or_samples, surface: Optional[SurfaceModel] = None, close
     sp, dtheta = curve_speeds(samples, surface, closed)
     if closed:
         return float(sp.sum() * dtheta)
-    from scipy.integrate import simpson
-
     return float(simpson(sp, dx=dtheta))
 
 
 # ---------------------------------------------------------------------------
-# the RK4 stepper and the geodesic flows built on it
+# the geodesic flows: DOP853 on level sets, RK4 in charts
 # ---------------------------------------------------------------------------
 
 
@@ -161,19 +164,11 @@ def _accel_levelset(surface: SurfaceModel, P: np.ndarray, V: np.ndarray):
     return (-vHv / gg)[..., None] * g
 
 
-def _project_state(surface: SurfaceModel, P, V, speed):
-    """One Newton projection onto F = 0, then retangentialize and rescale V.
-
-    A single iteration suffices: the RK4 step leaves |F| = O(h^5), and
-    Newton squares it.  The gradient is reused for the tangential projection.
-    """
-    f = surface.level(P)
+def _newton_onto(surface: SurfaceModel, P):
+    """One Newton step towards F = 0, with grad F and |grad F|^2 at P."""
     g = surface.grad(P)
     gg = np.sum(g * g, axis=-1)
-    P = P - (f / gg)[..., None] * g
-    V = V - (np.sum(V * g, axis=-1) / gg)[..., None] * g
-    V = V * (speed / np.linalg.norm(V, axis=-1, keepdims=True))
-    return P, V
+    return P - (surface.level(P) / gg)[..., None] * g, g, gg
 
 
 def rk4_integrate(rhs, y, h, n_steps: int, after_step):
@@ -182,8 +177,9 @@ def rk4_integrate(rhs, y, h, n_steps: int, after_step):
     ``h`` may be a scalar or an array broadcasting against each component
     (one step size per batch row).  ``after_step(i, y)`` runs after step i
     and returns the state to continue from; flows use it to project onto
-    the surface, check domains and record paths.  Every flow in geolab is a
-    right-hand side plus such a hook on this one stepper.
+    the surface, check domains and record paths.  The chart flow and the
+    ambient-field flow of ``extension`` are a right-hand side plus such a
+    hook on this stepper.
     """
     for i in range(n_steps):
         k1 = rhs(*y)
@@ -210,28 +206,59 @@ def flow_levelset(
 ):
     """Batched geodesic flow for arclength T (per seed).  Unit-speed state.
 
+    ``n_steps`` is the number of sample intervals.  The flow takes one
+    fixed DOP853 step per SAMPLES_PER_STEP samples, rounded up, and
+    projects the state onto F = 0 after every step.  Path samples come from
+    each step's continuous extension and are projected the same way.
+
     Returns (P1, V1) or (P1, V1, path) with path of shape (m, n_steps+1, 3).
     """
-    P = np.atleast_2d(np.array(P0, dtype=float))
-    V = np.atleast_2d(np.array(V0, dtype=float))
-    T = np.atleast_1d(np.asarray(T, dtype=float))
-    path = np.empty((P.shape[0], n_steps + 1, 3)) if store_path else None
+    y = np.hstack([np.atleast_2d(np.asarray(a, dtype=float)) for a in (P0, V0)])
+    n_int = -(-n_steps // SAMPLES_PER_STEP)
+    h = (np.atleast_1d(np.asarray(T, dtype=float)) / n_int)[:, None]
+    K = np.empty((16, y.shape[0], 6))  # stage derivatives (P', V')
+
+    def stage(s, y):
+        K[s, :, :3] = y[:, 3:]
+        K[s, :, 3:] = _accel_levelset(surface, y[:, :3], y[:, 3:])
+
+    def increment(s):  # summed along the stage axis, so each row alone
+        return h * np.sum(_DOP_A[s, :s, None, None] * K[:s], axis=0)
+
     if store_path:
-        path[:, 0] = P
-
-    def rhs(P, V):
-        return V, _accel_levelset(surface, P, V)
-
-    def after_step(i, y):
-        P, V = _project_state(surface, *y, 1.0)
+        path = np.empty((y.shape[0], n_steps + 1, 3))
+        path[:, 0] = y[:, :3]
+        u = np.arange(n_steps + 1) * n_int  # sample j lies u[j] / n_steps steps in
+    stage(0, y)
+    for i in range(n_int):
+        for s in range(1, 12):
+            stage(s, y + increment(s))
+        y1 = y + increment(12)
+        # one Newton projection onto F = 0 squares the step's |F|; the
+        # velocity is made tangent with the same gradient and unit again
+        P1, g, gg = _newton_onto(surface, y1[:, :3])
+        V1 = y1[:, 3:] - (np.sum(y1[:, 3:] * g, axis=-1) / gg)[:, None] * g
+        y1 = np.hstack([P1, V1 / np.linalg.norm(V1, axis=-1, keepdims=True)])
+        stage(12, y1)  # also stage 0 of the next step
         if store_path:
-            path[:, i + 1] = P
-        return P, V
-
-    P, V = rk4_integrate(rhs, (P, V), (T / n_steps)[:, None], n_steps, after_step)
+            path[:, u == (i + 1) * n_steps] = y1[:, None, :3]
+            j = np.flatnonzero((u > i * n_steps) & (u < (i + 1) * n_steps))
+            for s in range(13, 16):
+                stage(s, y + increment(s))
+            # 7th-order continuous extension: Hermite terms plus D-weighted stages
+            dP = y1[:, :3] - y[:, :3]
+            F = [dP, h * K[0, :, :3] - dP, 2 * dP - h * (K[12, :, :3] + K[0, :, :3])]
+            F += [h * np.sum(d[:, None, None] * K[..., :3], axis=0) for d in _DOP_D]
+            x = ((u[j] - i * n_steps) / n_steps)[None, :, None]
+            Q = 0.0
+            for r, f in enumerate(reversed(F)):
+                Q = (Q + f[:, None]) * (x if r % 2 == 0 else 1.0 - x)
+            path[:, j] = _newton_onto(surface, Q + y[:, None, :3])[0]
+        K[0] = K[12]
+        y = y1
     if store_path:
-        return P, V, path
-    return P, V
+        return y[:, :3], y[:, 3:], path
+    return y[:, :3], y[:, 3:]
 
 
 def flow_chart(
@@ -319,7 +346,6 @@ def shoot_closed_batch(
     seeds_p: np.ndarray,
     seeds_v: np.ndarray,
     periods: np.ndarray,
-    tol: float = 1e-12,
     max_iter: int = 30,
     n_steps: int = DEFAULT_STEPS,
     coarse_steps: int = 512,
@@ -332,10 +358,12 @@ def shoot_closed_batch(
     geodesics, e.g. meridians of a surface of revolution) still converge to
     a member of the family; such seeds are flagged ``degenerate``.
 
-    Runs a coarse-grid Newton phase first and polishes on the fine grid.
-    Returns a dict of arrays: ok, p0, v0, period, residual, degenerate, and
-    each shot's final flow on the fine grid: its end velocity v1 and its
-    path, shape (m, n_steps+1, 3).
+    Runs a coarse-grid Newton phase first and polishes on the fine grid
+    until the residual stalls at the finite-difference noise floor.
+    Returns a dict with the per-seed arrays ok, residual and degenerate,
+    and ``shots``: the rows where ok, in seed order, as arrays p0, v0,
+    period and the shot's final flow on the fine grid, its end velocity v1
+    and its path of shape (n_ok, n_steps+1, 3).
     """
     P_seed = np.atleast_2d(np.asarray(seeds_p, dtype=float))
     V_seed = np.atleast_2d(np.asarray(seeds_v, dtype=float))
@@ -366,16 +394,13 @@ def shoot_closed_batch(
         d = P1 - P0
         a1 = np.arctan2(np.sum(V1 * e2, axis=1), np.sum(V1 * e1, axis=1))
         ang = np.arctan2(np.sin(a1 - theta), np.cos(a1 - theta))
-        r = np.stack(
-            [np.sum(d * e1, axis=1), np.sum(d * e2, axis=1), ang * T / (2 * np.pi)],
-            axis=1,
-        )
-        return r, P0, V0, T, flow
+        r = [np.sum(d * e1, axis=1), np.sum(d * e2, axis=1), ang * T / (2 * np.pi)]
+        return np.stack(r, axis=1), P0, V0, T, flow
 
     active = np.ones(m, dtype=bool)
     for phase_steps, phase_iters, phase_tol in (
         (coarse_steps, max_iter, 1e-9),
-        (n_steps, 8, max(tol, 1e-11)),
+        (n_steps, 8, 1e-13),
     ):
         prev_rn = np.full(m, np.inf)
         for _ in range(phase_iters):
@@ -387,9 +412,7 @@ def shoot_closed_batch(
             xs = np.repeat(x[idx], 4, axis=0)
             for col in range(3):
                 xs[4 * np.arange(q) + 1 + col, col] += EPS
-            seed_rep = np.repeat(idx, 4)
-            r_all = residual(xs, seed_rep, phase_steps)[0]
-            r_all = r_all.reshape(q, 4, 3)
+            r_all = residual(xs, np.repeat(idx, 4), phase_steps)[0].reshape(q, 4, 3)
             r0 = r_all[:, 0]
             rn = np.linalg.norm(r0, axis=1)
             resid[idx] = rn
@@ -419,19 +442,19 @@ def shoot_closed_batch(
         if phase_steps == coarse_steps:
             active = resid < 1e-6  # only polish seeds the coarse phase closed
 
-    r_final, P0, V0, T, (_, V1, path) = residual(x, np.arange(m), n_steps, True)
-    rn = np.linalg.norm(r_final, axis=1)
-    on_surface = np.abs(surface.level(P0)) < 1e-11
-    ok = (rn <= 1e-10) & on_surface
+    # the final flow keeps paths, so it runs only on the seeds that can pass
+    rows = np.flatnonzero(resid <= 1e-10)
+    r_final, P0, V0, T, (_, V1, path) = residual(x[rows], rows, n_steps, True)
+    resid[rows] = np.linalg.norm(r_final, axis=1)
+    good = (resid[rows] <= 1e-10) & (np.abs(surface.level(P0)) < 1e-11)
+    ok = np.zeros(m, dtype=bool)
+    ok[rows[good]] = True
+    shots = {"p0": P0, "v0": V0, "period": T, "v1": V1, "path": path}
     return {
         "ok": ok,
-        "p0": P0,
-        "v0": V0,
-        "period": T,
-        "residual": rn,
+        "residual": resid,
         "degenerate": degenerate,
-        "v1": V1,
-        "path": path,
+        "shots": shots if good.all() else {k: v[good] for k, v in shots.items()},
     }
 
 
@@ -490,7 +513,6 @@ def close_geodesic(
     surface: SurfaceModel,
     seed,
     n_samples: int = DEFAULT_STEPS,
-    tol: float = 1e-12,
     max_iter: int = 30,
 ) -> GeodesicCurve:
     """Close a geodesic by Newton shooting from ``seed = (point, direction,
@@ -505,7 +527,6 @@ def close_geodesic(
         np.asarray(p, float)[None],
         np.asarray(v, float)[None],
         np.array([float(T)]),
-        tol=tol,
         max_iter=max_iter,
         n_steps=n_samples,
     )
@@ -515,7 +536,7 @@ def close_geodesic(
                 "singular shooting differential (nontrivial Jacobi field?)"
             )
         raise NoConvergence(f"shooting residual {out['residual'][0]:.3e}")
-    (curve,) = curves_from_shots(surface, out)
+    (curve,) = curves_from_shots(surface, out["shots"])
     curve.extra = {"degenerate_jacobian": bool(out["degenerate"][0])}
     return curve
 

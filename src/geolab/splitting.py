@@ -221,21 +221,38 @@ class ConformalFactorField:
     psi_inner: float = 0.0
     psi_outer: float = 0.0
 
+    def __post_init__(self):
+        # f != 0 needs a Fermi foot point c(s) on a bridge and |t| < d0, so
+        # the point is |t| |w . n_right| < d0 |w| from c(s) (in a curved
+        # chart t is the Euclidean offset over w . n_right, w the metric-unit
+        # normal, |w| <= lambda_min(g)^(-1/2)), and c(s) is within one probe
+        # spacing of a bridge probe.  That spacing also covers the change of
+        # lambda_min between probes, which moves d0 |w| by far less.
+        det = self.base_curve
+        probes = det.bridge_points()
+        spacing = np.linalg.norm(np.diff(probes.reshape(2, -1, 2), axis=1), axis=2)
+        lam = 1.0 if det.flat else np.linalg.eigvalsh(det.surface.chart_metric(probes))
+        reach = self.fermi_half_width * np.min(lam) ** -0.5 + spacing.max()
+        self._tube = (cKDTree(probes), reach)
+
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(pts.shape[0])
         center, radius = self.working_ball
-        r = np.linalg.norm(pts - center, axis=1)
-        inside = r < radius
-        if not inside.any():
-            return out
-        s, t = self.base_curve.fermi(pts[inside])
+        near = np.linalg.norm(pts - center, axis=1) < radius
+        tree, reach = self._tube  # Fermi runs only where f can be nonzero
+        near[near] = np.isfinite(tree.query(pts[near], distance_upper_bound=reach)[0])
+        if near.any():
+            out[near] = self._tube_value(pts[near])
+        return out
+
+    def _tube_value(self, pts):
+        """f at points of the support tube, without the pre-tests."""
+        s, t = self.base_curve.fermi(pts)
         d0 = self.fermi_half_width
         chi = plateau(t, d0 / 2.0, d0)
         psi = plateau(s, self.psi_inner, self.psi_outer)
-        kap = self.base_curve.kappa(s)
-        out[inside] = -chi * t * kap * psi
-        return out
+        return -chi * t * self.base_curve.kappa(s) * psi
 
     def as_conformal_factor(self) -> ConformalFactor:
         center, radius = self.working_ball
@@ -256,8 +273,7 @@ class ConformalFactorField:
         t = np.linspace(-self.fermi_half_width, self.fermi_half_width, 41)
         pos, d1, _ = det.jet(s)
         pts = pos[:, None, :] + np.einsum("j,ni->nji", t, _right_normals(d1))
-        vals = np.abs(self.evaluate(pts.reshape(-1, 2)))
-        return float(vals.max())
+        return float(np.abs(self._tube_value(pts.reshape(-1, 2))).max())
 
 
 # ---------------------------------------------------------------------------

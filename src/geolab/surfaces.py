@@ -178,7 +178,7 @@ class SurfaceModel:
         p = np.array(points, dtype=float)
         for it in range(30):
             f = self.level(p)
-            if it >= iterations and np.max(np.abs(f)) < 1e-13:
+            if it >= iterations and np.all(np.abs(f) < 1e-13):
                 break
             g = self.grad(p)
             gg = np.sum(g * g, axis=-1)

@@ -19,7 +19,6 @@ from scipy.integrate import quad
 from .errors import SeedBudgetExhausted
 from .geodesics import (
     GeodesicCurve,
-    close_geodesic,
     curves_from_shots,
     hausdorff_distance,
     mk_seed_directions,
@@ -164,27 +163,20 @@ def mk_multiplicity_experiment(
     dedup_tol = max(1e-5 * diam, 0.75 * cap / n_samples)
     equator_tol = 1e-4 * diam
 
+    # both period guesses in one batch, rows ordered (guess, seed)
     pts, dirs = mk_seed_directions(surface, n_seeds, seed)
-    found = []
-    for T_guess in (2.0 * np.pi, min(cap, 4.0 * np.pi) * 0.999):
-        out = shoot_closed_batch(
-            surface, pts, dirs, np.full(n_seeds, T_guess), n_steps=n_samples
-        )
-        idx = [
-            int(i)
-            for i in np.where(out["ok"])[0]
-            if out["period"][i] <= cap + 1e-6
-        ]
-        if not idx:
-            continue
-        curves = curves_from_shots(surface, {key: v[idx] for key, v in out.items()})
-        found.extend(
-            (seed_i, float(T_guess), cur) for seed_i, cur in zip(idx, curves)
-        )
+    pts, dirs = np.tile(pts, (2, 1)), np.tile(dirs, (2, 1))
+    guesses = np.repeat([2.0 * np.pi, min(cap, 4.0 * np.pi) * 0.999], n_seeds)
+    out = shoot_closed_batch(surface, pts, dirs, guesses, n_steps=n_samples)
+    shots = out["shots"]
+    keep = shots["period"] <= cap + 1e-6
+    rows = np.flatnonzero(out["ok"])[keep]
+    curves = curves_from_shots(surface, {key: v[keep] for key, v in shots.items()})
+    found = [(int(row % n_seeds), cur) for row, cur in zip(rows, curves)]
 
     # deduplicate by Hausdorff distance between primitive images
     classes = []
-    for seed_idx, T_guess, cur in found:
+    for seed_idx, cur in found:
         for cls in classes:
             if abs(cls["curve"].length - cur.length) < 0.05 and hausdorff_distance(
                 cls["curve"].samples, cur.samples, dedup_tol
@@ -319,29 +311,32 @@ def ellipsoid_experiment(
     if max(abs(a1 - 1), abs(a2 - 1), abs(a3 - 1)) > 0.1:
         raise ValueError("coefficients must be within 10% of 1")
     surface = make_ellipsoid(a1, a2, a3)
-    coeffs = [a1, a2, a3]
 
-    curves = []
-    details = []
+    # the ellipse in x_i = 0 starts on axis j heading along axis k; each
+    # attempt shoots the ellipses still missing in one batch
+    semi = 1.0 / np.sqrt(np.array([a1, a2, a3]))
+    j, k = np.array([1, 0, 0]), np.array([2, 2, 1])
+    p0, v0 = np.eye(3)[j] * semi[j, None], np.eye(3)[k]
+    oracles = np.array([plane_ellipse_circumference(semi[a], semi[b]) for a, b in zip(j, k)])
+    curves, residuals = [None] * 3, np.full(3, np.inf)
+    for attempt in range(seed_budget):
+        todo = np.array([i for i in range(3) if curves[i] is None], dtype=int)
+        if not todo.size:
+            break
+        periods = oracles[todo] * (1.0 + 0.01 * attempt)
+        out = shoot_closed_batch(surface, p0[todo], v0[todo], periods, n_steps=n_samples)
+        residuals[todo] = out["residual"]
+        for i, cur in zip(todo[out["ok"]], curves_from_shots(surface, out["shots"])):
+            curves[i] = cur
     for i in range(3):
-        jj = [j for j in range(3) if j != i]
-        bj, cj = 1.0 / np.sqrt(coeffs[jj[0]]), 1.0 / np.sqrt(coeffs[jj[1]])
-        oracle = plane_ellipse_circumference(bj, cj)
-        p0 = np.zeros(3)
-        p0[jj[0]] = bj
-        v0 = np.zeros(3)
-        v0[jj[1]] = 1.0
-        cur = None
-        for attempt in range(seed_budget):
-            guess = oracle * (1.0 + 0.01 * attempt)
-            try:
-                cur = close_geodesic(surface, (p0, v0, guess), n_samples=n_samples)
-                break
-            except Exception:
-                continue
-        if cur is None:
-            raise SeedBudgetExhausted(f"coordinate geodesic x_{i+1}=0 not found")
-        curves.append(cur)
+        if curves[i] is None:
+            raise SeedBudgetExhausted(
+                f"coordinate geodesic x_{i+1}=0 not found in {seed_budget} "
+                f"attempts; last shooting residual {residuals[i]:.3e}"
+            )
+
+    details = []
+    for i, (cur, oracle) in enumerate(zip(curves, oracles)):
         spectra = {}
         for m in range(1, max_cover + 1):
             rep = jacobi_spectrum(cur, surface, cover_multiplicity=m, grid_size=512 * m)
@@ -350,7 +345,7 @@ def ellipsoid_experiment(
             {
                 "plane": f"x{i+1}=0",
                 "length": float(cur.length),
-                "quadrature_length": oracle,
+                "quadrature_length": float(oracle),
                 "length_error": float(abs(cur.length - oracle)),
                 "closure_residual": float(cur.closure_residual),
                 "spectra_by_cover": spectra,

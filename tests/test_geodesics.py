@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipe
 
 from geolab.errors import LeftChartDomain, NoConvergence
 from geolab.geodesics import (
     close_geodesic,
     curve_from_samples,
+    curves_from_shots,
     curve_length,
     flow_chart,
     flow_levelset,
@@ -13,9 +15,11 @@ from geolab.geodesics import (
     hausdorff_distance,
     integrate_geodesic,
     low_discrepancy_seeds,
+    mk_seed_directions,
     require_geodesic,
     sample_great_circle,
     sample_level_circle,
+    shoot_closed_batch,
 )
 from geolab.surfaces import make_flat_chart, make_mk, make_sphere, sphere_exp_chart
 
@@ -67,6 +71,35 @@ class TestIntegrate:
         P2, _ = flow_levelset(mk4, P1, -V1, np.array([5.0]), 4096)
         assert np.linalg.norm(P2 - p0) < 1e-8
 
+    def test_great_circle_closes_on_the_circle(self, sphere):
+        p0 = np.array([[1.0, 2.0, 2.0]]) / 3.0
+        v0 = np.array([[2.0, 1.0, -2.0]]) / 3.0
+        P1, V1, path = flow_levelset(
+            sphere, p0, v0, np.array([2 * np.pi]), store_path=True
+        )
+        assert np.linalg.norm(P1 - p0) < 1e-13
+        assert np.linalg.norm(V1 - v0) < 1e-13
+        # off the circle: distance to its plane and to the unit sphere
+        normal = np.cross(p0[0], v0[0])
+        assert np.max(np.abs(path[0] @ normal)) < 1e-13
+        assert np.max(np.abs(np.linalg.norm(path[0], axis=1) - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("n_steps", [1000, 4096])
+    def test_batch_rows_equal_single_rows(self, mk4, n_steps):
+        rng = np.random.default_rng(3)
+        p0 = mk4.project(rng.normal(size=(3, 3)))
+        n = mk4.unit_normal(p0)
+        v0 = rng.normal(size=(3, 3))
+        v0 -= np.sum(v0 * n, axis=1, keepdims=True) * n
+        v0 /= np.linalg.norm(v0, axis=1, keepdims=True)
+        T = np.array([3.0, 9.7, 12.5])
+        batch = flow_levelset(mk4, p0, v0, T, n_steps, store_path=True)
+        assert batch[2].shape == (3, n_steps + 1, 3)
+        for i in range(3):
+            alone = flow_levelset(mk4, p0[i], v0[i], T[i : i + 1], n_steps, True)
+            for b, a in zip(batch, alone):
+                assert np.array_equal(b[i], a[0])
+
     def test_mirror_symmetry(self, mk4):
         p0 = np.array([[1.0, 0.0, 0.0]])
         v0 = np.array([[0.0, 0.8, 0.6]])
@@ -99,6 +132,23 @@ class TestCloseGeodesic:
         )
         assert abs(cur.length - oracle) < 1e-8
         assert cur.extra.get("degenerate_jacobian") is True  # meridian family
+
+    def test_meridian_length_to_roundoff(self, mk4):
+        # the k = 4 meridian is the ellipse x^2 + z^2 / 4 = 1
+        cur = close_geodesic(
+            mk4, (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]), 9.7)
+        )
+        assert abs(cur.length - 8.0 * ellipe(0.75)) < 1e-12
+
+    def test_every_accepted_shot_is_a_geodesic(self, mk4):
+        # a seam mismatch r shows as curvature ~ r (n / L)^2 at the seam, so
+        # shots must be polished below the 1e-10 acceptance residual
+        pts, dirs = mk_seed_directions(mk4, 40, 7)
+        out = shoot_closed_batch(mk4, pts, dirs, np.full(40, 0.999 * 4 * np.pi))
+        curves = curves_from_shots(mk4, out["shots"])
+        assert len(curves) == np.count_nonzero(out["ok"]) > 0
+        for cur in curves:
+            require_geodesic(cur)
 
     def test_round_sphere_any_seed(self, sphere):
         cur = close_geodesic(
