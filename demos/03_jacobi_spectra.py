@@ -3,8 +3,8 @@
 For a closed geodesic the second variation of length acts on scalar normal
 fields as -phi'' - K phi with periodic boundary conditions.  On the
 spheroid equator K = 1/k is constant, so the spectrum is the explicit
-family n^2 - 1/k; degeneracy of the m-fold cover happens exactly when
-2 m / sqrt(k) is an integer.
+family n^2 - 1/k; the m-fold cover is degenerate exactly when m / sqrt(k)
+is an integer.  The conservative criterion flags 2 m / sqrt(k) integer.
 """
 
 import numpy as np
@@ -34,14 +34,15 @@ print(f"  index={rep2.index}, nullity={rep2.nullity} (constant Jacobi field)")
 print("\n== covers and the degeneracy criterion ==")
 eq16 = sample_level_circle(make_mk(16.0, 1.0), 0.0)
 for m in (1, 2, 3, 4):
-    rep = jacobi_spectrum(eq16, cover_multiplicity=m)
+    rep = jacobi_spectrum(eq16, cover_multiplicity=m, grid_size=512 * m)
     crit = degeneracy_criterion_mk(16.0, m)
     print(
         f"  m={m}: index={rep.index} nullity={rep.nullity};  "
         f"2m/sqrt(k) integer: {crit}"
     )
-print("  the m = 2 and m = 4 covers of the k = 16 equator carry Jacobi fields;")
-print("  the criterion is conservative, so pair it with the computed nullity.")
+print("  only the m = 4 cover of the k = 16 equator carries Jacobi fields;")
+print("  m = 2 is flagged by the conservative criterion without nullity, so")
+print("  pair the criterion with the computed nullity.")
 
 print("\n== the round sphere for comparison ==")
 gc = sample_great_circle(make_sphere(), [1, 0, 0], [0, 1, 0])

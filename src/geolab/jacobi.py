@@ -6,11 +6,19 @@ phi n is the quadratic form
     Q(phi, psi) = integral phi' psi' - K phi psi ds,
 
 whose operator form is -phi'' - K(s) phi with periodic boundary conditions
-on [0, m L] for the m-fold cover.  The operator is discretized as a
-symmetric cyclic difference matrix plus the diagonal -K; the stencil is the
-4th-order five-point one so the lowest eigenvalues converge well inside the
-5 h^2 acceptance tolerance (the plain three-point stencil misses it at the
-sixth eigenvalue, whose truncation constant is 81/12 > 5).
+on [0, m L] for the m-fold cover.  The operator is discretized with the
+4th-order five-point stencil plus the diagonal -K, so the lowest eigenvalues
+converge well inside the 5 h^2 acceptance tolerance (the plain three-point
+stencil misses it at the sixth eigenvalue, whose truncation constant is
+81/12 > 5).
+
+The m-fold cover is one period seen m times, so its cyclic matrix is
+block-circulant and its spectrum is the union of m one-period Bloch blocks
+(Bott, "On the iteration of closed geodesics and the Sturm intersection
+theory", CPAM 9, 1956): block j couples across the period boundary with
+phase omega = exp(2 pi i j / m) forward and its conjugate backward.  Blocks
+j and m - j are complex conjugates with one spectrum, so only
+j = 0 .. m // 2 are solved; j = 0 and j = m / 2 (omega = +-1) are real.
 """
 
 from __future__ import annotations
@@ -82,15 +90,29 @@ def second_variation(
     return float(np.sum(dphi * dpsi - K * phi * psi) * ds)
 
 
-def _cyclic_second_difference(n: int, h: float) -> np.ndarray:
-    """Symmetric cyclic matrix for -d^2/ds^2, 4th-order five-point stencil."""
-    A = np.zeros((n, n))
+def _bloch_block(K: np.ndarray, h: float, j: int, m: int) -> np.ndarray:
+    """One-period five-point block of -d^2/ds^2 - K with Bloch phase j of m.
+
+    ``K`` holds the n samples of one period.  Column i + off of the cover
+    lands in column (i + off) mod n of the block with weight
+    omega^((i + off) // n), so entries that wrap forward carry omega and
+    those that wrap backward its conjugate.
+    """
+    if 2 * j % m:
+        omega = np.exp(2j * np.pi * j / m)
+    else:
+        omega = -1.0 if j else 1.0  # real block
+    n = K.size
+    B = np.zeros((n, n), dtype=np.result_type(omega))
     i = np.arange(n)
-    A[i, i] = 2.5
+    B[i, i] = 2.5
     for off, c in ((1, -4.0 / 3.0), (2, 1.0 / 12.0)):
-        A[i, (i + off) % n] += c
-        A[i, (i - off) % n] += c
-    return A / h**2
+        for col in (i + off, i - off):
+            # add.at: periods shorter than the stencil fold onto one column
+            np.add.at(B, (i, col % n), c * omega ** (col // n))
+    B /= h**2
+    B[i, i] -= K
+    return B
 
 
 def jacobi_spectrum(
@@ -101,10 +123,13 @@ def jacobi_spectrum(
 ) -> SpectrumReport:
     """Periodic spectrum of -phi'' - K phi on [0, m length(curve)].
 
-    Eigenvalues come from a dense symmetric eigensolve; index counts
-    eigenvalues below -zero_tolerance and nullity those within it, with
-    zero_tolerance = max(1e-8, 10 h^2 max|K|).  Raises GridTooCoarse when
-    an eigenvalue falls too close to the classification boundary to trust.
+    ``grid_size`` counts the points on the whole m-fold cover and must be a
+    multiple of m, so that every period carries the same grid_size / m
+    points.  Eigenvalues are the union of the m one-period Bloch blocks
+    (module docstring); index counts eigenvalues below -zero_tolerance and
+    nullity those within it, with zero_tolerance = max(1e-8, 10 h^2 max|K|).
+    Raises GridTooCoarse when an eigenvalue falls too close to the
+    classification boundary to trust.
     """
     surface = surface or curve.surface
     if grid_size < 256:
@@ -112,19 +137,24 @@ def jacobi_spectrum(
     m = int(cover_multiplicity)
     if m < 1:
         raise ValueError("cover_multiplicity must be >= 1")
+    if grid_size % m:
+        raise ValueError("grid_size must be a multiple of cover_multiplicity")
     require_geodesic(curve, surface)
 
-    L = curve.length * m
     n = grid_size
-    h = L / n
-    # sample K along the m-fold traversal: parameter wraps with period L/m
-    s = np.arange(n) * h
+    h = curve.length * m / n
+    # K sampled on one period
+    s = np.arange(n // m) * h
     K_curve = curvature_along(curve, surface)
     s_curve = np.arange(curve.n) * (curve.length / curve.n)
-    K = np.interp(s % curve.length, s_curve, K_curve, period=curve.length)
+    K = np.interp(s, s_curve, K_curve, period=curve.length)
 
-    A = _cyclic_second_difference(n, h) - np.diag(K)
-    eig = np.linalg.eigvalsh(0.5 * (A + A.T))
+    # blocks j and m - j share a spectrum: count 0 < j < m / 2 twice
+    blocks = []
+    for j in range(m // 2 + 1):
+        eig_j = np.linalg.eigvalsh(_bloch_block(K, h, j, m))
+        blocks += [eig_j] if 2 * j % m == 0 else [eig_j, eig_j]
+    eig = np.sort(np.concatenate(blocks))
 
     maxK = float(np.max(np.abs(K)))
     zero_tol = max(1e-8, 10.0 * h**2 * maxK)

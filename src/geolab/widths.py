@@ -188,8 +188,14 @@ def mk_multiplicity_experiment(
                 {"curve": cur, "members": 1, "first_seed": seed_idx}
             )
 
-    # sorted once here so records and kept curves share the length order
-    classes.sort(key=lambda cls: (cls["curve"].length, cls["first_seed"]))
+    # sorted once here so records and kept curves share the length order;
+    # lengths within 1e-9 relative tie (the k = 4 meridians agree to 1e-14,
+    # so their own order is roundoff) and ties go by first_seed
+    classes.sort(key=lambda cls: cls["curve"].length)
+    lengths = np.array([cls["curve"].length for cls in classes])
+    tie_group = np.cumsum(np.diff(lengths, prepend=lengths[:1]) > 1e-9 * lengths)
+    order = np.lexsort(([cls["first_seed"] for cls in classes], tie_group))
+    classes = [classes[i] for i in order]
     gamma0 = sample_level_circle(surface, 0.0, n_samples)
     records = []
     for cls in classes:

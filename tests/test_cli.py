@@ -39,6 +39,22 @@ def test_invalid_input_exit_1_with_error_json(tmp_path, argv):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "--cover", "3", "--grid", "1000"],
+        ["index", "--cover", "5", "--grid", "512"],
+    ],
+)
+def test_index_grid_not_multiple_of_cover_exit_1(tmp_path, argv):
+    # every period of the cover must carry the same grid
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert "multiple of cover_multiplicity" in err["message"]
+    assert not (out / "report.json").exists()
+
+
 class TestCli:
     def test_invalid_config_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -172,3 +188,27 @@ class TestCli:
         assert read_curve_lengths(out) == pytest.approx(
             [r["length"] for r in found], rel=1e-12
         )
+
+    def test_mk_length_ties_ordered_by_first_seed(self, tmp_path):
+        # k = 4: the meridian classes have lengths equal to ~1e-14, so their
+        # order must come from first_seed, not from roundoff
+        out = tmp_path / "o"
+        argv = ["mk-experiment", "--k", "4", "--n-seeds", "40", "--seed", "7"]
+        assert run(argv + ["--out", str(out)]) in (0, 2)
+        found = read_report(out)["result"]["found"]
+        tied = [
+            (a, b)
+            for a, b in zip(found, found[1:])
+            if abs(b["length"] - a["length"]) <= 1e-9 * b["length"]
+        ]
+        assert len(tied) >= 2
+        assert all(a["first_seed"] <= b["first_seed"] for a, b in tied)
+        # lengths ascend up to ties
+        assert all(b["length"] >= a["length"] * (1 - 1e-9) for a, b in zip(found, found[1:]))
+        # curve_XX.csv follows found: tied classes differ in min |x3|
+        files = sorted(out.glob("curve_*.csv"))
+        assert len(files) == len(found)
+        for path, rec in zip(files, found):
+            data = np.loadtxt(path, delimiter=",", skiprows=1)
+            assert data[1, 0] * data.shape[0] == pytest.approx(rec["length"], rel=1e-12)
+            assert np.min(np.abs(data[:, 3])) == pytest.approx(rec["min_abs_x3"], rel=1e-12)

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from geolab.errors import GridTooCoarse, NotAGeodesic
-from geolab.geodesics import curve_from_samples, sample_great_circle, sample_level_circle
+from geolab.geodesics import (
+    curve_from_samples,
+    curves_from_shots,
+    sample_great_circle,
+    sample_level_circle,
+    shoot_closed_batch,
+)
 from geolab.jacobi import (
+    curvature_along,
     degeneracy_criterion_mk,
     jacobi_spectrum,
     network_index,
@@ -11,7 +20,8 @@ from geolab.jacobi import (
     width_consistency_assertions,
 )
 from geolab.networks import GeodesicNetwork
-from geolab.surfaces import make_cylinder, make_mk
+from geolab.surfaces import make_cylinder, make_ellipsoid, make_mk
+from geolab.widths import plane_ellipse_circumference
 
 
 def analytic_constant_K_spectrum(K, L, m, count):
@@ -24,6 +34,64 @@ def analytic_constant_K_spectrum(K, L, m, count):
         eigs.extend([lam, lam])
         n += 1
     return np.array(sorted(eigs)[:count])
+
+
+def dense_cover_spectrum(curve, m, grid_size):
+    """Reference: the dense cyclic five-point matrix on the whole m-fold
+    cover, eigenvalues with index and nullity at jacobi_spectrum's
+    zero tolerance."""
+    n = grid_size
+    h = curve.length * m / n
+    s = np.arange(n) * h
+    s_curve = np.arange(curve.n) * (curve.length / curve.n)
+    K = np.interp(s % curve.length, s_curve, curvature_along(curve), period=curve.length)
+    A = np.zeros((n, n))
+    i = np.arange(n)
+    A[i, i] = 2.5
+    for off, c in ((1, -4.0 / 3.0), (2, 1.0 / 12.0)):
+        A[i, (i + off) % n] += c
+        A[i, (i - off) % n] += c
+    eig = np.linalg.eigvalsh(A / h**2 - np.diag(K))
+    zero_tol = max(1e-8, 10.0 * h**2 * np.max(np.abs(K)))
+    return eig, int(np.sum(eig < -zero_tol)), int(np.sum(np.abs(eig) <= zero_tol))
+
+
+def monodromy(curve):
+    """2x2 monodromy of phi'' + K phi = 0 over one period, from solve_ivp
+    with K a periodic cubic spline through curvature_along."""
+    s = np.arange(curve.n + 1) * (curve.length / curve.n)
+    K_samples = curvature_along(curve)
+    K = CubicSpline(s, np.append(K_samples, K_samples[0]), bc_type="periodic")
+
+    def rhs(t, y):  # two solutions (phi, phi') side by side
+        return np.array([y[1], -K(t) * y[0], y[3], -K(t) * y[2]])
+
+    sol = solve_ivp(
+        rhs, (0.0, curve.length), [1.0, 0.0, 0.0, 1.0],
+        method="DOP853", rtol=1e-12, atol=1e-14,
+    )
+    return sol.y[:, -1].reshape(2, 2).T
+
+
+def unit_eigenvalues(M, m):
+    """Number of eigenvalues of M^m equal to 1 within 1e-6."""
+    return int(np.sum(np.abs(np.linalg.eigvals(np.linalg.matrix_power(M, m)) - 1.0) <= 1e-6))
+
+
+@pytest.fixture(scope="module")
+def ellipses_094():
+    """The three coordinate-plane geodesics of the (0.94, 1, 1.06) ellipsoid,
+    ordered x1 = 0, x2 = 0, x3 = 0."""
+    a = np.array([0.94, 1.0, 1.06])
+    surface = make_ellipsoid(*a)
+    semi = 1.0 / np.sqrt(a)
+    j, k = np.array([1, 0, 0]), np.array([2, 2, 1])
+    periods = [plane_ellipse_circumference(semi[p], semi[q]) for p, q in zip(j, k)]
+    out = shoot_closed_batch(
+        surface, np.eye(3)[j] * semi[j, None], np.eye(3)[k], np.array(periods)
+    )
+    assert out["ok"].all()
+    return curves_from_shots(surface, out["shots"])
 
 
 class TestSecondVariation:
@@ -135,6 +203,47 @@ class TestSpectrum:
     def test_grid_size_guard(self, equator_mk4):
         with pytest.raises(ValueError):
             jacobi_spectrum(equator_mk4, grid_size=128)
+
+    @pytest.mark.parametrize("m, grid", [(3, 1000), (5, 512), (2, 257)])
+    def test_grid_must_be_multiple_of_cover(self, equator_mk4, m, grid):
+        with pytest.raises(ValueError, match="multiple of cover_multiplicity"):
+            jacobi_spectrum(equator_mk4, cover_multiplicity=m, grid_size=grid)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", ["ellipse_x1", "mk16_equator"])
+    def test_cover_blocks_match_dense_cover(self, ellipses_094, mk16, case, m):
+        # x1 = 0 ellipse: K varies along the curve; k = 16 equator: the
+        # 4-fold cover is degenerate
+        if case == "ellipse_x1":
+            curve = ellipses_094[0]
+        else:
+            curve = sample_level_circle(mk16, 0.0)
+        grid = 512 * m
+        rep = jacobi_spectrum(curve, cover_multiplicity=m, grid_size=grid)
+        eig, index, nullity = dense_cover_spectrum(curve, m, grid)
+        assert rep.eigenvalues.shape == (grid,)
+        assert np.max(np.abs(rep.eigenvalues - eig)) <= 1e-9
+        assert (rep.index, rep.nullity) == (index, nullity)
+        if m == 1:
+            assert np.array_equal(rep.eigenvalues, eig)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [4.0, 5.0, 9.0, 16.0])
+    def test_nullity_matches_monodromy_on_mk_equator(self, k, m):
+        # M is rotation by 2 pi / sqrt(k): M^m = I iff m / sqrt(k) is an integer
+        eq = sample_level_circle(make_mk(k, 1.0), 0.0)
+        ones = unit_eigenvalues(monodromy(eq), m)
+        rep = jacobi_spectrum(eq, cover_multiplicity=m, grid_size=512 * m)
+        assert rep.nullity == ones
+        ratio = m / np.sqrt(k)
+        assert ones == (2 if abs(ratio - round(ratio)) < 1e-12 else 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("plane", [0, 1, 2])
+    def test_nullity_matches_monodromy_on_ellipses(self, ellipses_094, plane, m):
+        curve = ellipses_094[plane]
+        rep = jacobi_spectrum(curve, cover_multiplicity=m, grid_size=512 * m)
+        assert rep.nullity == unit_eigenvalues(monodromy(curve), m)
 
     def test_grid_too_coarse_on_boundary_eigenvalue(self):
         # k tuned so the n = 1 eigenvalue 1 - 1/k lands inside the 25% band
