@@ -292,17 +292,18 @@ def cmd_find_geodesics(cfg, out: Path):
 def cmd_index(cfg, out: Path):
     surface, spec = _surface_from(cfg)
     curve = sample_level_circle(surface, 0.0)
+    cover = int(cfg.get("cover", 1))
     rep = jacobi_spectrum(
         curve,
         surface,
-        cover_multiplicity=int(cfg.get("cover", 1)),
-        grid_size=int(cfg.get("grid", 512)),
+        cover_multiplicity=cover,
+        grid_size=int(cfg.get("grid", 512 * cover)),  # 512 points per period
     )
     payload = rep.to_json_dict()
     payload["curve"] = curve.to_record()
     if spec.get("type") == "mk":
         payload["degeneracy_criterion"] = degeneracy_criterion_mk(
-            float(spec["k"]), int(cfg.get("cover", 1))
+            float(spec["k"]), cover
         )
     write_svg_eigenvalues(
         out / "eigenvalues.svg", payload["eigenvalues"], rep.zero_tolerance,

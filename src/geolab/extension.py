@@ -29,13 +29,15 @@ from .errors import EtaTooLarge, FlowLeftSurface, NotGPlus, OriginMismatch
 from .geodesics import (
     GeodesicCurve,
     curve_length,
+    dop853_integrate,
     periodic_derivative,
     require_geodesic,
-    rk4_integrate,
 )
 from .jacobi import second_variation
 from .networks import GeodesicNetwork, is_g_plus
 from .surfaces import SurfaceModel
+
+DRIFT_TOL = 1e-3  # largest |F| at a field-flow step end, times max(1, diameter)
 
 
 def cross_extension(u_axis1: Callable, u_axis2: Callable) -> Callable:
@@ -378,27 +380,28 @@ def flow_network_length(
     network: GeodesicNetwork,
     ambient_field,
     t: float,
-    n_substeps: int = 8,
-    drift_tol: float = 1e-3,
+    n_substeps: int = 1,
 ) -> float:
-    """Total network length after flowing every curve by the field for time t."""
+    """Total network length after flowing every curve by the field for time t.
+
+    Each curve's samples take ``n_substeps`` fixed DOP853 steps, each
+    followed by a projection onto the surface.  Raises FlowLeftSurface when
+    a step ends with |F| above DRIFT_TOL * max(1, diameter).
+    """
     surface = network.ambient_surface
-    max_drift = drift_tol * max(1.0, surface.diameter())
+    max_drift = DRIFT_TOL * max(1.0, surface.diameter())
 
-    def rhs(pts):
-        return (ambient_field(pts),)
-
-    def reproject(i, y):
-        drift = np.max(np.abs(surface.level(y[0])))
+    def reproject(i, pts):
+        drift = np.max(np.abs(surface.level(pts)))
         if drift > max_drift:
             raise FlowLeftSurface(f"|F| = {drift:.2e} before reprojection")
-        return (surface.project(y[0]),)
+        return surface.project(pts)
 
     total = 0.0
     for c in network.curves:
         pts = c.samples
         if t != 0.0:
-            (pts,) = rk4_integrate(rhs, (pts,), t / n_substeps, n_substeps, reproject)
+            pts = dop853_integrate(ambient_field, pts, t, n_substeps, reproject)[0]
         total += curve_length(pts, surface, closed=c.closed)
     return total
 
@@ -417,14 +420,15 @@ def verify_second_variation_match(
     normal_fields: Sequence,
     ambient_field,
     flow_step: float = 0.01,
-    n_substeps: int = 8,
+    n_substeps: int = 1,
 ) -> dict:
     """Quadratic form vs. finite-difference second derivative of length.
 
     Q_Gamma(X, X) is the per-curve quadrature of the geodesic second
     variation; the flow value is the centered second difference of total
-    network length under the ambient flow.  Returns both with their
-    relative error.
+    network length under the ambient flow over +-flow_step, each in
+    ``n_substeps`` DOP853 steps (``flow_network_length``).  Returns both
+    with their relative error.
     """
     Q_form = 0.0
     for c, spec in zip(network.curves, normal_fields):
@@ -454,11 +458,13 @@ def flow_gram_matrix(
     network: GeodesicNetwork,
     ambient_fields: Sequence,
     flow_step: float = 0.01,
-    n_substeps: int = 8,
+    n_substeps: int = 1,
 ) -> np.ndarray:
     """Finite-difference Gram matrix of the length form on extended fields.
 
-    Off-diagonal entries come from the polarization identity
+    Each entry is a centered second difference of total network length
+    under flows of +-flow_step in ``n_substeps`` DOP853 steps;
+    off-diagonal entries come from the polarization identity
     Q(X, Y) = (Q(X+Y) - Q(X) - Q(Y)) / 2.
     """
 

@@ -1,16 +1,17 @@
 """Geodesic integration, closed-geodesic shooting, lengths and curvature.
 
 On a level set F = 0 the geodesic equation reads gamma'' = lambda grad F
-with lambda = -(gamma'^T Hess F gamma')/|grad F|^2.  It is integrated by
-fixed-step DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6),
-with samples from its 7th-order continuous extension; every step
-re-projects the point onto the surface and renormalizes the tangential
-speed, which keeps the constraint and energy drift at roundoff level.  In a
-chart it reads x''^c = -Gamma^c_{ab} x'^a x'^b, integrated by classical
-RK4 with the symbols of all rows from one ``christoffel_batch`` call per
-stage.  Both flows are batched over a leading row axis with one length per
-row and fixed steps, so each row is a smooth function of its own inputs and
-finite-difference shooting stays in one flow call.
+with lambda = -(gamma'^T Hess F gamma')/|grad F|^2; in a chart it reads
+x''^c = -Gamma^c_{ab} x'^a x'^b.  Both flows, and the ambient-field flow of
+``extension``, are a right-hand side plus a step-end hook on one
+fixed-step DOP853 stepper (Hairer, Norsett & Wanner, Solving ODEs I,
+II.5-II.6), with path samples from its 7th-order continuous extension.  The
+level-set hook re-projects the point onto the surface and renormalizes the
+tangential speed, which keeps the constraint and energy drift at roundoff
+level; the chart hook checks the chart domain.  The flows are batched over
+a leading row axis with one length per row and fixed steps, so each row is
+a smooth function of its own inputs and finite-difference shooting stays in
+one flow call.
 
 Closed geodesics are found by Gauss-Newton shooting.  The unknowns are
 (transversal base-point offset, initial direction angle, period); the
@@ -40,7 +41,8 @@ from .surfaces import SurfaceModel, christoffel_batch
 
 DEFAULT_STEPS = 4096
 GEODESIC_KAPPA_TOL = 1e-6
-SAMPLES_PER_STEP = 16  # output samples per DOP853 step of the level-set flow
+SAMPLES_PER_STEP = 16  # path samples per DOP853 step of the geodesic flows
+COARSE_STEPS = 512  # flow samples per seed in the coarse Newton phase
 
 
 @dataclass
@@ -119,11 +121,7 @@ def curve_speeds(samples: np.ndarray, surface: SurfaceModel, closed: bool = True
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[0]
     dtheta = 2 * np.pi / n if closed else 2 * np.pi / (n - 1)
-    deriv = (
-        periodic_derivative(samples, dtheta)
-        if closed
-        else open_derivative(samples, dtheta)
-    )
+    deriv = (periodic_derivative if closed else open_derivative)(samples, dtheta)
     if surface.kind == "levelset":
         sp = np.linalg.norm(deriv, axis=1)
     else:
@@ -152,16 +150,62 @@ def curve_length(curve_or_samples, surface: Optional[SurfaceModel] = None, close
 
 
 # ---------------------------------------------------------------------------
-# the geodesic flows: DOP853 on level sets, RK4 in charts
+# the geodesic flows: one fixed-step DOP853 stepper, a right-hand side each
 # ---------------------------------------------------------------------------
 
 
-def _accel_levelset(surface: SurfaceModel, P: np.ndarray, V: np.ndarray):
-    g = surface.grad(P)
-    H = surface.hess(P)
-    vHv = np.einsum("...i,...ij,...j->...", V, H, V)
-    gg = np.sum(g * g, axis=-1)
-    return (-vHv / gg)[..., None] * g
+def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols=0):
+    """Fixed-step DOP853 for y' = rhs(y), y of shape (rows, columns).
+
+    Takes ``n_steps`` steps of T / n_steps, with ``T`` a scalar or one span
+    per row.  ``after_step(i, y)`` runs at the end of step i and returns the
+    state to continue from (a projection, a domain check); the right-hand
+    side there is the next step's first stage (FSAL).  Stage sums run along
+    the stage axis, so each row is bit-identical to its own 1-row call.
+
+    Returns (y, path).  With ``n_samples`` > 0, path holds the leading
+    ``path_cols`` columns at n_samples + 1 uniform times, shape (rows,
+    n_samples + 1, path_cols).  Samples at step ends are the states
+    ``after_step`` returned; the others come from the step's 7th-order
+    continuous extension and are left to the caller.  Otherwise path is
+    None.
+    """
+    y = np.asarray(y, dtype=float)
+    h = (np.asarray(T, dtype=float) / n_steps).reshape(-1, 1)
+    K = np.empty((16,) + y.shape)  # stage derivatives
+
+    def increment(s):
+        return h * np.sum(_DOP_A[s, :s, None, None] * K[:s], axis=0)
+
+    c = path_cols
+    path = np.empty((y.shape[0], n_samples + 1, c)) if n_samples else None
+    if n_samples:
+        path[:, 0] = y[:, :c]
+        u = np.arange(n_samples + 1) * n_steps  # sample j: u[j] / n_samples steps in
+    K[0] = rhs(y)
+    for i in range(n_steps):
+        for s in range(1, 12):
+            K[s] = rhs(y + increment(s))
+        y1 = after_step(i, y + increment(12))
+        if n_samples or i + 1 < n_steps:
+            K[12] = rhs(y1)
+        if n_samples:
+            path[:, u == (i + 1) * n_samples] = y1[:, None, :c]
+            j = np.flatnonzero((u > i * n_samples) & (u < (i + 1) * n_samples))
+            for s in range(13, 16):
+                K[s] = rhs(y + increment(s))
+            # Hermite terms plus D-weighted stages, in Horner form
+            dy = y1[:, :c] - y[:, :c]
+            F = [dy, h * K[0, :, :c] - dy, 2 * dy - h * (K[12, :, :c] + K[0, :, :c])]
+            F += [h * np.sum(d[:, None, None] * K[..., :c], axis=0) for d in _DOP_D]
+            x = ((u[j] - i * n_samples) / n_samples)[None, :, None]
+            Q = 0.0
+            for r, f in enumerate(reversed(F)):
+                Q = (Q + f[:, None]) * (x if r % 2 == 0 else 1.0 - x)
+            path[:, j] = Q + y[:, None, :c]
+        K[0] = K[12]
+        y = y1
+    return y, path
 
 
 def _newton_onto(surface: SurfaceModel, P):
@@ -169,31 +213,6 @@ def _newton_onto(surface: SurfaceModel, P):
     g = surface.grad(P)
     gg = np.sum(g * g, axis=-1)
     return P - (surface.level(P) / gg)[..., None] * g, g, gg
-
-
-def rk4_integrate(rhs, y, h, n_steps: int, after_step):
-    """Classical fixed-step RK4 for y' = rhs(*y), y a tuple of arrays.
-
-    ``h`` may be a scalar or an array broadcasting against each component
-    (one step size per batch row).  ``after_step(i, y)`` runs after step i
-    and returns the state to continue from; flows use it to project onto
-    the surface, check domains and record paths.  The chart flow and the
-    ambient-field flow of ``extension`` are a right-hand side plus such a
-    hook on this stepper.
-    """
-    for i in range(n_steps):
-        k1 = rhs(*y)
-        k2 = rhs(*(a + 0.5 * h * b for a, b in zip(y, k1)))
-        k3 = rhs(*(a + 0.5 * h * b for a, b in zip(y, k2)))
-        k4 = rhs(*(a + h * b for a, b in zip(y, k3)))
-        y = after_step(
-            i,
-            tuple(
-                a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-            ),
-        )
-    return y
 
 
 def flow_levelset(
@@ -215,50 +234,27 @@ def flow_levelset(
     """
     y = np.hstack([np.atleast_2d(np.asarray(a, dtype=float)) for a in (P0, V0)])
     n_int = -(-n_steps // SAMPLES_PER_STEP)
-    h = (np.atleast_1d(np.asarray(T, dtype=float)) / n_int)[:, None]
-    K = np.empty((16, y.shape[0], 6))  # stage derivatives (P', V')
 
-    def stage(s, y):
-        K[s, :, :3] = y[:, 3:]
-        K[s, :, 3:] = _accel_levelset(surface, y[:, :3], y[:, 3:])
+    def rhs(y):  # gamma'' = lambda grad F
+        P, V = y[:, :3], y[:, 3:]
+        g, H = surface.grad(P), surface.hess(P)
+        vHv = np.einsum("...i,...ij,...j->...", V, H, V)
+        return np.hstack([V, (-vHv / np.sum(g * g, axis=-1))[:, None] * g])
 
-    def increment(s):  # summed along the stage axis, so each row alone
-        return h * np.sum(_DOP_A[s, :s, None, None] * K[:s], axis=0)
-
-    if store_path:
-        path = np.empty((y.shape[0], n_steps + 1, 3))
-        path[:, 0] = y[:, :3]
-        u = np.arange(n_steps + 1) * n_int  # sample j lies u[j] / n_steps steps in
-    stage(0, y)
-    for i in range(n_int):
-        for s in range(1, 12):
-            stage(s, y + increment(s))
-        y1 = y + increment(12)
+    def reproject(i, y):
         # one Newton projection onto F = 0 squares the step's |F|; the
         # velocity is made tangent with the same gradient and unit again
-        P1, g, gg = _newton_onto(surface, y1[:, :3])
-        V1 = y1[:, 3:] - (np.sum(y1[:, 3:] * g, axis=-1) / gg)[:, None] * g
-        y1 = np.hstack([P1, V1 / np.linalg.norm(V1, axis=-1, keepdims=True)])
-        stage(12, y1)  # also stage 0 of the next step
-        if store_path:
-            path[:, u == (i + 1) * n_steps] = y1[:, None, :3]
-            j = np.flatnonzero((u > i * n_steps) & (u < (i + 1) * n_steps))
-            for s in range(13, 16):
-                stage(s, y + increment(s))
-            # 7th-order continuous extension: Hermite terms plus D-weighted stages
-            dP = y1[:, :3] - y[:, :3]
-            F = [dP, h * K[0, :, :3] - dP, 2 * dP - h * (K[12, :, :3] + K[0, :, :3])]
-            F += [h * np.sum(d[:, None, None] * K[..., :3], axis=0) for d in _DOP_D]
-            x = ((u[j] - i * n_steps) / n_steps)[None, :, None]
-            Q = 0.0
-            for r, f in enumerate(reversed(F)):
-                Q = (Q + f[:, None]) * (x if r % 2 == 0 else 1.0 - x)
-            path[:, j] = _newton_onto(surface, Q + y[:, None, :3])[0]
-        K[0] = K[12]
-        y = y1
-    if store_path:
-        return y[:, :3], y[:, 3:], path
-    return y[:, :3], y[:, 3:]
+        P, g, gg = _newton_onto(surface, y[:, :3])
+        V = y[:, 3:] - (np.sum(y[:, 3:] * g, axis=-1) / gg)[:, None] * g
+        return np.hstack([P, V / np.linalg.norm(V, axis=-1, keepdims=True)])
+
+    y, path = dop853_integrate(rhs, y, T, n_int, reproject, store_path and n_steps, 3)
+    if not store_path:
+        return y[:, :3], y[:, 3:]
+    inner = np.arange(n_steps + 1) * n_int % n_steps != 0  # not at a step end
+    for row in path:  # a row at a time keeps the temporaries one row in size
+        row[inner] = _newton_onto(surface, row[inner])[0]
+    return y[:, :3], y[:, 3:], path
 
 
 def flow_chart(
@@ -272,30 +268,33 @@ def flow_chart(
     """Batched chart geodesic flow x''^c = -Gamma^c_{ab} x'^a x'^b for
     parameter length T (per row).
 
+    ``n_steps`` is the number of sample intervals, one DOP853 step per
+    SAMPLES_PER_STEP samples as in ``flow_levelset``.  The symbols of all
+    rows come from one ``christoffel_batch`` call per stage.
+
     Returns (x1, v1) or (x1, v1, path) with path of shape (m, n_steps+1, 2).
-    Raises LeftChartDomain as soon as any row leaves the chart domain.
+    Raises LeftChartDomain when any row leaves the chart domain at a step
+    end or at a stored path sample.
     """
-    x = np.atleast_2d(np.array(x0, dtype=float))
-    v = np.atleast_2d(np.array(v0, dtype=float))
-    T = np.atleast_1d(np.asarray(T, dtype=float))
-    path = np.empty((x.shape[0], n_steps + 1, 2)) if store_path else None
-    if store_path:
-        path[:, 0] = x
+    y = np.hstack([np.atleast_2d(np.asarray(a, dtype=float)) for a in (x0, v0)])
+    n_int = -(-n_steps // SAMPLES_PER_STEP)
 
-    def rhs(x, v):
-        return v, -np.einsum("ncab,na,nb->nc", christoffel_batch(surface, x), v, v)
+    def rhs(y):
+        x, v = y[:, :2], y[:, 2:]
+        gam = christoffel_batch(surface, x)
+        return np.hstack([v, -np.einsum("ncab,na,nb->nc", gam, v, v)])
 
-    def after_step(i, y):
-        if not surface.in_chart_domain(y[0]):
+    def in_domain(i, y):
+        if not surface.in_chart_domain(y[:, :2]):
             raise LeftChartDomain(f"left chart domain at step {i}")
-        if store_path:
-            path[:, i + 1] = y[0]
         return y
 
-    x, v = rk4_integrate(rhs, (x, v), (T / n_steps)[:, None], n_steps, after_step)
-    if store_path:
-        return x, v, path
-    return x, v
+    y, path = dop853_integrate(rhs, y, T, n_int, in_domain, store_path and n_steps, 2)
+    if not store_path:
+        return y[:, :2], y[:, 2:]
+    if not surface.in_chart_domain(path.reshape(-1, 2)):
+        raise LeftChartDomain("left chart domain between step ends")
+    return y[:, :2], y[:, 2:], path
 
 
 def integrate_geodesic(
@@ -348,7 +347,6 @@ def shoot_closed_batch(
     periods: np.ndarray,
     max_iter: int = 30,
     n_steps: int = DEFAULT_STEPS,
-    coarse_steps: int = 512,
 ):
     """Gauss-Newton closure of a batch of shooting seeds.
 
@@ -399,7 +397,7 @@ def shoot_closed_batch(
 
     active = np.ones(m, dtype=bool)
     for phase_steps, phase_iters, phase_tol in (
-        (coarse_steps, max_iter, 1e-9),
+        (COARSE_STEPS, max_iter, 1e-9),
         (n_steps, 8, 1e-13),
     ):
         prev_rn = np.full(m, np.inf)
@@ -439,7 +437,7 @@ def shoot_closed_batch(
             x[li] += dx
             tau_max = 0.25 * surface.diameter()
             x[li, 0] = np.clip(x[li, 0], -tau_max, tau_max)
-        if phase_steps == coarse_steps:
+        if phase_steps == COARSE_STEPS:
             active = resid < 1e-6  # only polish seeds the coarse phase closed
 
     # the final flow keeps paths, so it runs only on the seeds that can pass
@@ -561,16 +559,8 @@ def geodesic_curvature_profile(curve, surface: Optional[SurfaceModel] = None):
         samples, closed = np.asarray(curve, dtype=float), True
     n_pts = samples.shape[0]
     dtheta = 2 * np.pi / n_pts if closed else 2 * np.pi / (n_pts - 1)
-    d1 = (
-        periodic_derivative(samples, dtheta)
-        if closed
-        else open_derivative(samples, dtheta)
-    )
-    d2 = (
-        periodic_derivative(samples, dtheta, 2)
-        if closed
-        else open_derivative(samples, dtheta, 2)
-    )
+    derivative = periodic_derivative if closed else open_derivative
+    d1, d2 = derivative(samples, dtheta), derivative(samples, dtheta, 2)
     if surface.kind == "levelset":
         N = surface.unit_normal(samples)
         sp = np.linalg.norm(d1, axis=1)

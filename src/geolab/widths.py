@@ -196,7 +196,6 @@ def mk_multiplicity_experiment(
     tie_group = np.cumsum(np.diff(lengths, prepend=lengths[:1]) > 1e-9 * lengths)
     order = np.lexsort(([cls["first_seed"] for cls in classes], tie_group))
     classes = [classes[i] for i in order]
-    gamma0 = sample_level_circle(surface, 0.0, n_samples)
     records = []
     for cls in classes:
         cur = cls["curve"]
@@ -204,10 +203,8 @@ def mk_multiplicity_experiment(
         min_x3 = float(np.min(np.abs(x3)))
         # a transverse crossing usually falls between samples: x3 changes sign
         crosses = min_x3 <= equator_tol or x3.min() < 0.0 < x3.max()
-        is_g0 = (
-            hausdorff_distance(cur.samples, gamma0.samples, equator_tol) <= equator_tol
-            and abs(cur.length - 2 * np.pi) < 0.01
-        )
+        # the equator, wherever its samples sit on it
+        is_g0 = np.max(np.abs(x3)) <= equator_tol and abs(cur.length - 2 * np.pi) < 0.01
         rec = {
             "length": float(cur.length),
             "closure_residual": float(cur.closure_residual),

@@ -100,6 +100,11 @@ class TestCli:
         assert (out / "eigenvalues.svg").exists()
         assert rep["version"] and rep["config"]["surface"]["k"] == 4.0
 
+    def test_index_default_grid_scales_with_cover(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["index", "--k", "16", "--cover", "3", "--out", str(out)]) == 0
+        assert read_report(out)["result"]["grid_size"] == 1536
+
     def test_network_command_with_bounds(self, tmp_path):
         out = tmp_path / "o"
         rc = run(["network", "--builtin", "two-circles", "--p", "2", "--out", str(out)])
@@ -173,6 +178,16 @@ class TestCli:
         assert rc in (0, 2)  # property flags depend on what 8 seeds find
         rep = read_report(out)
         assert rep["command"] == "find-geodesics"
+
+    def test_find_geodesics_equator_off_gamma0_phase(self, tmp_path):
+        # k = 4, seed 3: the equator class is sampled 0.65 of a sample
+        # spacing off the phase of a uniformly sampled gamma_0
+        out = tmp_path / "o"
+        argv = ["find-geodesics", "--k", "4", "--n-seeds", "40", "--seed", "3"]
+        assert run(argv + ["--out", str(out)]) == 0
+        found = read_report(out)["result"]["found"]
+        assert found[0]["length"] == pytest.approx(2 * np.pi, rel=1e-12)
+        assert found[0]["is_gamma0"]
 
     def test_mk_meridians_meet_equator_and_files_follow_found(self, tmp_path):
         # k = 4: meridians (length 9.69) cross the equator between samples,

@@ -5,10 +5,12 @@ from scipy.special import ellipe
 
 from geolab.errors import LeftChartDomain, NoConvergence
 from geolab.geodesics import (
+    SAMPLES_PER_STEP,
     close_geodesic,
     curve_from_samples,
     curves_from_shots,
     curve_length,
+    dop853_integrate,
     flow_chart,
     flow_levelset,
     geodesic_curvature_profile,
@@ -109,6 +111,57 @@ class TestIntegrate:
         _, _, down = flow_levelset(mk4, p0, v0m, np.array([3.0]), 1024, store_path=True)
         mirrored = up[0] * np.array([1.0, 1.0, -1.0])
         assert np.max(np.linalg.norm(mirrored - down[0], axis=1)) < 1e-10
+
+
+def _harmonic(y):
+    """y'' = -y as a first-order system in (y, y')."""
+    return np.stack([y[:, 1], -y[:, 0]], axis=1)
+
+
+def _cos_sin(t):
+    return np.stack([np.cos(t), -np.sin(t)], axis=-1)
+
+
+class TestDop853:
+    n_samples = 1000
+    n_steps = -(-1000 // SAMPLES_PER_STEP)
+
+    def test_harmonic_oscillator_to_roundoff(self):
+        ends = []
+
+        def record(i, y):
+            ends.append(y[0].copy())
+            return y
+
+        y1, path = dop853_integrate(
+            _harmonic, np.array([[1.0, 0.0]]), 2 * np.pi, self.n_steps, record,
+            self.n_samples, 2,
+        )
+        t_end = 2 * np.pi * np.arange(1, self.n_steps + 1) / self.n_steps
+        assert np.max(np.abs(np.array(ends) - _cos_sin(t_end))) < 1e-12
+        assert np.array_equal(y1[0], ends[-1])
+        # 1000 samples on 63 steps: all but the two ends are from the
+        # continuous extension
+        t = np.linspace(0.0, 2 * np.pi, self.n_samples + 1)
+        assert np.max(np.abs(path[0] - _cos_sin(t))) < 1e-12
+
+    def test_batch_rows_equal_single_rows(self):
+        phase = np.array([0.0, 0.7, 2.9])
+        y0 = _cos_sin(phase)
+        T = np.array([2 * np.pi, 3.0, 5.5])
+
+        def keep(i, y):
+            return y
+
+        y1, path = dop853_integrate(_harmonic, y0, T, self.n_steps, keep, self.n_samples, 2)
+        assert path.shape == (3, self.n_samples + 1, 2)
+        for i in range(3):
+            yi, pi = dop853_integrate(
+                _harmonic, y0[i : i + 1], T[i], self.n_steps, keep, self.n_samples, 2
+            )
+            assert np.array_equal(yi[0], y1[i])
+            assert np.array_equal(pi[0], path[i])
+        assert dop853_integrate(_harmonic, y0, T, self.n_steps, keep)[1] is None
 
 
 class TestCloseGeodesic:
@@ -254,6 +307,43 @@ class TestHelpers:
             assert np.array_equal(xi[0], x1[i])
             assert np.array_equal(vi[0], v1[i])
             assert np.array_equal(pi[0], path[i])
+
+    def test_chart_flow_follows_great_circles(self):
+        # sphere_exp_chart is the exponential chart at the north pole, so
+        # its geodesics are great circles read back through the log map
+        def exp_map(x):
+            r = np.linalg.norm(x, axis=-1, keepdims=True)
+            return np.concatenate([np.sin(r) * x / r, np.cos(r)], axis=-1)
+
+        def log_map(p):
+            r = np.arccos(np.clip(p[..., 2:], -1.0, 1.0))
+            return r * p[..., :2] / np.linalg.norm(p[..., :2], axis=-1, keepdims=True)
+
+        chart = sphere_exp_chart(1.2)
+        x0 = np.array([[0.1, -0.2], [0.0, 0.3], [-0.4, 0.05], [0.8, -0.6]])
+        ang = np.array([0.3, 2.0, -1.1, 2.2])
+        v0 = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        T = np.array([0.5, 0.7, 0.9, 1.5])
+        _, _, path = flow_chart(chart, x0, v0, T, 256, store_path=True)
+        # the launch point and velocity on the sphere, through d exp
+        r = np.linalg.norm(x0, axis=1, keepdims=True)
+        u = x0 / r
+        dr = np.sum(u * v0, axis=1, keepdims=True)
+        du = (v0 - dr * u) / r
+        p0 = exp_map(x0)
+        w = np.concatenate([np.cos(r) * dr * u + np.sin(r) * du, -np.sin(r) * dr], axis=1)
+        speed = np.linalg.norm(w, axis=1)
+        t = (np.linspace(0.0, 1.0, 257)[None, :] * (T * speed)[:, None])[..., None]
+        circles = np.cos(t) * p0[:, None] + np.sin(t) * (w / speed[:, None])[:, None]
+        assert np.max(np.abs(path - log_map(circles))) < 1e-9
+
+    def test_chart_flow_path_leaves_between_step_ends(self):
+        # the geodesic bends back towards the origin: x1 peaks at 1.20025
+        # inside the first of two steps, while both step ends lie inside
+        chart = sphere_exp_chart(1.2)
+        v0 = np.array([np.sin(0.03), np.cos(0.03)])
+        with pytest.raises(LeftChartDomain):
+            flow_chart(chart, np.array([1.1995, 0.0]), v0, 0.2, 32, store_path=True)
 
     def test_chart_flow_batch_one_row_leaves(self):
         chart = sphere_exp_chart(1.2)
