@@ -69,6 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+MAX_TABLE_LEVEL = 1000  # largest p of a sweepout-bound table
+
 _INT_KEYS = ("seed", "grid", "p", "n_seeds", "cover", "order")
 _FLOAT_KEYS = ("cap", "delta", "flow_step", "K0", "omega1")
 
@@ -153,8 +155,7 @@ def write_curve_csv(path: Path, curve):
     n = curve.samples.shape[0]
     s = np.arange(n) * (curve.length / n)
     cols = ["s"] + (["x1", "x2", "x3"] if curve.samples.shape[1] == 3 else ["u", "v"])
-    rows = [[float(si)] + [float(x) for x in pt] for si, pt in zip(s, curve.samples)]
-    write_csv(path, cols, rows)
+    write_csv(path, cols, np.column_stack([s, curve.samples]).tolist())
 
 
 def write_svg_curves(path: Path, traces, title=""):
@@ -377,6 +378,8 @@ def cmd_extend_field(cfg, out: Path):
 def cmd_sweepout_bound(cfg, out: Path):
     surface, spec = _surface_from(cfg)
     p_max = int(cfg.get("p", 5))
+    if p_max > MAX_TABLE_LEVEL:  # one table row per level
+        raise ConfigInvalid(f"p must be at most {MAX_TABLE_LEVEL} here, got {p_max}")
     sweep = level_circle_sweepout(surface)
     rows = []
     table = []

@@ -1,7 +1,8 @@
 """Geodesic integration, closed-geodesic shooting, lengths and curvature.
 
 On a level set F = 0 the geodesic equation reads gamma'' = lambda grad F
-with lambda = -(gamma'^T Hess F gamma')/|grad F|^2; in a chart it reads
+with lambda = -sum_i h_i gamma'_i^2 / |grad F|^2, h the diagonal of the
+(diagonal) Hessian of the separable F; in a chart it reads
 x''^c = -Gamma^c_{ab} x'^a x'^b.  Both flows, and the ambient-field flow of
 ``extension``, are a right-hand side plus a step-end hook on one
 fixed-step DOP853 stepper (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -23,6 +24,7 @@ kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -154,6 +156,28 @@ def curve_length(curve_or_samples, surface: Optional[SurfaceModel] = None, close
 # ---------------------------------------------------------------------------
 
 
+_A = _DOP_A[:, :, None, None]  # stage weights, broadcast over (rows, columns)
+# stage terms of the continuous extension: K_0, -(K_0 + K_12) and the four
+# D rows; stages 1-4 carry no weight in any of them
+_DENSE_TERMS = np.stack([np.eye(16)[0], -np.eye(16)[0] - np.eye(16)[12], *_DOP_D])
+_DENSE_STAGES = np.flatnonzero(np.any(_DENSE_TERMS, axis=0))
+
+
+def _dense_weights(x):
+    """Weights of the 7th-order continuous extension at step fractions x.
+
+    The extension is y0 + a(x) (y1 - y0) + h sum_t b_t(x) K_t: the Hermite
+    terms and the D-weighted stages (Hairer, Norsett & Wanner, II.6) with
+    their product-basis polynomials x, x(1-x), x^2(1-x), ... summed out.
+    Returns a of shape (n,) and b of shape (len(_DENSE_STAGES), n).
+    """
+    W = [x, x * (1.0 - x)]  # alternately times x and (1 - x)
+    for r in range(5):
+        W.append(W[-1] * (x if r % 2 == 0 else 1.0 - x))
+    terms = _DENSE_TERMS[:, _DENSE_STAGES, None] * np.stack(W[1:])[:, None]
+    return W[0] - W[1] + 2.0 * W[2], np.add.reduce(terms, 0)
+
+
 def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols=0):
     """Fixed-step DOP853 for y' = rhs(y), y of shape (rows, columns).
 
@@ -171,39 +195,52 @@ def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols
     None.
     """
     y = np.asarray(y, dtype=float)
-    h = (np.asarray(T, dtype=float) / n_steps).reshape(-1, 1)
-    K = np.empty((16,) + y.shape)  # stage derivatives
+    # each row's step, spelt out to the state's shape so that scaling a
+    # stage multiplies arrays of one shape
+    h = np.asarray(T, dtype=float).reshape(-1, 1) / n_steps * np.ones_like(y)
+    hK = np.empty((16,) + y.shape)  # stage derivatives times the step
 
-    def increment(s):
-        return h * np.sum(_DOP_A[s, :s, None, None] * K[:s], axis=0)
+    def stage(s):  # y + sum_t a_st h K_t
+        return y + np.add.reduce(_A[s, :s] * hK[:s], 0)
 
     c = path_cols
     path = np.empty((y.shape[0], n_samples + 1, c)) if n_samples else None
     if n_samples:
         path[:, 0] = y[:, :c]
-        u = np.arange(n_samples + 1) * n_steps  # sample j: u[j] / n_samples steps in
-    K[0] = rhs(y)
+        # sample j sits j n_steps / n_samples steps in; step i holds the
+        # samples lo[i]..hi[i]-1 inside it, and sample hi[i] at its end if whole
+        steps = np.arange(n_steps + 1)
+        lo = steps[:-1] * n_samples // n_steps + 1
+        hi = -(-steps[1:] * n_samples // n_steps)
+        at_end = steps[1:] * n_samples % n_steps == 0
+        # sample j of step i lies (j n_steps - i n_samples) / n_samples into
+        # it; the numerators are multiples of d, n_steps / d apart within a
+        # step, so the weights are computed once per multiple
+        d = math.gcd(n_steps, n_samples)
+        a, b = _dense_weights(np.arange(n_samples // d) * d / n_samples)
+    np.multiply(rhs(y), h, out=hK[0])
     for i in range(n_steps):
         for s in range(1, 12):
-            K[s] = rhs(y + increment(s))
-        y1 = after_step(i, y + increment(12))
+            np.multiply(rhs(stage(s)), h, out=hK[s])
+        y1 = after_step(i, stage(12))
         if n_samples or i + 1 < n_steps:
-            K[12] = rhs(y1)
+            np.multiply(rhs(y1), h, out=hK[12])
         if n_samples:
-            path[:, u == (i + 1) * n_samples] = y1[:, None, :c]
-            j = np.flatnonzero((u > i * n_samples) & (u < (i + 1) * n_samples))
+            if at_end[i]:
+                path[:, hi[i]] = y1[:, :c]
             for s in range(13, 16):
-                K[s] = rhs(y + increment(s))
-            # Hermite terms plus D-weighted stages, in Horner form
-            dy = y1[:, :c] - y[:, :c]
-            F = [dy, h * K[0, :, :c] - dy, 2 * dy - h * (K[12, :, :c] + K[0, :, :c])]
-            F += [h * np.sum(d[:, None, None] * K[..., :c], axis=0) for d in _DOP_D]
-            x = ((u[j] - i * n_samples) / n_samples)[None, :, None]
-            Q = 0.0
-            for r, f in enumerate(reversed(F)):
-                Q = (Q + f[:, None]) * (x if r % 2 == 0 else 1.0 - x)
-            path[:, j] = Q + y[:, None, :c]
-        K[0] = K[12]
+                np.multiply(rhs(stage(s)), h, out=hK[s])
+            # one reduction over the stages, with the (row, column) pairs
+            # as the contiguous inner axis
+            n_in, k0 = hi[i] - lo[i], (lo[i] * n_steps - i * n_samples) // d
+            j = slice(lo[i], hi[i])
+            k = slice(k0, k0 + n_in * (n_steps // d), n_steps // d)
+            hKc = hK[_DENSE_STAGES, :, :c].reshape(b.shape[0], 1, -1)
+            dense = np.add.reduce(b[:, k, None] * hKc, 0)
+            dense = dense.reshape(n_in, y.shape[0], c).swapaxes(0, 1)
+            y0 = y[:, None, :c]
+            path[:, j] = y0 + (y1[:, None, :c] - y0) * a[k, None] + dense
+        hK[0] = hK[12]
         y = y1
     return y, path
 
@@ -211,7 +248,7 @@ def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols
 def _newton_onto(surface: SurfaceModel, P):
     """One Newton step towards F = 0, with grad F and |grad F|^2 at P."""
     g = surface.grad(P)
-    gg = np.sum(g * g, axis=-1)
+    gg = np.einsum("...i,...i->...", g, g)
     return P - (surface.level(P) / gg)[..., None] * g, g, gg
 
 
@@ -235,23 +272,23 @@ def flow_levelset(
     y = np.hstack([np.atleast_2d(np.asarray(a, dtype=float)) for a in (P0, V0)])
     n_int = -(-n_steps // SAMPLES_PER_STEP)
 
-    def rhs(y):  # gamma'' = lambda grad F
+    def rhs(y):  # gamma'' = lambda grad F, lambda = -sum_i h_i v_i^2 / |g|^2
         P, V = y[:, :3], y[:, 3:]
-        g, H = surface.grad(P), surface.hess(P)
-        vHv = np.einsum("...i,...ij,...j->...", V, H, V)
-        return np.hstack([V, (-vHv / np.sum(g * g, axis=-1))[:, None] * g])
+        g = surface.grad(P)
+        lam = np.vecdot(V * surface.hess_diag(P), V) / np.vecdot(g, g)
+        return np.concatenate((V, g * -lam[:, None]), axis=1)
 
     def reproject(i, y):
         # one Newton projection onto F = 0 squares the step's |F|; the
         # velocity is made tangent with the same gradient and unit again
         P, g, gg = _newton_onto(surface, y[:, :3])
-        V = y[:, 3:] - (np.sum(y[:, 3:] * g, axis=-1) / gg)[:, None] * g
-        return np.hstack([P, V / np.linalg.norm(V, axis=-1, keepdims=True)])
+        V = y[:, 3:] - (np.vecdot(y[:, 3:], g) / gg)[:, None] * g
+        return np.concatenate((P, V / np.sqrt(np.vecdot(V, V))[:, None]), axis=1)
 
     y, path = dop853_integrate(rhs, y, T, n_int, reproject, store_path and n_steps, 3)
     if not store_path:
         return y[:, :3], y[:, 3:]
-    inner = np.arange(n_steps + 1) * n_int % n_steps != 0  # not at a step end
+    inner = np.flatnonzero(np.arange(n_steps + 1) * n_int % n_steps)  # not step ends
     for row in path:  # a row at a time keeps the temporaries one row in size
         row[inner] = _newton_onto(surface, row[inner])[0]
     return y[:, :3], y[:, 3:], path
@@ -629,13 +666,18 @@ def curve_from_samples(
     )
 
 
-def sample_level_circle(surface: SurfaceModel, c: float, n: int = DEFAULT_STEPS):
-    """Level circle {x3 = c} on an mk surface or sphere, sampled uniformly."""
+def level_circle_radius2(surface: SurfaceModel, c):
+    """Squared radius of the level circle {x3 = c} on an mk surface or the
+    sphere (elementwise for an array of heights); <= 0 where it is empty."""
     p = surface.builtin_params
     if surface.name == "mk":
-        rho2 = 1.0 - (c * c) ** p["mu"] / p["k"]
-    else:
-        rho2 = 1.0 - c * c
+        return 1.0 - (c * c) ** p["mu"] / p["k"]
+    return 1.0 - c * c
+
+
+def sample_level_circle(surface: SurfaceModel, c: float, n: int = DEFAULT_STEPS):
+    """Level circle {x3 = c} on an mk surface or sphere, sampled uniformly."""
+    rho2 = level_circle_radius2(surface, c)
     if rho2 <= 0:
         raise ValueError("level circle is empty at this height")
     rho = np.sqrt(rho2)

@@ -448,7 +448,9 @@ def _curved_chord(surface, V, e_hat, n_left, sp, sq, t):
             surface, np.tile(p_t, (3, 1)), d, lengths, n_steps=256, store_path=True
         )
         miss = x1 - q
-        if np.linalg.norm(miss[0]) < 1e-12 * max(1.0, gap):
+        # the flow's roundoff floor (finite-difference Christoffel symbols)
+        # is about 1e-12; a tolerance there leaves the count to roundoff
+        if np.linalg.norm(miss[0]) < 1e-11 * max(1.0, gap):
             break
         J = (miss[1:] - miss[0]).T / eps
         da, dL = np.linalg.solve(J, -miss[0])

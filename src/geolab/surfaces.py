@@ -2,11 +2,11 @@
 
 Two representations are supported:
 
-* level sets ``F(x) = 0`` with analytic gradient and Hessian (all built-ins:
-  the elongated spheroid family, ellipsoids, the unit sphere, the unit
-  cylinder).  Gauss curvature uses the adjugate formula
-  ``K = (grad F . adj(Hess F) . grad F) / |grad F|^4``, which has no chart
-  singularities at the poles.
+* separable level sets ``F(x) = sum_i c_i (x_i^2)^mu_i - 1 = 0`` (all
+  built-ins: the elongated spheroid family, ellipsoids, the unit sphere,
+  the unit cylinder), whose Hessian is diagonal.  Gauss curvature uses
+  ``K = (g1^2 h2 h3 + g2^2 h1 h3 + g3^2 h1 h2) / |g|^4`` with g = grad F and
+  h = diag(Hess F), which has no chart singularities at the poles.
 * charts over a parameter rectangle with one vectorized metric function
   ``uv -> g(uv)`` of shape (..., 2, 2) and optional periodic identifications
   per axis.  Christoffel symbols and Brioschi curvature each take their
@@ -99,8 +99,12 @@ class CompositeFactor:
 class SurfaceModel:
     """A surface, either as an ambient level set or as a chart.
 
-    Level-set surfaces provide vectorized ``level_fn`` (F), ``grad_fn``
-    (grad F, shape (...,3)) and ``hess_fn`` (Hess F, shape (...,3,3)).
+    Level-set surfaces are separable, F(x) = sum_i c_i (x_i^2)^mu_i - 1
+    with ``level_coeffs`` c and ``level_powers`` mu (each mu_i >= 1), so
+    Hess F is diagonal.  F, grad F and diag(Hess F) all come from the
+    common factor (x_i^2)^(mu_i - 1): ``level`` gives F, ``grad`` grad F
+    (shape (..., 3)) and ``hess_diag`` the Hessian diagonal (shape (..., 3),
+    or the constant (3,) on a quadric, where every mu_i is 1).
     Chart surfaces provide a vectorized metric ``chart_metric_fn(uv)`` of
     shape (..., 2, 2) over the rectangle ``chart_domain`` with per-axis
     ``chart_periodic`` flags.
@@ -109,14 +113,25 @@ class SurfaceModel:
     kind: str  # "levelset" | "chart"
     name: str = "custom"
     builtin_params: dict = field(default_factory=dict)
-    level_fn: Optional[Callable] = None
-    grad_fn: Optional[Callable] = None
-    hess_fn: Optional[Callable] = None
+    level_coeffs: tuple = ()
+    level_powers: tuple = (1.0, 1.0, 1.0)
     chart_metric_fn: Optional[Callable] = None
     chart_domain: tuple = (0.0, 1.0, 0.0, 1.0)
     chart_periodic: tuple = (False, False)
     conformal_factor: Optional[object] = None
     on_surface_tol: float = ON_SURFACE_TOL
+
+    def __post_init__(self):
+        if self.kind != "levelset":
+            return
+        c = np.array(self.level_coeffs, dtype=float)
+        mu = np.array(self.level_powers, dtype=float)
+        # constant factors of grad F and diag(Hess F), and the exponent of
+        # their common factor (x^2)^(mu - 1), None on a quadric
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_grad_c", 2.0 * mu * c)
+        object.__setattr__(self, "_hess_c", 2.0 * mu * (2.0 * mu - 1.0) * c)
+        object.__setattr__(self, "_expo", None if np.all(mu == 1.0) else mu - 1.0)
 
     # -- basic queries ---------------------------------------------------
 
@@ -145,14 +160,24 @@ class SurfaceModel:
 
     # -- level-set machinery ----------------------------------------------
 
+    def _power(self, p: np.ndarray):
+        """(x_i^2)^(mu_i - 1), the factor F, grad F and diag(Hess F) share;
+        None on a quadric.  numpy's 0^0 = 1 covers x_i = 0 where mu_i = 1."""
+        return None if self._expo is None else (p * p) ** self._expo
+
     def level(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.level_fn(np.asarray(points, dtype=float)))
+        p = np.asarray(points, dtype=float)
+        q = self._power(p)
+        return np.einsum("...i,i->...", p * p if q is None else p * p * q, self._c) - 1.0
 
     def grad(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad_fn(np.asarray(points, dtype=float)))
+        p = np.asarray(points, dtype=float)
+        q = self._power(p)
+        return self._grad_c * p if q is None else self._grad_c * p * q
 
-    def hess(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.hess_fn(np.asarray(points, dtype=float)))
+    def hess_diag(self, points: np.ndarray) -> np.ndarray:
+        q = self._power(np.asarray(points, dtype=float))
+        return self._hess_c if q is None else self._hess_c * q
 
     def unit_normal(self, points: np.ndarray) -> np.ndarray:
         g = self.grad(points)
@@ -249,102 +274,35 @@ def make_mk(k: float, mu: float = 1.0) -> SurfaceModel:
         raise ValueError("k must be positive")
     if not mu >= 1:
         raise ValueError("mu must be >= 1")
-
-    def F(p):
-        x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        return x * x + y * y + (z * z) ** mu / k - 1.0
-
-    def gradF(p):
-        g = np.empty_like(p)
-        z = p[..., 2]
-        g[..., 0] = 2.0 * p[..., 0]
-        g[..., 1] = 2.0 * p[..., 1]
-        # d/dz (z^2)^mu = 2 mu z (z^2)^(mu-1)
-        g[..., 2] = 2.0 * mu * z * _safe_pow(z * z, mu - 1.0) / k
-        return g
-
-    def hessF(p):
-        shape = p.shape[:-1]
-        H = np.zeros(shape + (3, 3))
-        z = p[..., 2]
-        H[..., 0, 0] = 2.0
-        H[..., 1, 1] = 2.0
-        H[..., 2, 2] = 2.0 * mu * (2.0 * mu - 1.0) * _safe_pow(z * z, mu - 1.0) / k
-        return H
-
     return SurfaceModel(
         kind="levelset",
         name="mk",
         builtin_params={"k": float(k), "mu": float(mu)},
-        level_fn=F,
-        grad_fn=gradF,
-        hess_fn=hessF,
+        level_coeffs=(1.0, 1.0, 1.0 / k),
+        level_powers=(1.0, 1.0, float(mu)),
     )
-
-
-def _safe_pow(base: np.ndarray, expo: float) -> np.ndarray:
-    """base**expo with 0**0 = 1 and no warnings for base = 0, expo > 0."""
-    if expo == 0.0:
-        return np.ones_like(np.asarray(base, dtype=float))
-    return np.asarray(base, dtype=float) ** expo
 
 
 def make_ellipsoid(a1: float, a2: float, a3: float) -> SurfaceModel:
     """Ellipsoid a1 x1^2 + a2 x2^2 + a3 x3^2 = 1 (coefficient convention)."""
     if not all(a > 0 for a in (a1, a2, a3)):  # also rejects NaN
         raise ValueError("coefficients must be positive")
-    a = np.array([a1, a2, a3])
-
-    def F(p):
-        return np.sum(a * p * p, axis=-1) - 1.0
-
-    def gradF(p):
-        return 2.0 * a * p
-
-    def hessF(p):
-        shape = p.shape[:-1]
-        H = np.zeros(shape + (3, 3))
-        for i in range(3):
-            H[..., i, i] = 2.0 * a[i]
-        return H
-
     return SurfaceModel(
         kind="levelset",
         name="ellipsoid",
         builtin_params={"a1": float(a1), "a2": float(a2), "a3": float(a3)},
-        level_fn=F,
-        grad_fn=gradF,
-        hess_fn=hessF,
+        level_coeffs=(float(a1), float(a2), float(a3)),
     )
 
 
 def make_sphere() -> SurfaceModel:
     """Round unit sphere."""
-    s = make_ellipsoid(1.0, 1.0, 1.0)
-    return replace(s, name="sphere", builtin_params={})
+    return SurfaceModel(kind="levelset", name="sphere", level_coeffs=(1.0, 1.0, 1.0))
 
 
 def make_cylinder() -> SurfaceModel:
     """Unit cylinder x1^2 + x2^2 = 1 (flat, K = 0)."""
-
-    def F(p):
-        return p[..., 0] ** 2 + p[..., 1] ** 2 - 1.0
-
-    def gradF(p):
-        g = np.zeros_like(p)
-        g[..., 0] = 2.0 * p[..., 0]
-        g[..., 1] = 2.0 * p[..., 1]
-        return g
-
-    def hessF(p):
-        H = np.zeros(p.shape[:-1] + (3, 3))
-        H[..., 0, 0] = 2.0
-        H[..., 1, 1] = 2.0
-        return H
-
-    return SurfaceModel(
-        kind="levelset", name="cylinder", level_fn=F, grad_fn=gradF, hess_fn=hessF
-    )
+    return SurfaceModel(kind="levelset", name="cylinder", level_coeffs=(1.0, 1.0, 0.0))
 
 
 def make_flat_chart(
@@ -476,7 +434,8 @@ def metric_at(surface: SurfaceModel, point: np.ndarray) -> MetricTensor:
 def gauss_curvature(surface: SurfaceModel, points: np.ndarray):
     """Gauss curvature of the (possibly conformally rescaled) metric.
 
-    Level sets use K = (grad F . adj(Hess F) . grad F)/|grad F|^4.  Flat
+    Level sets use K = (g1^2 h2 h3 + g2^2 h1 h3 + g3^2 h1 h2)/|g|^4 with
+    g = grad F and h = diag(Hess F).  Flat
     charts use K = -exp(-2 f) Lap f for their conformal factor f; other
     charts use the Brioschi formula with finite-difference coefficient
     derivatives (the conformal factor is already folded into the metric).
@@ -508,30 +467,11 @@ def gauss_curvature(surface: SurfaceModel, points: np.ndarray):
 
 
 def _levelset_curvature(surface: SurfaceModel, pts: np.ndarray) -> np.ndarray:
-    g = surface.grad(pts)
-    H = surface.hess(pts)
-    adj = _adjugate3(H)
-    num = np.einsum("...i,...ij,...j->...", g, adj, g)
-    den = np.sum(g * g, axis=-1) ** 2
-    return num / den
-
-
-def _adjugate3(H: np.ndarray) -> np.ndarray:
-    """Adjugate of a stack of 3x3 matrices (cofactor transpose)."""
-    adj = np.empty_like(H)
-    a, b, c = H[..., 0, 0], H[..., 0, 1], H[..., 0, 2]
-    d, e, f = H[..., 1, 0], H[..., 1, 1], H[..., 1, 2]
-    g, h, i = H[..., 2, 0], H[..., 2, 1], H[..., 2, 2]
-    adj[..., 0, 0] = e * i - f * h
-    adj[..., 0, 1] = c * h - b * i
-    adj[..., 0, 2] = b * f - c * e
-    adj[..., 1, 0] = f * g - d * i
-    adj[..., 1, 1] = a * i - c * g
-    adj[..., 1, 2] = c * d - a * f
-    adj[..., 2, 0] = d * h - e * g
-    adj[..., 2, 1] = b * g - a * h
-    adj[..., 2, 2] = a * e - b * d
-    return adj
+    g2 = surface.grad(pts) ** 2
+    h = surface.hess_diag(pts)
+    # g_i^2 times the product of the other two Hessian entries
+    num = np.sum(g2 * np.roll(h, 1, axis=-1) * np.roll(h, -1, axis=-1), axis=-1)
+    return num / np.sum(g2, axis=-1) ** 2
 
 
 def _brioschi(surface: SurfaceModel, pts: np.ndarray, h: float = 1e-4):

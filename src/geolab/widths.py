@@ -21,6 +21,7 @@ from .geodesics import (
     GeodesicCurve,
     curves_from_shots,
     hausdorff_distance,
+    level_circle_radius2,
     mk_seed_directions,
     sample_level_circle,
     shoot_closed_batch,
@@ -81,12 +82,11 @@ def level_circle_sweepout(
     n = samples if samples % 2 == 1 else samples + 1
     t = np.linspace(0.0, 1.0, n)
     heights = -zmax * np.cos(np.pi * t)
-    masses = np.empty(n)
-    for i, c in enumerate(heights):
-        if abs(c) >= zmax:
-            masses[i] = 0.0
-            continue
-        masses[i] = sample_level_circle(surface, c, circle_points).length
+    # every level circle is the unit circle scaled by its radius, and so is
+    # its quadrature length: one quadrature serves all heights
+    unit = sample_level_circle(surface, 0.0, circle_points).length
+    rho = np.sqrt(np.maximum(level_circle_radius2(surface, heights), 0.0))
+    masses = np.where(np.abs(heights) < zmax, rho, 0.0) * unit
     imax = int(np.argmax(masses))
     return OneSweepout(
         t_values=t,

@@ -1,9 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geolab.cli import run
+from geolab.cli import _FLOAT_KEYS, _INT_KEYS, run, write_curve_csv
+from geolab.geodesics import sample_level_circle
+from geolab.surfaces import make_mk
 
 
 def read_report(out_dir):
@@ -29,6 +34,7 @@ def read_curve_lengths(out_dir):
         ["ellipsoid-experiment", "--a", "1.0,0.96,1.04"],
         ["ellipsoid-experiment", "--a", "0.96,1.0"],
         ["sweepout-bound", "--p", "0"],
+        ["sweepout-bound", "--p", "1001"],
     ],
 )
 def test_invalid_input_exit_1_with_error_json(tmp_path, argv):
@@ -227,3 +233,43 @@ class TestCli:
             data = np.loadtxt(path, delimiter=",", skiprows=1)
             assert data[1, 0] * data.shape[0] == pytest.approx(rec["length"], rel=1e-12)
             assert np.min(np.abs(data[:, 3])) == pytest.approx(rec["min_abs_x3"], rel=1e-12)
+
+
+def test_write_curve_csv_matches_per_element_repr(tmp_path):
+    cur = sample_level_circle(make_mk(4.0, 1.0), 0.3, 64)
+    path = tmp_path / "curve.csv"
+    write_curve_csv(path, cur)
+    s = np.arange(cur.n) * (cur.length / cur.n)
+    lines = ["s,x1,x2,x3"] + [
+        ",".join(repr(float(v)) for v in [si, *pt]) for si, pt in zip(s, cur.samples)
+    ]
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_json_values = _json_scalars | st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# surface specs reach the parameter checks only with a known type
+_surface_specs = st.fixed_dictionaries(
+    {"type": st.sampled_from(["mk", "ellipsoid", "sphere", "cylinder", "flat_torus"])},
+    optional={key: _json_values for key in ("k", "mu", "a", "side")},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from(_INT_KEYS + _FLOAT_KEYS + ("surface",)),
+    value=_json_values | _surface_specs,
+    command=st.sampled_from([["sweepout-bound"], ["index", "--grid", "256"]]),
+)
+def test_cli_contract_on_fuzzed_config(key, value, command):
+    # any JSON value under any config key: exit 0, 2, or 1 with error.json
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "o"
+        cfg.write_text(json.dumps({key: value}))
+        rc = run(command + ["--config", str(cfg), "--out", str(out)])
+        assert rc in (0, 1, 2)
+        assert (out / "error.json").exists() == (rc == 1)

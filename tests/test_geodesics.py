@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.special import ellipe
 
 from geolab.errors import LeftChartDomain, NoConvergence
@@ -23,7 +23,13 @@ from geolab.geodesics import (
     sample_level_circle,
     shoot_closed_batch,
 )
-from geolab.surfaces import make_flat_chart, make_mk, make_sphere, sphere_exp_chart
+from geolab.surfaces import (
+    make_ellipsoid,
+    make_flat_chart,
+    make_mk,
+    make_sphere,
+    sphere_exp_chart,
+)
 
 
 class TestIntegrate:
@@ -111,6 +117,69 @@ class TestIntegrate:
         _, _, down = flow_levelset(mk4, p0, v0m, np.array([3.0]), 1024, store_path=True)
         mirrored = up[0] * np.array([1.0, 1.0, -1.0])
         assert np.max(np.linalg.norm(mirrored - down[0], axis=1)) < 1e-10
+
+    @pytest.mark.parametrize("name", ["mk-mu2", "ellipsoid"])
+    def test_against_solve_ivp(self, name):
+        surface, derivatives = _ORACLES[name]
+        p0, v0 = _tangent_seeds(surface, 2, seed=5)
+        T = np.array([7.0, 4.5])
+        P1, V1, path = flow_levelset(surface, p0, v0, T, 4096, store_path=True)
+        for i in range(2):
+            ref = _solve_ivp_geodesic(derivatives, p0[i], v0[i], T[i], 4097)
+            assert np.max(np.abs(path[i] - ref[:, :3])) < 1e-9
+            assert np.max(np.abs(np.hstack([P1[i], V1[i]]) - ref[-1])) < 1e-9
+
+    @pytest.mark.parametrize("name", ["mk-mu2", "ellipsoid"])
+    def test_batch_rows_equal_single_rows_separable(self, name):
+        # a non-constant Hessian (mu = 2) and three unequal coefficients
+        surface = _ORACLES[name][0]
+        p0, v0 = _tangent_seeds(surface, 3, seed=3)
+        T = np.array([3.0, 9.7, 12.5])
+        batch = flow_levelset(surface, p0, v0, T, 1000, store_path=True)
+        for i in range(3):
+            alone = flow_levelset(surface, p0[i], v0[i], T[i : i + 1], 1000, True)
+            for b, a in zip(batch, alone):
+                assert np.array_equal(b[i], a[0])
+
+
+def _tangent_seeds(surface, n, seed):
+    rng = np.random.default_rng(seed)
+    p0 = surface.project(rng.normal(size=(n, 3)), iterations=8)
+    normal = surface.unit_normal(p0)
+    v0 = rng.normal(size=(n, 3))
+    v0 -= np.sum(v0 * normal, axis=1, keepdims=True) * normal
+    return p0, v0 / np.linalg.norm(v0, axis=1, keepdims=True)
+
+
+def _mk_mu2_derivatives(p):
+    # F = x^2 + y^2 + z^4 / 9 - 1
+    return np.array([2 * p[0], 2 * p[1], 4 * p[2] ** 3 / 9]), np.diag([2, 2, 12 * p[2] ** 2 / 9])
+
+
+def _ellipsoid_derivatives(p):
+    # F = 0.94 x^2 + y^2 + 1.06 z^2 - 1
+    a = np.array([0.94, 1.0, 1.06])
+    return 2 * a * p, np.diag(2 * a)
+
+
+_ORACLES = {
+    "mk-mu2": (make_mk(9.0, 2.0), _mk_mu2_derivatives),
+    "ellipsoid": (make_ellipsoid(0.94, 1.0, 1.06), _ellipsoid_derivatives),
+}
+
+
+def _solve_ivp_geodesic(derivatives, p0, v0, T, n):
+    """gamma'' = lambda grad F, lambda = -(v^T Hess F v) / |grad F|^2, by
+    scipy's adaptive DOP853 at rtol 1e-12, sampled at n uniform times."""
+
+    def f(t, y):
+        g, H = derivatives(y[:3])
+        return np.concatenate([y[3:], -(y[3:] @ H @ y[3:]) / (g @ g) * g])
+
+    y0 = np.concatenate([p0, v0])
+    t = np.linspace(0.0, T, n)
+    sol = solve_ivp(f, (0.0, T), y0, "DOP853", t_eval=t, rtol=1e-12, atol=1e-12)
+    return sol.y.T
 
 
 def _harmonic(y):

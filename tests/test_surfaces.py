@@ -98,6 +98,26 @@ class TestGaussCurvature:
         p = ell.project(np.array([0.3, -0.5, 0.8]))
         assert abs(gauss_curvature(ell, p) - monge_curvature_oracle(ell, p)) < 5e-6
 
+    @pytest.mark.parametrize(
+        "surface, a",
+        [
+            (make_ellipsoid(0.94, 1.0, 1.06), (0.94, 1.0, 1.06)),
+            (make_ellipsoid(0.5, 1.0, 2.0), (0.5, 1.0, 2.0)),
+            (make_ellipsoid(3.0, 0.2, 1.0), (3.0, 0.2, 1.0)),
+            (make_mk(4.0, 1.0), (1.0, 1.0, 1.0 / 4.0)),
+            (make_mk(100.0, 1.0), (1.0, 1.0, 1.0 / 100.0)),
+        ],
+        ids=["ell-0.94", "ell-0.5", "ell-3", "mk4", "mk100"],
+    )
+    def test_quadric_closed_form(self, surface, a):
+        # a1 x1^2 + a2 x2^2 + a3 x3^2 = 1 has K = a1 a2 a3 / (sum a_i^2 x_i^2)^2
+        a = np.array(a)
+        pts = np.random.default_rng(11).normal(size=(200, 3))
+        pts /= np.sqrt(np.sum(a * pts**2, axis=1))[:, None]
+        expected = np.prod(a) / np.sum(a**2 * pts**2, axis=1) ** 2
+        K = gauss_curvature(surface, pts)
+        assert np.max(np.abs(K - expected) / expected) < 1e-12
+
     def test_mk_positive_curvature_property(self):
         rng = np.random.default_rng(7)
         mk = make_mk(4.0, 1.0)
