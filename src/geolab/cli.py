@@ -70,6 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 MAX_TABLE_LEVEL = 1000  # largest p of a sweepout-bound table
+# size caps, each keeping its largest run within a few GB (README)
+MAX_GRID = 8192  # a dense grid x grid spectral block
+MAX_COVER = MAX_GRID // 512  # the default grid is 512 per period
+MAX_N_SEEDS = 5000  # one shooting batch of all seeds
+MAX_ORDER = 4  # split-vertex at order 5 outgrows 8 GB
+_CAPS = {"grid": MAX_GRID, "cover": MAX_COVER, "n_seeds": MAX_N_SEEDS, "order": MAX_ORDER}
 
 _INT_KEYS = ("seed", "grid", "p", "n_seeds", "cover", "order")
 _FLOAT_KEYS = ("cap", "delta", "flow_step", "K0", "omega1")
@@ -127,6 +133,9 @@ def load_config(args) -> dict:
     for key in ("n_seeds", "p"):
         if key in cfg and cfg[key] < 1:
             raise ConfigInvalid(f"{key} must be at least 1")
+    for key, cap in _CAPS.items():
+        if key in cfg and cfg[key] > cap:
+            raise ConfigInvalid(f"{key} must be at most {cap}, got {cfg[key]}")
     if "surface" in cfg:
         surface_from_config(cfg["surface"])
     cfg["seed"] = int(cfg.get("seed", 0))

@@ -3,9 +3,12 @@
 A network is a finite set of primitive closed curves with distinct images.
 Vertices are points where the union has at least two local strands; the
 order of a vertex counts its strands (parameter preimages).  Detection
-works on the sample level: nearly-intersecting segment pairs are found with
-a KD-tree, clustered within a clustering radius, and the passes through
-each cluster are grouped into strands by arclength proximity.
+works on the sample level: segment pairs within a quarter of the clustering
+radius are found with a KD-tree (the hits), and a vertex is one connected
+component of the graph whose nodes are the segments and whose edges are the
+hits.  The passes through each component are grouped into strands by
+arclength proximity, and two vertices closer than twice the clustering
+radius raise AmbiguousCluster.
 
 Tolerances are explicit: the clustering radius is recorded in every vertex
 record, and tangential near-crossings are reported as order-2 vertices with
@@ -26,6 +29,8 @@ from scipy.spatial import cKDTree
 from .errors import AmbiguousCluster
 from .geodesics import GeodesicCurve, hausdorff_distance
 from .surfaces import SurfaceModel, gauss_curvature
+
+ANGLE_THRESHOLD = 1e-2  # strand directions closer than this (mod pi): not transverse
 
 
 @dataclass
@@ -53,7 +58,6 @@ class GeodesicNetwork:
     vertices: List[VertexRecord]
     ambient_surface: SurfaceModel
     clustering_radius: float = 0.0
-    angle_threshold: float = 1e-2
 
     @classmethod
     def build(
@@ -61,7 +65,6 @@ class GeodesicNetwork:
         surface: SurfaceModel,
         curves: Sequence[GeodesicCurve],
         clustering_radius: Optional[float] = None,
-        angle_threshold: float = 1e-2,
     ) -> "GeodesicNetwork":
         curves = list(curves)
         radius = _effective_radius(surface, curves, clustering_radius)
@@ -74,8 +77,8 @@ class GeodesicNetwork:
                         f"(Hausdorff {d:.2e} <= clustering radius); "
                         "networks require distinct primitive images"
                     )
-        verts = detect_vertices(curves, radius, angle_threshold, surface=surface)
-        return cls(curves, verts, surface, radius, angle_threshold)
+        verts = detect_vertices(curves, radius, surface=surface)
+        return cls(curves, verts, surface, radius)
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,12 +108,13 @@ def _effective_radius(surface, curves, clustering_radius):
 
 
 def _segment_arrays(curves):
-    """Segments of all curves plus per-curve cumulative chord arclength.
+    """Segments of all curves (starts, ends, curve index, chord arclength at
+    the start) plus per-curve cumulative chord arclength.
 
     Sampling may be non-uniform (e.g. locally refined near a vertex); all
     downstream geometry uses true chord arclength, not sample indices.
     """
-    starts, ends, curve_ids, seg_ids, npts, cumlens = [], [], [], [], [], []
+    starts, ends, curve_ids, cumlens = [], [], [], []
     for ci, cur in enumerate(curves):
         pts = cur.samples
         if cur.closed:
@@ -120,18 +124,10 @@ def _segment_arrays(curves):
         starts.append(a)
         ends.append(b)
         curve_ids.append(np.full(a.shape[0], ci))
-        seg_ids.append(np.arange(a.shape[0]))
-        npts.append(pts.shape[0])
         seg_len = np.linalg.norm(b - a, axis=1)
         cumlens.append(np.concatenate([[0.0], np.cumsum(seg_len)]))
-    return (
-        np.vstack(starts),
-        np.vstack(ends),
-        np.concatenate(curve_ids),
-        np.concatenate(seg_ids),
-        npts,
-        cumlens,
-    )
+    arc = np.concatenate([c[:-1] for c in cumlens])
+    return np.vstack(starts), np.vstack(ends), np.concatenate(curve_ids), arc, cumlens
 
 
 def _segseg_distance(P1, Q1, P2, Q2):
@@ -160,26 +156,28 @@ def _segseg_distance(P1, Q1, P2, Q2):
 def detect_vertices(
     curves: Sequence[GeodesicCurve],
     clustering_radius: float,
-    angle_threshold: float = 1e-2,
+    *,
     surface: Optional[SurfaceModel] = None,
 ) -> List[VertexRecord]:
-    """All pairwise and self intersections, clustered into vertex records.
+    """All pairwise and self intersections, as vertex records.
 
-    Curves must be densely sampled (spacing < clustering_radius / 4).
-    Raises AmbiguousCluster when two clusters come closer than twice the
-    clustering radius.
+    A hit is a pair of segments within clustering_radius / 4 of each other
+    (same-curve pairs only when they are far apart along the curve).  A
+    vertex is a connected component of segments joined by hits, so hits
+    that share a segment belong to one vertex even where no chain of their
+    closest points lies within that tolerance.  Curves must be densely
+    sampled (spacing < clustering_radius / 4).  Raises AmbiguousCluster
+    when two vertices come closer than twice the clustering radius.
     """
     curves = list(curves)
     surface = surface or curves[0].surface
-    A, B, cids, sids, npts, cumlens = _segment_arrays(curves)
+    A, B, cids, arc, cumlens = _segment_arrays(curves)
     mids = 0.5 * (A + B)
     seg_len = np.linalg.norm(B - A, axis=1)
     # two segments can only intersect if their midpoints are this close
     search = float(seg_len.max() + clustering_radius / 4.0)
     tree = cKDTree(mids)
     pairs = tree.query_pairs(search, output_type="ndarray")
-    if pairs.size == 0:
-        return []
     i, j = pairs[:, 0], pairs[:, 1]
     accept_tol = clustering_radius / 4.0
     same_curve = cids[i] == cids[j]
@@ -187,10 +185,7 @@ def detect_vertices(
     # separation clearly exceeds the acceptance scale; nearby segments of
     # one strand otherwise sit within tolerance of each other and would
     # chain-cluster along the whole curve
-    flat = np.concatenate(cumlens)
-    offsets = np.cumsum([0] + [len(c) for c in cumlens])
-    arc = flat[offsets[cids] + sids]  # chord arclength at each segment start
-    totals = flat[offsets[cids + 1] - 1]
+    totals = np.array([c[-1] for c in cumlens])[cids]
     closed = np.array([c.closed for c in curves])[cids]
     arc_gap = np.abs(arc[i] - arc[j])
     arc_gap = np.where(closed[i], np.minimum(arc_gap, totals[i] - arc_gap), arc_gap)
@@ -199,8 +194,6 @@ def detect_vertices(
     )
     keep = ~(same_curve & (arc_gap <= strand_window))
     i, j = i[keep], j[keep]
-    if i.size == 0:
-        return []
     dist, s, t, c1, c2 = _segseg_distance(A[i], B[i], A[j], B[j])
     hit = dist <= accept_tol
     if not hit.any():
@@ -215,35 +208,32 @@ def detect_vertices(
             f"clustering radius {clustering_radius:.2e} (need < radius/4)"
         )
 
-    # single-linkage clustering at the acceptance scale: each chain is one
-    # crossing (tangential near-misses chain along their whole overlap)
-    links = cKDTree(points).query_pairs(accept_tol, output_type="ndarray")
-    n_points = points.shape[0]
-    graph = coo_matrix(
-        (np.ones(links.shape[0]), (links[:, 0], links[:, 1])),
-        shape=(n_points, n_points),
-    )
-    n_clusters, labels = connected_components(graph, directed=False)
+    # one graph: segments are nodes and hits are edges, so each component
+    # holding hits is one crossing (a tangential near-miss chains along its
+    # whole overlap)
+    n_seg = A.shape[0]
+    graph = coo_matrix((np.ones(i.size), (i, j)), shape=(n_seg, n_seg))
+    labels = connected_components(graph, directed=False)[1][i]
+    # each hit is a pass of both of its curves, at chord arclength
+    pass_curves = np.stack([cids[i], cids[j]])
+    pass_arcs = np.stack([arc[i] + s * seg_len[i], arc[j] + t * seg_len[j]])
     records = []
     centroids = []
-    for label in range(n_clusters):
+    for label in np.unique(labels):
         sel = labels == label
         centroid = points[sel].mean(axis=0)
         if surface.kind == "levelset":
             centroid = surface.project(centroid)
-        passes = []
-        for ii, jj, ss, tt in zip(i[sel], j[sel], s[sel], t[sel]):
-            ci, cj = int(cids[ii]), int(cids[jj])
-            passes.append((ci, arc[ii] + ss * seg_len[ii]))
-            passes.append((cj, arc[jj] + tt * seg_len[jj]))
-        strands = _group_strands(passes, curves, cumlens, clustering_radius)
+        strands = _group_strands(
+            pass_curves[:, sel].ravel(), pass_arcs[:, sel].ravel(), curves, cumlens, clustering_radius
+        )
         if len(strands) < 2:
             continue
         angles = [
             _strand_angle(curves[ci], s_arc, cumlens[ci], centroid, surface)
             for ci, s_arc in strands
         ]
-        transverse = _all_transverse(angles, angle_threshold)
+        transverse = _all_transverse(angles, ANGLE_THRESHOLD)
         records.append(
             VertexRecord(
                 position=centroid,
@@ -267,33 +257,26 @@ def detect_vertices(
     return records
 
 
-def _group_strands(passes, curves, cumlens, radius):
-    """Group (curve, chord arclength) passes into distinct strands."""
+def _group_strands(pass_curves, pass_arcs, curves, cumlens, radius):
+    """Group passes (curve index, chord arclength) into distinct strands.
+
+    Sorted passes of one curve more than 4 x radius apart start a new
+    strand; on a closed curve the last strand wraps into the first.
+    """
     strands = []
-    by_curve = {}
-    for ci, s_arc in passes:
-        by_curve.setdefault(int(ci), []).append(float(s_arc))
-    for ci, arcs in sorted(by_curve.items()):
-        cur = curves[ci]
+    window = 4.0 * radius
+    for ci in np.unique(pass_curves):
         total = float(cumlens[ci][-1])
-        s_vals = np.sort(np.asarray(arcs))
-        window = 4.0 * radius
-        groups = [[s_vals[0]]]
-        for s in s_vals[1:]:
-            if s - groups[-1][-1] <= window:
-                groups[-1].append(s)
-            else:
-                groups.append([s])
-        # wrap-around merge for closed curves
-        if cur.closed and len(groups) > 1:
-            if (s_vals[0] + total) - groups[-1][-1] <= window:
-                groups[0] = groups.pop() + groups[0]
+        s_vals = np.sort(pass_arcs[pass_curves == ci])
+        groups = np.split(s_vals, np.flatnonzero(np.diff(s_vals) > window) + 1)
+        if curves[ci].closed and len(groups) > 1:
+            if (s_vals[0] + total) - s_vals[-1] <= window:
+                groups[0] = np.concatenate([groups.pop(), groups[0]])
         for g in groups:
             # circular mean around a representative (groups can straddle s=0)
-            g = np.asarray(g)
             rep = g[0]
             mean = rep + np.mean((g - rep + total / 2.0) % total - total / 2.0)
-            strands.append((ci, float(mean % total)))
+            strands.append((int(ci), float(mean % total)))
     return strands
 
 

@@ -54,6 +54,11 @@ from .surfaces import ConformalFactor, SurfaceModel, gauss_curvature
 # [P, p] = [-0.8 R, -0.4 R] and [q, Q] = [0.4 R, 0.8 R] along the strand
 OUTER_FRAC = 0.8
 INNER_FRAC = 0.4
+FERMI_NEWTON_ITERS = 4  # Newton steps for the Fermi foot point
+MIN_DISTANCE_PROBES = 2001  # detour samples for its distance to the vertex
+BRIDGE_PROBES = 400  # samples per bridge for the clearance and support tube
+SUP_NORM_GRID = 160  # tube rows per bridge for the sup norm of the factor
+CURVATURE_PROBES = 401  # window points of the curvature checks
 
 
 def _piece(coeffs, s0, h):
@@ -160,7 +165,7 @@ class DetourCurve:
 
     # -- Fermi coordinates --------------------------------------------------
 
-    def fermi(self, points, newton_iters: int = 4):
+    def fermi(self, points):
         """Exact foot point and signed normal distance (s, t) per point.
 
         t is measured along the right-of-travel normal, the same normal
@@ -170,7 +175,7 @@ class DetourCurve:
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         s = (pts - self.vertex_position) @ self.e_hat
-        for _ in range(newton_iters):
+        for _ in range(FERMI_NEWTON_ITERS):
             c, d1, d2 = self.jet(s)
             r = pts - c
             g1 = -np.sum(r * d1, axis=1)
@@ -194,16 +199,16 @@ class DetourCurve:
         out[m] = self.position(s[m])
         return out
 
-    def min_distance_to_vertex(self, n_probe: int = 2001) -> float:
+    def min_distance_to_vertex(self) -> float:
         sP, _, _, sQ = self.s_window
-        s = np.linspace(sP, sQ, n_probe)
+        s = np.linspace(sP, sQ, MIN_DISTANCE_PROBES)
         d = np.linalg.norm(self.position(s) - self.vertex_position, axis=1)
         return float(d.min())
 
-    def bridge_points(self, n_probe: int = 400) -> np.ndarray:
+    def bridge_points(self) -> np.ndarray:
         sP, sp, sq, sQ = self.s_window
         s = np.concatenate(
-            [np.linspace(sP, sp, n_probe), np.linspace(sq, sQ, n_probe)]
+            [np.linspace(sP, sp, BRIDGE_PROBES), np.linspace(sq, sQ, BRIDGE_PROBES)]
         )
         return self.position(s)
 
@@ -263,12 +268,12 @@ class ConformalFactorField:
             label="vertex-split",
         )
 
-    def sup_norm(self, n_grid: int = 160) -> float:
+    def sup_norm(self) -> float:
         """max |f| over a dense grid of the support tube."""
         det = self.base_curve
         sP, sp, sq, sQ = det.s_window
         s = np.concatenate(
-            [np.linspace(sP, sp, n_grid), np.linspace(sq, sQ, n_grid)]
+            [np.linspace(sP, sp, SUP_NORM_GRID), np.linspace(sq, sQ, SUP_NORM_GRID)]
         )
         t = np.linspace(-self.fermi_half_width, self.fermi_half_width, 41)
         pos, d1, _ = det.jet(s)
@@ -296,7 +301,7 @@ def detour_curvature_in(
     return chart_curvature(surface, *detour.jet(s), fd_h=2e-6 * detour.ball_radius)
 
 
-def _probe_grid(detour: DetourCurve, n: int = 401) -> np.ndarray:
+def _probe_grid(detour: DetourCurve) -> np.ndarray:
     """Check points across the detour window, offset off the piece joints.
 
     The factor's s-derivative has the construction's inherent Lipschitz kink
@@ -304,6 +309,7 @@ def _probe_grid(detour: DetourCurve, n: int = 401) -> np.ndarray:
     only), so curvature checks probe generic points.
     """
     sP, _, _, sQ = detour.s_window
+    n = CURVATURE_PROBES
     i = np.arange(1, n + 1) + 0.381966
     return sP + (sQ - sP) * i / (n + 2)
 
@@ -559,12 +565,8 @@ def split_vertex(
     det_curves = [
         _locally_refined(c, windows, radius / 5.0, new_surface) for c in new_curves
     ]
-    verts = detect_vertices(
-        det_curves, radius, network.angle_threshold, surface=new_surface
-    )
-    new_network = GeodesicNetwork(
-        new_curves, verts, new_surface, radius, network.angle_threshold
-    )
+    verts = detect_vertices(det_curves, radius, surface=new_surface)
+    new_network = GeodesicNetwork(new_curves, verts, new_surface, radius)
     from .surfaces import chart_euclidean_deviation
 
     probe = detour.position(np.linspace(-0.9 * R, 0.9 * R, 33))
@@ -593,26 +595,21 @@ def _locally_refined(
     on chord arclength so this is all it needs.
     """
     pts = curve.samples
-    near = np.zeros(pts.shape[0], dtype=bool)
+    n = pts.shape[0]
+    near = np.zeros(n, dtype=bool)
     for center, window in windows:
         center = np.asarray(center, dtype=float)
         near |= np.linalg.norm(pts - center, axis=1) < window
-    pieces = []
-    n = pts.shape[0]
-    last = n if curve.closed else n - 1
-    for k in range(last):
-        a = pts[k]
-        b = pts[(k + 1) % n]
-        pieces.append(a[None])
-        if near[k] or near[(k + 1) % n]:
-            seg = np.linalg.norm(b - a)
-            extra = int(seg // spacing)
-            if extra > 0:
-                lam = (np.arange(1, extra + 1) / (extra + 1))[:, None]
-                pieces.append(a[None] * (1 - lam) + b[None] * lam)
-    if not curve.closed:
-        pieces.append(pts[-1][None])
-    refined = np.vstack(pieces)
+    # segment k runs from a[k] to b[k]; those touching a window get
+    # int(length // spacing) evenly spaced inner samples
+    k = np.arange(n if curve.closed else n - 1)
+    a, b = pts[k], pts[(k + 1) % n]
+    extra = (np.linalg.norm(b - a, axis=1) // spacing).astype(int)
+    extra[~(near[k] | near[(k + 1) % n])] = 0
+    seg = np.repeat(k, extra)  # the segment of each inserted sample
+    r = np.arange(1, seg.size + 1) - np.repeat(np.cumsum(extra) - extra, extra)
+    lam = (r / (extra[seg] + 1))[:, None]
+    refined = np.insert(pts, seg + 1, a[seg] * (1 - lam) + b[seg] * lam, axis=0)
     return GeodesicCurve(
         samples=refined,
         speeds=np.empty(0),

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geolab.cli import _FLOAT_KEYS, _INT_KEYS, run, write_curve_csv
+from geolab.cli import (
+    MAX_COVER,
+    MAX_GRID,
+    MAX_N_SEEDS,
+    MAX_ORDER,
+    _FLOAT_KEYS,
+    _INT_KEYS,
+    run,
+    write_curve_csv,
+)
 from geolab.geodesics import sample_level_circle
 from geolab.surfaces import make_mk
 
@@ -35,6 +44,11 @@ def read_curve_lengths(out_dir):
         ["ellipsoid-experiment", "--a", "0.96,1.0"],
         ["sweepout-bound", "--p", "0"],
         ["sweepout-bound", "--p", "1001"],
+        # size caps: rejected before anything is allocated
+        ["index", "--grid", str(MAX_GRID + 1)],
+        ["index", "--cover", str(MAX_COVER + 1)],
+        ["mk-experiment", "--n-seeds", str(MAX_N_SEEDS + 1)],
+        ["network", "--builtin", "concurrent-lines", "--order", str(MAX_ORDER + 1)],
     ],
 )
 def test_invalid_input_exit_1_with_error_json(tmp_path, argv):

@@ -52,6 +52,22 @@ class TestDetect:
         assert net.vertices[0].order == 3
         assert np.allclose(net.vertices[0].position, 0.0, atol=1e-9)
 
+    def test_near_concurrent_triple(self):
+        # pairwise crossings 1e-4 apart, a small fraction of radius / 4
+        chart = make_flat_chart(2.6, 2.6)
+        curves = [
+            chart_segment(chart, 0.0),
+            chart_segment(chart, np.pi / 3),
+            chart_segment(chart, 2 * np.pi / 3, through=(1e-4, 0.0)),
+        ]
+        crossings = np.array([[0.0, 0.0], [1e-4, 0.0], [5e-5, 5e-5 * np.sqrt(3)]])
+        net = GeodesicNetwork.build(chart, curves, clustering_radius=0.01)
+        assert len(net.vertices) == 1
+        v = net.vertices[0]
+        assert v.order == 3 and v.transverse
+        assert sorted(ci for ci, _ in v.strands) == [0, 1, 2]
+        assert np.linalg.norm(v.position - crossings.mean(axis=0)) <= 1e-4
+
     def test_relabeling_and_reversal_invariance(self):
         chart = make_flat_chart(2.6, 2.6)
         base = [chart_segment(chart, a) for a in (0.0, np.pi / 2, np.pi / 4)]
@@ -102,9 +118,7 @@ class TestDetect:
             chart_segment(chart, 0.004),  # below the angle threshold
         ]
         # radius below the lines' Hausdorff separation, above 4x spacing
-        net = GeodesicNetwork.build(
-            chart, lines, clustering_radius=0.003, angle_threshold=1e-2
-        )
+        net = GeodesicNetwork.build(chart, lines, clustering_radius=0.003)
         assert len(net.vertices) >= 1
         assert all(not v.transverse for v in net.vertices)
         assert not is_g_plus(net)

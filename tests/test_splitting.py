@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geolab.errors import D0TooLarge, NotReducible, OffsetTooLarge, VertexNotOnStrand
-from geolab.geodesics import curve_from_samples
+from geolab.geodesics import GeodesicCurve, curve_from_samples
 from geolab.networks import GeodesicNetwork, weighted_vertex_count
 from geolab.splitting import (
     build_detour,
@@ -11,6 +13,7 @@ from geolab.splitting import (
     reduce_vertex_fully,
     split_vertex,
     strand_curvature_in,
+    _locally_refined,
     _probe_grid,
 )
 from geolab.surfaces import make_flat_chart, sphere_exp_chart
@@ -203,3 +206,49 @@ class TestSplit:
             sups.append(field.sup_norm())
         assert all(a > b for a, b in zip(sups, sups[1:]))
         assert sups[-1] < 0.2 * sups[0]
+
+
+_coords = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    pts=arrays(float, st.tuples(st.integers(2, 10), st.just(2)), elements=_coords),
+    closed=st.booleans(),
+    windows=st.lists(
+        st.tuples(arrays(float, 2, elements=_coords), st.floats(0.05, 1.5)), max_size=3
+    ),
+    spacing=st.floats(0.02, 0.5),
+)
+def test_locally_refined_subdivides_window_segments(pts, closed, windows, spacing):
+    chart = make_flat_chart(2.6, 2.6)
+    curve = GeodesicCurve(pts, np.empty(0), 1.0, 0.0, chart, closed=closed)
+    out = _locally_refined(curve, windows, spacing, chart).samples
+    n = pts.shape[0]
+    # the original samples appear in order; the open end stays last
+    assert np.array_equal(out[0], pts[0])
+    at = [0]
+    for k in range(1, n):
+        later = [q for q in range(at[-1] + 1, out.shape[0]) if np.array_equal(out[q], pts[k])]
+        assert later
+        at.append(later[0])
+    if not closed:
+        assert at[-1] == out.shape[0] - 1
+    at.append(out.shape[0])  # the closing segment's samples run to the end
+    near = np.zeros(n, dtype=bool)
+    for center, radius in windows:
+        near |= np.linalg.norm(pts - center, axis=1) < radius
+    for k in range(n if closed else n - 1):
+        a, b = pts[k], pts[(k + 1) % n]
+        inner = out[at[k] + 1 : at[k + 1]]
+        if not (near[k] or near[(k + 1) % n]):
+            assert inner.shape[0] == 0
+            continue
+        # inserted samples lie on the segment, in order from a to b
+        d = b - a
+        lam = (inner - a) @ d / max(d @ d, 1e-300)
+        off = (inner - a) @ np.array([-d[1], d[0]])
+        assert np.all(np.abs(off) <= 1e-12)
+        assert np.all((lam > 0.0) & (lam < 1.0)) and np.all(np.diff(lam) > 0.0)
+        pieces = np.linalg.norm(np.diff(np.vstack([a, inner, b]), axis=0), axis=1)
+        assert np.all(pieces < spacing * (1.0 + 1e-12))
