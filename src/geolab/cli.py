@@ -70,12 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 MAX_TABLE_LEVEL = 1000  # largest p of a sweepout-bound table
+GRID_PER_PERIOD = 512  # default index grid points per cover period
 # size caps, each keeping its largest run within a few GB (README)
-MAX_GRID = 8192  # a dense grid x grid spectral block
-MAX_COVER = MAX_GRID // 512  # the default grid is 512 per period
+MAX_GRID = 8192  # a dense grid x grid spectral block; bounds 512 * cover too
 MAX_N_SEEDS = 5000  # one shooting batch of all seeds
-MAX_ORDER = 4  # split-vertex at order 5 outgrows 8 GB
-_CAPS = {"grid": MAX_GRID, "cover": MAX_COVER, "n_seeds": MAX_N_SEEDS, "order": MAX_ORDER}
+MAX_ORDER = 64  # network --order 64 peaks at 615 MB
+MAX_SPLIT_ORDER = 4  # split-vertex at order 5 outgrows 8 GB
 
 _INT_KEYS = ("seed", "grid", "p", "n_seeds", "cover", "order")
 _FLOAT_KEYS = ("cap", "delta", "flow_step", "K0", "omega1")
@@ -133,9 +133,13 @@ def load_config(args) -> dict:
     for key in ("n_seeds", "p"):
         if key in cfg and cfg[key] < 1:
             raise ConfigInvalid(f"{key} must be at least 1")
-    for key, cap in _CAPS.items():
-        if key in cfg and cfg[key] > cap:
-            raise ConfigInvalid(f"{key} must be at most {cap}, got {cfg[key]}")
+    grid = cfg.get("grid", GRID_PER_PERIOD * cfg.get("cover", 1))  # index's default grid
+    order_cap = MAX_SPLIT_ORDER if args.command == "split-vertex" else MAX_ORDER
+    for key, val, cap in (("grid" if "grid" in cfg else "512 * cover", grid, MAX_GRID),
+                          ("n_seeds", cfg.get("n_seeds", 1), MAX_N_SEEDS),
+                          ("order", cfg.get("order", 3), order_cap)):
+        if val > cap:
+            raise ConfigInvalid(f"{key} must be at most {cap}, got {val}")
     if "surface" in cfg:
         surface_from_config(cfg["surface"])
     cfg["seed"] = int(cfg.get("seed", 0))
@@ -307,7 +311,7 @@ def cmd_index(cfg, out: Path):
         curve,
         surface,
         cover_multiplicity=cover,
-        grid_size=int(cfg.get("grid", 512 * cover)),  # 512 points per period
+        grid_size=int(cfg.get("grid", GRID_PER_PERIOD * cover)),
     )
     payload = rep.to_json_dict()
     payload["curve"] = curve.to_record()

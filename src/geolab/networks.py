@@ -165,9 +165,13 @@ def detect_vertices(
     (same-curve pairs only when they are far apart along the curve).  A
     vertex is a connected component of segments joined by hits, so hits
     that share a segment belong to one vertex even where no chain of their
-    closest points lies within that tolerance.  Curves must be densely
-    sampled (spacing < clustering_radius / 4).  Raises AmbiguousCluster
-    when two vertices come closer than twice the clustering radius.
+    closest points lies within that tolerance.  Two crossings of one curve
+    thus merge when its stretches within the tolerance of the two other
+    strands share a segment: at crossing angles a and b, up to about
+    (1/sin a + 1/sin b) * clustering_radius / 4 apart, give or take a
+    segment length.  Curves must be densely sampled (spacing <
+    clustering_radius / 4).  Raises AmbiguousCluster when two vertices come
+    closer than twice the clustering radius.
     """
     curves = list(curves)
     surface = surface or curves[0].surface

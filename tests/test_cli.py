@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geolab.cli import (
-    MAX_COVER,
+    GRID_PER_PERIOD,
     MAX_GRID,
     MAX_N_SEEDS,
     MAX_ORDER,
+    MAX_SPLIT_ORDER,
     _FLOAT_KEYS,
     _INT_KEYS,
+    build_parser,
+    load_config,
     run,
     write_curve_csv,
 )
+from geolab.errors import ConfigInvalid
 from geolab.geodesics import sample_level_circle
 from geolab.surfaces import make_mk
 
@@ -46,7 +50,7 @@ def read_curve_lengths(out_dir):
         ["sweepout-bound", "--p", "1001"],
         # size caps: rejected before anything is allocated
         ["index", "--grid", str(MAX_GRID + 1)],
-        ["index", "--cover", str(MAX_COVER + 1)],
+        ["index", "--cover", str(MAX_GRID // GRID_PER_PERIOD + 1)],
         ["mk-experiment", "--n-seeds", str(MAX_N_SEEDS + 1)],
         ["network", "--builtin", "concurrent-lines", "--order", str(MAX_ORDER + 1)],
     ],
@@ -57,6 +61,33 @@ def test_invalid_input_exit_1_with_error_json(tmp_path, argv):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] and err["message"]
     assert not (out / "report.json").exists()
+
+
+def test_size_caps_in_load_config():
+    # split-vertex has its own order cap; running order 5 would outgrow
+    # the memory, so the cap is checked without running
+    def cfg(argv):
+        return load_config(build_parser().parse_args(argv))
+
+    with pytest.raises(ConfigInvalid, match="order must be at most"):
+        cfg(["split-vertex", "--order", str(MAX_SPLIT_ORDER + 1)])
+    for argv in (
+        ["split-vertex", "--order", str(MAX_SPLIT_ORDER)],
+        ["network", "--builtin", "concurrent-lines", "--order", str(MAX_ORDER)],
+        ["index", "--grid", str(MAX_GRID)],
+        ["index", "--cover", str(MAX_GRID // GRID_PER_PERIOD)],
+        ["index", "--cover", "20", "--grid", "2000"],
+        ["mk-experiment", "--n-seeds", str(MAX_N_SEEDS)],
+    ):
+        cfg(argv)
+
+
+def test_index_cover_beyond_default_grid_cap(tmp_path):
+    # a cover too large for the default grid runs on an explicit coarser one
+    out = tmp_path / "o"
+    assert run(["index", "--k", "16", "--cover", "20", "--grid", "2000", "--out", str(out)]) == 0
+    rep = read_report(out)["result"]
+    assert rep["cover_multiplicity"] == 20 and rep["grid_size"] == 2000
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,29 @@ class TestDetect:
         assert sorted(ci for ci, _ in v.strands) == [0, 1, 2]
         assert np.linalg.norm(v.position - crossings.mean(axis=0)) <= 1e-4
 
+    @pytest.mark.parametrize("n", [1000, 12000])
+    @pytest.mark.parametrize("gap, merged", [(1.2, True), (1.8, True), (3.2, False)])
+    def test_near_concurrent_triple_beyond_tolerance(self, gap, merged, n):
+        # pairwise crossings gap x radius/4 apart, at 60 degrees: each line's
+        # stretches within radius/4 of the two others share segments up to
+        # about (2 / sin 60) x radius/4 = 2.31 x radius/4, so one vertex;
+        # beyond that, three order-2 vertices closer than 2 x radius
+        chart = make_flat_chart(2.6, 2.6)
+        curves = [
+            chart_segment(chart, 0.0, n=n),
+            chart_segment(chart, np.pi / 3, n=n),
+            chart_segment(chart, 2 * np.pi / 3, n=n, through=(gap * 0.01 / 4, 0.0)),
+        ]
+        if not merged:
+            with pytest.raises(AmbiguousCluster):
+                GeodesicNetwork.build(chart, curves, clustering_radius=0.01)
+            return
+        net = GeodesicNetwork.build(chart, curves, clustering_radius=0.01)
+        assert len(net.vertices) == 1
+        v = net.vertices[0]
+        assert v.order == 3 and v.transverse
+        assert sorted(ci for ci, _ in v.strands) == [0, 1, 2]
+
     def test_relabeling_and_reversal_invariance(self):
         chart = make_flat_chart(2.6, 2.6)
         base = [chart_segment(chart, a) for a in (0.0, np.pi / 2, np.pi / 4)]

@@ -1,13 +1,14 @@
 """Paired benchmark runs of two geolab checkouts, written to a dated record.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --slug my-change \
-        --first-seed 900 [--pairs 10] [--workloads mk-search,network-surgery]
+        --first-seed 900 [--pairs 10]
 
-For each workload, pair p runs ``perfbench/run.py --workload W --seed
+For each workload in ``BENCHMARK.json``, pair p runs ``perfbench/run.py --workload W --seed
 FIRST_SEED + p --trace 0`` once in each checkout (its own ``perfbench`` and
 ``src``), the parent first in even pairs and the change first in odd ones,
-with the run length that ``BENCHMARK.json`` fixes.  Pick a first seed not
-used before, so the record rests on fresh seeds.  The Tier-1 suite then runs
+with the run length that ``BENCHMARK.json`` fixes.  A claim needs at least
+10 pairs, so fewer are refused.  Pick a first seed not used before, so the
+record rests on fresh seeds.  The Tier-1 suite then runs
 once in each checkout, one after the other.
 
 The record ``BENCH_<date>_<slug>.json`` (in the current directory) holds,
@@ -31,6 +32,7 @@ from pathlib import Path
 from time import perf_counter
 
 SIDES = ("parent", "change")
+MIN_PAIRS = 10  # alternating pairs a benchmark claim rests on
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -87,15 +89,13 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--slug", required=True)
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workloads", default=None, help="comma-separated; default every workload")
+    ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
+    if args.pairs < MIN_PAIRS:
+        ap.error(f"--pairs must be at least {MIN_PAIRS}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    names = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
 
     record = {
         "change": args.slug,
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
                   "parent first in even pairs; each side runs its own checkout",
         "workloads": {},
     }
-    for workload in names:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = {side: {"seeds": [], "raw": []} for side in SIDES}
         for p in range(args.pairs):
             seed = args.first_seed + p
