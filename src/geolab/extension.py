@@ -38,6 +38,7 @@ from .networks import GeodesicNetwork, is_g_plus
 from .surfaces import SurfaceModel
 
 DRIFT_TOL = 1e-3  # largest |F| at a field-flow step end, times max(1, diameter)
+FLOW_SUBSTEPS = 1  # DOP853 steps of each network-length flow
 
 
 def cross_extension(u_axis1: Callable, u_axis2: Callable) -> Callable:
@@ -380,11 +381,10 @@ def flow_network_length(
     network: GeodesicNetwork,
     ambient_field,
     t: float,
-    n_substeps: int = 1,
 ) -> float:
     """Total network length after flowing every curve by the field for time t.
 
-    Each curve's samples take ``n_substeps`` fixed DOP853 steps, each
+    Each curve's samples take FLOW_SUBSTEPS fixed DOP853 steps, each
     followed by a projection onto the surface.  Raises FlowLeftSurface when
     a step ends with |F| above DRIFT_TOL * max(1, diameter).
     """
@@ -401,17 +401,17 @@ def flow_network_length(
     for c in network.curves:
         pts = c.samples
         if t != 0.0:
-            pts = dop853_integrate(ambient_field, pts, t, n_substeps, reproject)[0]
+            pts = dop853_integrate(ambient_field, pts, t, FLOW_SUBSTEPS, reproject)[0]
         total += curve_length(pts, surface, closed=c.closed)
     return total
 
 
-def _length_second_difference(network, ambient_field, h, n_substeps):
+def _length_second_difference(network, ambient_field, h):
     """Centered second difference of total network length under the flow
     of ``ambient_field`` with step h; returns it with the unflowed length."""
-    L0 = flow_network_length(network, ambient_field, 0.0, n_substeps)
-    Lp = flow_network_length(network, ambient_field, h, n_substeps)
-    Lm = flow_network_length(network, ambient_field, -h, n_substeps)
+    L0 = flow_network_length(network, ambient_field, 0.0)
+    Lp = flow_network_length(network, ambient_field, h)
+    Lm = flow_network_length(network, ambient_field, -h)
     return (Lp - 2.0 * L0 + Lm) / h**2, L0
 
 
@@ -420,14 +420,13 @@ def verify_second_variation_match(
     normal_fields: Sequence,
     ambient_field,
     flow_step: float = 0.01,
-    n_substeps: int = 1,
 ) -> dict:
     """Quadratic form vs. finite-difference second derivative of length.
 
     Q_Gamma(X, X) is the per-curve quadrature of the geodesic second
     variation; the flow value is the centered second difference of total
-    network length under the ambient flow over +-flow_step, each in
-    ``n_substeps`` DOP853 steps (``flow_network_length``).  Returns both
+    network length under the ambient flow over +-flow_step
+    (``flow_network_length``).  Returns both
     with their relative error.
     """
     Q_form = 0.0
@@ -437,7 +436,7 @@ def verify_second_variation_match(
         Q_form += second_variation(c, phi, phi, network.ambient_surface)
 
     h = flow_step
-    Q_flow, L0 = _length_second_difference(network, ambient_field, h, n_substeps)
+    Q_flow, L0 = _length_second_difference(network, ambient_field, h)
     scale = max(abs(Q_form), 1e-12)
     report = {
         "Q_form": float(Q_form),
@@ -458,18 +457,17 @@ def flow_gram_matrix(
     network: GeodesicNetwork,
     ambient_fields: Sequence,
     flow_step: float = 0.01,
-    n_substeps: int = 1,
 ) -> np.ndarray:
     """Finite-difference Gram matrix of the length form on extended fields.
 
     Each entry is a centered second difference of total network length
-    under flows of +-flow_step in ``n_substeps`` DOP853 steps;
+    under flows of +-flow_step (``flow_network_length``);
     off-diagonal entries come from the polarization identity
     Q(X, Y) = (Q(X+Y) - Q(X) - Q(Y)) / 2.
     """
 
     def q(fieldobj):
-        return _length_second_difference(network, fieldobj, flow_step, n_substeps)[0]
+        return _length_second_difference(network, fieldobj, flow_step)[0]
 
     k = len(ambient_fields)
     diag = [q(f) for f in ambient_fields]

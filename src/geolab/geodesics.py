@@ -45,6 +45,9 @@ DEFAULT_STEPS = 4096
 GEODESIC_KAPPA_TOL = 1e-6
 SAMPLES_PER_STEP = 16  # path samples per DOP853 step of the geodesic flows
 COARSE_STEPS = 512  # flow samples per seed in the coarse Newton phase
+MAX_COVER_MULT = 6  # highest cover multiplicity a shot loop is tested for
+COVER_TOL = 1e-7  # cover match tolerance, relative to the loop's extent
+SEED_BAND = 0.6  # mk seeds lie in |x3| <= SEED_BAND * zmax
 
 
 @dataclass
@@ -493,17 +496,17 @@ def shoot_closed_batch(
     }
 
 
-def _detect_cover(path: np.ndarray, max_mult: int = 6, tol: float = 1e-7):
+def _detect_cover(path: np.ndarray):
     """Smallest m such that the loop is an m-fold cover of a primitive loop."""
     n = path.shape[0]
     scale = max(np.ptp(path, axis=0).max(), 1e-30)
-    for mult in range(2, max_mult + 1):
+    for mult in range(2, MAX_COVER_MULT + 1):
         shift = n / mult
         idx = (np.arange(n) + shift) % n
         lo = np.floor(idx).astype(int)
         frac = (idx - lo)[:, None]
         shifted = path[lo] * (1 - frac) + path[(lo + 1) % n] * frac
-        if np.max(np.linalg.norm(shifted - path, axis=1)) < tol * scale:
+        if np.max(np.linalg.norm(shifted - path, axis=1)) < COVER_TOL * scale:
             return mult
     return 1
 
@@ -667,16 +670,18 @@ def curve_from_samples(
 
 
 def level_circle_radius2(surface: SurfaceModel, c):
-    """Squared radius of the level circle {x3 = c} on an mk surface or the
-    sphere (elementwise for an array of heights); <= 0 where it is empty."""
-    p = surface.builtin_params
-    if surface.name == "mk":
-        return 1.0 - (c * c) ** p["mu"] / p["k"]
-    return 1.0 - c * c
+    """Squared radius (1 - c3 (c^2)^mu3) / c1 of the level circle {x3 = c}
+    on a level set of revolution about the x3-axis, c1 = c2 and
+    mu1 = mu2 = 1 (elementwise for an array of heights); <= 0 where it is
+    empty.  Raises ValueError for charts and for other level sets."""
+    coeffs, powers = surface.level_coeffs, tuple(surface.level_powers)
+    if surface.kind != "levelset" or coeffs[0] != coeffs[1] or powers[:2] != (1.0, 1.0):
+        raise ValueError("level circles need a surface of revolution about the x3-axis")
+    return (1.0 - coeffs[2] * (c * c) ** powers[2]) / coeffs[0]
 
 
 def sample_level_circle(surface: SurfaceModel, c: float, n: int = DEFAULT_STEPS):
-    """Level circle {x3 = c} on an mk surface or sphere, sampled uniformly."""
+    """Level circle {x3 = c} on a level set of revolution, sampled uniformly."""
     rho2 = level_circle_radius2(surface, c)
     if rho2 <= 0:
         raise ValueError("level circle is empty at this height")
@@ -726,15 +731,13 @@ def low_discrepancy_seeds(n: int, dims: int, seed: int = 0) -> np.ndarray:
     return np.modf(offs + i * alphas)[0]
 
 
-def mk_seed_directions(
-    surface: SurfaceModel, n_seeds: int, seed: int, band: float = 0.6
-):
+def mk_seed_directions(surface: SurfaceModel, n_seeds: int, seed: int):
     """Shooting seeds on an mk surface: points in a latitude band plus
     tangent directions from the low-discrepancy sequence."""
     p = surface.builtin_params
     zmax = p["k"] ** (1.0 / (2.0 * p["mu"]))
     u = low_discrepancy_seeds(n_seeds, 3, seed)
-    c = band * zmax * (2.0 * u[:, 0] - 1.0)
+    c = SEED_BAND * zmax * (2.0 * u[:, 0] - 1.0)
     phi = 2 * np.pi * u[:, 1]
     alpha = np.pi * (u[:, 2] - 0.5)
     rho = np.sqrt(np.maximum(1.0 - (c * c) ** p["mu"] / p["k"], 1e-9))

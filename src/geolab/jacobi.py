@@ -36,6 +36,8 @@ from .geodesics import (
 )
 from .surfaces import SurfaceModel, gauss_curvature
 
+REPORTED_EIGS = 12  # lowest eigenvalues written to a report
+
 
 @dataclass
 class SpectrumReport:
@@ -47,11 +49,10 @@ class SpectrumReport:
     grid_size: int
     zero_tolerance: float
     cover_multiplicity: int = 1
-    discretization_error: float = 0.0
 
-    def to_json_dict(self, n_eigs: int = 12) -> dict:
+    def to_json_dict(self) -> dict:
         return {
-            "eigenvalues": [float(v) for v in self.eigenvalues[:n_eigs]],
+            "eigenvalues": [float(v) for v in self.eigenvalues[:REPORTED_EIGS]],
             "index": int(self.index),
             "nullity": int(self.nullity),
             "grid_size": int(self.grid_size),
@@ -167,7 +168,6 @@ def jacobi_spectrum(
         raise GridTooCoarse(
             "eigenvalue within 25% of the zero tolerance; refine grid_size"
         )
-    disc_err = float(h**2 * maxK)
     return SpectrumReport(
         eigenvalues=eig,
         index=index,
@@ -175,7 +175,6 @@ def jacobi_spectrum(
         grid_size=n,
         zero_tolerance=zero_tol,
         cover_multiplicity=m,
-        discretization_error=disc_err,
     )
 
 

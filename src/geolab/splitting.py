@@ -19,8 +19,9 @@ taken as 0 there and the factor vanishes in the tube around the chord.
 Vertices are worked on in a chart centered at the vertex in which all
 strands are straight lines through the origin (synthetic flat charts
 directly; the unit sphere via its analytic normal-coordinate chart).  In a
-curved chart the chord is shot with the batched chart flow: each Newton
-step flows the shot and its two finite-difference perturbations at once.
+curved chart the chord is one chart flow aimed at the strand; it need not
+end on the strand, because the closing bridge starts where the chord ends,
+matching its offset, slope and curvature there.
 """
 
 from __future__ import annotations
@@ -48,7 +49,12 @@ from .geodesics import (
     metric_right_normals,
 )
 from .networks import GeodesicNetwork, VertexRecord, detect_vertices
-from .surfaces import ConformalFactor, SurfaceModel, gauss_curvature
+from .surfaces import (
+    ConformalFactor,
+    SurfaceModel,
+    chart_euclidean_deviation,
+    gauss_curvature,
+)
 
 # geometry fractions of the working-ball radius R: bridges span
 # [P, p] = [-0.8 R, -0.4 R] and [q, Q] = [0.4 R, 0.8 R] along the strand
@@ -59,6 +65,7 @@ MIN_DISTANCE_PROBES = 2001  # detour samples for its distance to the vertex
 BRIDGE_PROBES = 400  # samples per bridge for the clearance and support tube
 SUP_NORM_GRID = 160  # tube rows per bridge for the sup norm of the factor
 CURVATURE_PROBES = 401  # window points of the curvature checks
+OFFSET_FRAC = 0.1  # detour offset of each reduction step, per ball radius
 
 
 def _piece(coeffs, s0, h):
@@ -377,10 +384,12 @@ def build_detour(
 
     The curve agrees with the strand outside the working ball and is
     composed of a quintic bridge (C^2-matched to the strand and to the
-    chord), the geodesic chord past the offset point, and a closing bridge.
-    ``offset_t = 0`` degenerates to the identity.  Raises OffsetTooLarge
-    when the offset is not small relative to the ball, VertexNotOnStrand
-    for a bad strand id.
+    chord), the geodesic chord from the offset point, and a closing bridge
+    from where the chord crosses s_q back to the strand, again C^2-matched
+    at both ends.  ``offset_t = 0`` degenerates to the identity.  Raises
+    OffsetTooLarge when the offset is not small relative to the ball,
+    VertexNotOnStrand for a bad strand id, and ChartUnavailable when a
+    curved chart's chord ends before s_q.
     """
     if surface.kind != "chart":
         raise ChartUnavailable(
@@ -407,13 +416,13 @@ def build_detour(
         chord_coeffs = np.array([offset_t, slope * (sq - sp), 0, 0, 0, 0], dtype=float)
         chord = _piece(chord_coeffs, sp, sq - sp)
         dv_p, ddv_p = slope, 0.0
-        dv_q, ddv_q = slope, 0.0
+        v_q, dv_q, ddv_q = 0.0, slope, 0.0
     else:
-        chord, dv_p, ddv_p, dv_q, ddv_q = _curved_chord(
+        chord, dv_p, ddv_p, v_q, dv_q, ddv_q = _curved_chord(
             surface, vertex.position, e_hat, n_left, sp, sq, offset_t
         )
     bridge_in = _quintic(sP, sp, 0.0, 0.0, 0.0, offset_t, dv_p, ddv_p)
-    bridge_out = _quintic(sq, sQ, 0.0, dv_q, ddv_q, 0.0, 0.0, 0.0)
+    bridge_out = _quintic(sq, sQ, v_q, dv_q, ddv_q, 0.0, 0.0, 0.0)
     return DetourCurve(
         surface=surface,
         vertex_position=np.asarray(vertex.position, dtype=float),
@@ -431,46 +440,35 @@ def build_detour(
 
 
 def _curved_chord(surface, V, e_hat, n_left, sp, sq, t):
-    """Geodesic chord from p_t to q in a curved chart, as a graph-offset
-    piece plus the offsets' first and second derivative at both ends.
+    """Geodesic chord out of p_t in a curved chart, as a graph-offset piece
+    plus the offsets' first and second derivative at s_p and the offset and
+    its first and second derivative at s_q.
 
-    Newton on the launch angle and length so the geodesic from p_t hits q.
-    Each iteration flows the shot and its two finite-difference
-    perturbations in one batched call; the offsets are fitted to the path.
+    One chart flow: the geodesic leaves p_t heading for q at unit speed in
+    the metric at p_t and runs 1.02 times the metric length of q - p_t, which
+    carries it past s_q.  It need not end on the strand, since the closing
+    bridge starts wherever the chord crosses s_q.  The offsets are fitted to
+    the path.  Raises ChartUnavailable when the path ends before s_q.
     """
     p_t = V + sp * e_hat + t * n_left
-    q = V + sq * e_hat
-    gap = np.linalg.norm(q - p_t)
-    g = surface.chart_metric(p_t)
-    eps = 1e-7
-    angle = float(np.arctan2(-t, sq - sp))
-    L = gap
-    for _ in range(30):
-        angles = angle + np.array([0.0, eps, 0.0])
-        d = np.cos(angles)[:, None] * e_hat + np.sin(angles)[:, None] * n_left
-        d = d / np.sqrt(np.einsum("ni,ij,nj->n", d, g, d))[:, None]
-        lengths = L + np.array([0.0, 0.0, eps])
-        x1, _, paths = flow_chart(
-            surface, np.tile(p_t, (3, 1)), d, lengths, n_steps=256, store_path=True
+    d = V + sq * e_hat - p_t
+    L = np.sqrt(d @ surface.chart_metric(p_t) @ d)
+    _, _, path = flow_chart(surface, p_t, d / L, [1.02 * L], n_steps=256, store_path=True)
+    rel = path[0] - V
+    if rel[-1] @ e_hat < sq:
+        raise ChartUnavailable(
+            "the geodesic chord ends before the closing bridge: the chart is "
+            "far from Euclidean across the working ball"
         )
-        miss = x1 - q
-        # the flow's roundoff floor (finite-difference Christoffel symbols)
-        # is about 1e-12; a tolerance there leaves the count to roundoff
-        if np.linalg.norm(miss[0]) < 1e-11 * max(1.0, gap):
-            break
-        J = (miss[1:] - miss[0]).T / eps
-        da, dL = np.linalg.solve(J, -miss[0])
-        angle += float(np.clip(da, -0.3, 0.3))
-        L += float(np.clip(dL, -0.3 * gap, 0.3 * gap))
-    rel = paths[0] - V
     h = sq - sp
     # quintic fit of the graph offsets (geodesic chords are smooth graphs)
     chord = _piece(P.polyfit((rel @ e_hat - sp) / h, rel @ n_left, 5), sp, h)
-    _, _, (_, dv, ddv) = chord
+    v, dv, ddv = chord[2]
     return (
         chord,
         P.polyval(0.0, dv) / h,
         P.polyval(0.0, ddv) / h**2,
+        P.polyval(1.0, v),
         P.polyval(1.0, dv) / h,
         P.polyval(1.0, ddv) / h**2,
     )
@@ -533,7 +531,7 @@ def split_vertex(
     if vertex.order < 3:
         raise NotReducible("vertex already has order 2")
     R = ball_radius or default_ball_radius(surface, network, vertex)
-    t = offset_t if offset_t is not None else 0.1 * R
+    t = offset_t if offset_t is not None else OFFSET_FRAC * R
     detour = build_detour(surface, network, vertex, 0, t, ball_radius=R)
 
     ci = detour.curve_index
@@ -567,8 +565,6 @@ def split_vertex(
     ]
     verts = detect_vertices(det_curves, radius, surface=new_surface)
     new_network = GeodesicNetwork(new_curves, verts, new_surface, radius)
-    from .surfaces import chart_euclidean_deviation
-
     probe = detour.position(np.linspace(-0.9 * R, 0.9 * R, 33))
     step = {
         "vertex": [float(x) for x in vertex.position],
@@ -627,7 +623,6 @@ def reduce_vertex_fully(
     surface: SurfaceModel,
     network: GeodesicNetwork,
     vertex: VertexRecord,
-    offset_frac: float = 0.1,
 ):
     """Split until every descendant of the vertex has order 2.
 
@@ -647,7 +642,7 @@ def reduce_vertex_fully(
             d = np.min(np.linalg.norm(cur.samples - current.position, axis=1))
             R = min(R, 0.8 * d)
         surface, network, step = split_vertex(
-            surface, network, current, offset_t=offset_frac * R, ball_radius=R
+            surface, network, current, offset_t=OFFSET_FRAC * R, ball_radius=R
         )
         transcript.append(step)
         current = _find_vertex_near(network, step["vertex"])

@@ -30,7 +30,7 @@ from .errors import ChartUnavailable, PointOffSurface
 ON_SURFACE_TOL = 1e-10
 
 # step for finite differences of chart metric coefficients
-_FD_H = 1e-6
+_FD_H = 1e-5
 # stencil offsets in steps of h: centre, +-e_u, +-e_v, then the four diagonals
 _STENCIL = np.array(
     [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]]
@@ -119,7 +119,6 @@ class SurfaceModel:
     chart_domain: tuple = (0.0, 1.0, 0.0, 1.0)
     chart_periodic: tuple = (False, False)
     conformal_factor: Optional[object] = None
-    on_surface_tol: float = ON_SURFACE_TOL
 
     def __post_init__(self):
         if self.kind != "levelset":
@@ -134,10 +133,6 @@ class SurfaceModel:
         object.__setattr__(self, "_expo", None if np.all(mu == 1.0) else mu - 1.0)
 
     # -- basic queries ---------------------------------------------------
-
-    @property
-    def ambient_dim(self) -> int:
-        return 3 if self.kind == "levelset" else 2
 
     def with_conformal_factor(self, factor) -> "SurfaceModel":
         """Return a copy carrying ``factor`` composed onto any existing one.
@@ -183,14 +178,13 @@ class SurfaceModel:
         g = self.grad(points)
         return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
-    def check_on_surface(self, points: np.ndarray, tol: Optional[float] = None):
+    def check_on_surface(self, points: np.ndarray):
         if self.kind != "levelset":
             return
-        tol = self.on_surface_tol if tol is None else tol
         vals = np.abs(np.atleast_1d(self.level(points)))
-        if vals.max() > tol:
+        if vals.max() > ON_SURFACE_TOL:
             raise PointOffSurface(
-                f"|F(point)| = {vals.max():.3e} exceeds tolerance {tol:.1e}"
+                f"|F(point)| = {vals.max():.3e} exceeds tolerance {ON_SURFACE_TOL:.1e}"
             )
 
     def project(self, points: np.ndarray, iterations: int = 3) -> np.ndarray:

@@ -30,6 +30,13 @@ from .jacobi import degeneracy_criterion_mk, jacobi_spectrum
 from .networks import detect_vertices
 from .surfaces import SurfaceModel, make_ellipsoid, make_mk
 
+N_SAMPLES = 4096  # samples per shot curve in both experiments
+P_TABLE = 5  # levels of the mk width table
+SEED_BUDGET = 6  # ellipsoid shooting attempts, each with a 1% longer period
+MAX_COVER = 3  # covers whose spectra the ellipsoid experiment checks
+P_ATTRIBUTION = 4  # width level of the ellipsoid multiplicity attribution
+CIRCLE_POINTS = 2048  # samples of the quadrature level circle of a sweepout
+
 
 @dataclass
 class OneSweepout:
@@ -41,7 +48,6 @@ class OneSweepout:
     max_mass: float
     argmax_t: float
     surface: SurfaceModel
-    samples_per_circle: int
 
 
 @dataclass
@@ -64,9 +70,7 @@ class WidthBound:
         return out
 
 
-def level_circle_sweepout(
-    surface: SurfaceModel, samples: int = 512, circle_points: int = 2048
-) -> OneSweepout:
+def level_circle_sweepout(surface: SurfaceModel, samples: int = 512) -> OneSweepout:
     """Sweep from pole to pole by the level circles x3 = c(t).
 
     The sample count is rounded up to an odd number so the equator t = 1/2
@@ -84,7 +88,7 @@ def level_circle_sweepout(
     heights = -zmax * np.cos(np.pi * t)
     # every level circle is the unit circle scaled by its radius, and so is
     # its quadrature length: one quadrature serves all heights
-    unit = sample_level_circle(surface, 0.0, circle_points).length
+    unit = sample_level_circle(surface, 0.0, CIRCLE_POINTS).length
     rho = np.sqrt(np.maximum(level_circle_radius2(surface, heights), 0.0))
     masses = np.where(np.abs(heights) < zmax, rho, 0.0) * unit
     imax = int(np.argmax(masses))
@@ -95,7 +99,6 @@ def level_circle_sweepout(
         max_mass=float(masses[imax]),
         argmax_t=float(t[imax]),
         surface=surface,
-        samples_per_circle=circle_points,
     )
 
 
@@ -137,8 +140,6 @@ def mk_multiplicity_experiment(
     length_cap: Optional[float] = None,
     n_seeds: int = 200,
     seed: int = 0,
-    p_table: int = 5,
-    n_samples: int = 4096,
     spectra: bool = True,
     keep_curves: bool = False,
 ) -> dict:
@@ -160,14 +161,14 @@ def mk_multiplicity_experiment(
     diam = surface.diameter()
     # same-image curves sampled at different phases differ by half the
     # sample spacing in Hausdorff distance; the tolerance must cover that
-    dedup_tol = max(1e-5 * diam, 0.75 * cap / n_samples)
+    dedup_tol = max(1e-5 * diam, 0.75 * cap / N_SAMPLES)
     equator_tol = 1e-4 * diam
 
     # both period guesses in one batch, rows ordered (guess, seed)
     pts, dirs = mk_seed_directions(surface, n_seeds, seed)
     pts, dirs = np.tile(pts, (2, 1)), np.tile(dirs, (2, 1))
     guesses = np.repeat([2.0 * np.pi, min(cap, 4.0 * np.pi) * 0.999], n_seeds)
-    out = shoot_closed_batch(surface, pts, dirs, guesses, n_steps=n_samples)
+    out = shoot_closed_batch(surface, pts, dirs, guesses, n_steps=N_SAMPLES)
     shots = out["shots"]
     keep = shots["period"] <= cap + 1e-6
     rows = np.flatnonzero(out["ok"])[keep]
@@ -228,7 +229,7 @@ def mk_multiplicity_experiment(
     sweep = level_circle_sweepout(surface)
     table = []
     gamma0_rec = next((r for r in records if r["is_gamma0"]), None)
-    for l in range(1, p_table + 1):
+    for l in range(1, P_TABLE + 1):
         wb = guth_p_sweepout_bound(sweep, l)
         wb.reference_value = 2.0 * np.pi * l
         row = wb.to_json_dict()
@@ -249,7 +250,7 @@ def mk_multiplicity_experiment(
             "length_cap": cap,
             "n_seeds": int(n_seeds),
             "seed": int(seed),
-            "n_samples": int(n_samples),
+            "n_samples": N_SAMPLES,
             "dedup_tolerance": dedup_tol,
             "equator_tolerance": equator_tol,
         },
@@ -291,15 +292,7 @@ def plane_ellipse_circumference(b: float, c: float) -> float:
     return float(val)
 
 
-def ellipsoid_experiment(
-    a1: float,
-    a2: float,
-    a3: float,
-    seed_budget: int = 6,
-    max_cover: int = 3,
-    p_attribution: int = 4,
-    n_samples: int = 4096,
-) -> dict:
+def ellipsoid_experiment(a1: float, a2: float, a3: float) -> dict:
     """The three coordinate-plane geodesics of a tri-axial ellipsoid.
 
     Finds each principal ellipse by shooting, compares its length against an
@@ -322,26 +315,26 @@ def ellipsoid_experiment(
     p0, v0 = np.eye(3)[j] * semi[j, None], np.eye(3)[k]
     oracles = np.array([plane_ellipse_circumference(semi[a], semi[b]) for a, b in zip(j, k)])
     curves, residuals = [None] * 3, np.full(3, np.inf)
-    for attempt in range(seed_budget):
+    for attempt in range(SEED_BUDGET):
         todo = np.array([i for i in range(3) if curves[i] is None], dtype=int)
         if not todo.size:
             break
         periods = oracles[todo] * (1.0 + 0.01 * attempt)
-        out = shoot_closed_batch(surface, p0[todo], v0[todo], periods, n_steps=n_samples)
+        out = shoot_closed_batch(surface, p0[todo], v0[todo], periods, n_steps=N_SAMPLES)
         residuals[todo] = out["residual"]
         for i, cur in zip(todo[out["ok"]], curves_from_shots(surface, out["shots"])):
             curves[i] = cur
     for i in range(3):
         if curves[i] is None:
             raise SeedBudgetExhausted(
-                f"coordinate geodesic x_{i+1}=0 not found in {seed_budget} "
+                f"coordinate geodesic x_{i+1}=0 not found in {SEED_BUDGET} "
                 f"attempts; last shooting residual {residuals[i]:.3e}"
             )
 
     details = []
     for i, (cur, oracle) in enumerate(zip(curves, oracles)):
         spectra = {}
-        for m in range(1, max_cover + 1):
+        for m in range(1, MAX_COVER + 1):
             rep = jacobi_spectrum(cur, surface, cover_multiplicity=m, grid_size=512 * m)
             spectra[m] = {"index": rep.index, "nullity": rep.nullity}
         details.append(
@@ -359,14 +352,14 @@ def ellipsoid_experiment(
         )
 
     lengths = [d["length"] for d in details]
-    attribution = _multiplicity_attribution(lengths, p_attribution)
+    attribution = _multiplicity_attribution(lengths, P_ATTRIBUTION)
 
     return {
         "config": {
             "surface": {"type": "ellipsoid", "a": [a1, a2, a3]},
-            "seed_budget": int(seed_budget),
-            "max_cover": int(max_cover),
-            "n_samples": int(n_samples),
+            "seed_budget": SEED_BUDGET,
+            "max_cover": MAX_COVER,
+            "n_samples": N_SAMPLES,
         },
         "geodesics": details,
         "attribution": attribution,

@@ -106,6 +106,24 @@ def test_index_grid_not_multiple_of_cover_exit_1(tmp_path, argv):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["index", "--a", "0.96,1.0,1.04"], None),
+        (["index"], {"surface": {"type": "flat_torus", "side": 1.0}}),
+    ],
+)
+def test_index_needs_surface_of_revolution(tmp_path, argv, config):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert "surface of revolution" in err["message"]
+    assert not (out / "report.json").exists()
+
+
 class TestCli:
     def test_invalid_config_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -240,4 +240,4 @@ class TestVerify:
                 return np.broadcast_to([0.0, 0.0, 50.0], pts.shape)
 
         with pytest.raises(FlowLeftSurface):
-            flow_network_length(net, RunawayField(), 0.5, n_substeps=1)
+            flow_network_length(net, RunawayField(), 0.5)

@@ -24,6 +24,7 @@ from geolab.geodesics import (
     shoot_closed_batch,
 )
 from geolab.surfaces import (
+    make_cylinder,
     make_ellipsoid,
     make_flat_chart,
     make_mk,
@@ -315,6 +316,11 @@ class TestLengthAndCurvature:
         )
         assert require_geodesic(cur) <= 1e-6
 
+    def test_level_circles_lie_on_surfaces_of_revolution(self):
+        for surface, c in ((make_cylinder(), 0.5), (make_ellipsoid(0.9, 0.9, 1.1), 0.0)):
+            cur = sample_level_circle(surface, c, 256)
+            assert np.max(np.abs(surface.level(cur.samples))) < 1e-14
+
     def test_level_circle_curvature_points_to_equator(self, mk4):
         # curvature vector of the latitude circles points toward x3 = 0
         n = 2048
@@ -377,7 +383,8 @@ class TestHelpers:
             assert np.array_equal(vi[0], v1[i])
             assert np.array_equal(pi[0], path[i])
 
-    def test_chart_flow_follows_great_circles(self):
+    @pytest.mark.parametrize("n_steps, bound", [(256, 1e-9), (512, 1e-11)], ids=["256", "512"])
+    def test_chart_flow_follows_great_circles(self, n_steps, bound):
         # sphere_exp_chart is the exponential chart at the north pole, so
         # its geodesics are great circles read back through the log map
         def exp_map(x):
@@ -393,7 +400,7 @@ class TestHelpers:
         ang = np.array([0.3, 2.0, -1.1, 2.2])
         v0 = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         T = np.array([0.5, 0.7, 0.9, 1.5])
-        _, _, path = flow_chart(chart, x0, v0, T, 256, store_path=True)
+        _, _, path = flow_chart(chart, x0, v0, T, n_steps, store_path=True)
         # the launch point and velocity on the sphere, through d exp
         r = np.linalg.norm(x0, axis=1, keepdims=True)
         u = x0 / r
@@ -402,9 +409,9 @@ class TestHelpers:
         p0 = exp_map(x0)
         w = np.concatenate([np.cos(r) * dr * u + np.sin(r) * du, -np.sin(r) * dr], axis=1)
         speed = np.linalg.norm(w, axis=1)
-        t = (np.linspace(0.0, 1.0, 257)[None, :] * (T * speed)[:, None])[..., None]
+        t = (np.linspace(0.0, 1.0, n_steps + 1)[None, :] * (T * speed)[:, None])[..., None]
         circles = np.cos(t) * p0[:, None] + np.sin(t) * (w / speed[:, None])[:, None]
-        assert np.max(np.abs(path - log_map(circles))) < 1e-9
+        assert np.max(np.abs(path - log_map(circles))) < bound
 
     def test_chart_flow_path_leaves_between_step_ends(self):
         # the geodesic bends back towards the origin: x1 peaks at 1.20025

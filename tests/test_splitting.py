@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from geolab.errors import D0TooLarge, NotReducible, OffsetTooLarge, VertexNotOnStrand
-from geolab.geodesics import GeodesicCurve, curve_from_samples
+from geolab.errors import (
+    ChartUnavailable,
+    D0TooLarge,
+    NotReducible,
+    OffsetTooLarge,
+    VertexNotOnStrand,
+)
+from geolab.geodesics import GeodesicCurve, chart_curvature, curve_from_samples
 from geolab.networks import GeodesicNetwork, weighted_vertex_count
 from geolab.splitting import (
     build_detour,
@@ -16,7 +22,7 @@ from geolab.splitting import (
     _locally_refined,
     _probe_grid,
 )
-from geolab.surfaces import make_flat_chart, sphere_exp_chart
+from geolab.surfaces import SurfaceModel, make_flat_chart, sphere_exp_chart
 
 
 def concurrent_lines(chart, angles, n=6000, half=1.0):
@@ -56,8 +62,17 @@ class TestDetour:
         assert d >= 0.4 * t
         assert d <= 0.6 * t
 
-    def test_c2_matching_at_joints(self, chart, three_lines):
-        det = build_detour(chart, three_lines, three_lines.vertices[0], 0, 0.02, 0.5)
+    @pytest.mark.parametrize(
+        "make_chart",
+        [lambda: make_flat_chart(2.6, 2.6), lambda: sphere_exp_chart(1.2)],
+        ids=["flat", "sphere_exp"],
+    )
+    def test_c2_matching_at_joints(self, make_chart):
+        # in the curved chart the chord ends off the strand (v_q != 0), and
+        # the closing bridge starts there
+        chart = make_chart()
+        net = concurrent_lines(chart, (0.0, np.pi / 2, np.pi / 4))
+        det = build_detour(chart, net, net.vertices[0], 0, 0.02, 0.5)
         sP, sp, sq, sQ = det.s_window
         eps = 1e-10
         for s_joint in (sP, sp, sq, sQ):
@@ -65,6 +80,27 @@ class TestDetour:
                 left = det.offset(np.array([s_joint - eps]), order)[0]
                 right = det.offset(np.array([s_joint + eps]), order)[0]
                 assert abs(left - right) < 1e-5, (s_joint, order)
+
+    def test_curved_chord_is_chart_geodesic(self):
+        chart = sphere_exp_chart(1.2)
+        net = concurrent_lines(chart, (0.0, np.pi / 2, np.pi / 4))
+        det = build_detour(chart, net, net.vertices[0], 0, 0.02, 0.2)
+        _, sp, sq, _ = det.s_window
+        s = np.linspace(sp, sq, 401)[1:-1]
+        assert np.max(np.abs(chart_curvature(chart, *det.jet(s)))) <= 1e-7
+
+    def test_curved_chord_short_of_closing_bridge(self):
+        # in the metric exp(2u) (dx^2 + dy^2) the geodesic covers too little
+        # chart distance to reach s_q within 1.02 times its metric length
+        chart = SurfaceModel(
+            kind="chart",
+            name="growing",
+            chart_metric_fn=lambda uv: np.exp(2.0 * uv[..., 0])[..., None, None] * np.eye(2),
+            chart_domain=(-1.3, 1.3, -1.3, 1.3),
+        )
+        net = concurrent_lines(chart, (0.0, np.pi / 2, np.pi / 4))
+        with pytest.raises(ChartUnavailable):
+            build_detour(chart, net, net.vertices[0], 0, 0.02, 0.5)
 
     def test_offset_too_large(self, chart, three_lines):
         with pytest.raises(OffsetTooLarge):
