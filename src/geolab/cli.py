@@ -25,10 +25,10 @@ from .extension import extend_normal_field, verify_second_variation_match
 from .surfaces import make_flat_chart, make_sphere, surface_from_config
 from .widths import (
     ellipsoid_experiment,
-    guth_p_sweepout_bound,
     level_circle_sweepout,
     mk_multiplicity_experiment,
     round_sphere_width,
+    width_table,
 )
 
 COMMANDS = (
@@ -286,6 +286,11 @@ def _write_found_curves(rep, out: Path):
         write_svg_curves(out / "curves.svg", traces, title="found closed geodesics")
 
 
+def _write_width_bounds(out: Path, table):
+    rows = [[w["p"], w["upper_bound"], w["reference"], w["gap"]] for w in table]
+    write_csv(out / "width-bounds.csv", ["l", "upper_bound", "reference", "gap"], rows)
+
+
 def cmd_find_geodesics(cfg, out: Path):
     surf_spec = cfg.get("surface", {"type": "mk", "k": 4.0, "mu": 1.0})
     if surf_spec.get("type") != "mk":
@@ -394,18 +399,9 @@ def cmd_sweepout_bound(cfg, out: Path):
     if p_max > MAX_TABLE_LEVEL:  # one table row per level
         raise ConfigInvalid(f"p must be at most {MAX_TABLE_LEVEL} here, got {p_max}")
     sweep = level_circle_sweepout(surface)
-    rows = []
-    table = []
-    for l in range(1, p_max + 1):
-        wb = guth_p_sweepout_bound(sweep, l)
-        wb.reference_value = (
-            2 * np.pi * l if spec.get("type") == "mk" else round_sphere_width(l)
-        )
-        d = wb.to_json_dict()
-        d["gap"] = float(wb.upper_bound - wb.reference_value)
-        table.append(d)
-        rows.append([l, d["upper_bound"], d["reference"], d["gap"]])
-    write_csv(out / "width-bounds.csv", ["l", "upper_bound", "reference", "gap"], rows)
+    reference = (lambda l: 2 * np.pi * l) if spec.get("type") == "mk" else round_sphere_width
+    table = width_table(sweep, p_max, reference)
+    _write_width_bounds(out, table)
     payload = {"max_mass": sweep.max_mass, "table": table}
     return payload, {}
 
@@ -421,11 +417,7 @@ def cmd_mk_experiment(cfg, out: Path):
         keep_curves=True,
     )
     _write_found_curves(rep, out)
-    rows = [
-        [w["p"], w["upper_bound"], w["reference"], w["gap"]]
-        for w in rep["width_bounds"]
-    ]
-    write_csv(out / "width-bounds.csv", ["l", "upper_bound", "reference", "gap"], rows)
+    _write_width_bounds(out, rep["width_bounds"])
     return rep, rep["properties"]
 
 

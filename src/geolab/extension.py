@@ -23,6 +23,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 
 from .bumps import plateau
 from .errors import EtaTooLarge, FlowLeftSurface, NotGPlus, OriginMismatch
@@ -39,6 +40,7 @@ from .surfaces import SurfaceModel
 
 DRIFT_TOL = 1e-3  # largest |F| at a field-flow step end, times max(1, diameter)
 FLOW_SUBSTEPS = 1  # DOP853 steps of each network-length flow
+TANGENTIAL_TUBE = 0.2  # tube radius of TangentialField
 
 
 def cross_extension(u_axis1: Callable, u_axis2: Callable) -> Callable:
@@ -93,12 +95,12 @@ class _CurveFrame:
         self.tree = cKDTree(curve.samples)
 
     def nearest(self, pts: np.ndarray, bound: float = np.inf):
-        """Foot data: (arclength s, distance d, foot point, index).
+        """Foot data: (arclength s, distance d, foot point).
 
         Exact for every point closer than ``bound`` to the curve.  A point
         whose nearest sample is farther than ``bound`` plus one sample
         spacing (so farther than ``bound`` from the curve) gets d = inf,
-        s = 0, a zero foot point and index n.
+        s = 0 and a zero foot point.
         """
         pts = np.atleast_2d(pts)
         n = self.curve.n
@@ -121,7 +123,16 @@ class _CurveFrame:
             best_d[rows] = d[better]
             best_foot[rows] = foot[better]
             best_s[rows] = ((i + off)[better] + t[better]) * self.ds
-        return best_s % self.curve.length, best_d, best_foot, idx
+        return best_s % self.curve.length, best_d, best_foot
+
+    def tube(self, pts: np.ndarray, radius: float):
+        """Points of the tube of ``radius`` around the curve: the live rows
+        (a mask of ``pts``), their foot arclengths and foot points, and
+        their cutoffs plateau(d; radius / 2, radius), all positive."""
+        s, d, foot = self.nearest(pts, radius)
+        cut = plateau(d, radius / 2.0, radius)
+        live = cut > 0
+        return live, s[live], foot[live], cut[live]
 
     def interp(self, values: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Periodic linear interpolation of per-sample data at arclength s."""
@@ -142,7 +153,8 @@ class AmbientField:
     eta: float
     tube_radius: float
     crossing_data: list
-    support_description: str = ""
+    support_measure: float  # curve length inside the crossing balls
+    delta: float  # the bound on support_measure the field was built for
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.evaluation(pts)
@@ -154,14 +166,12 @@ class AmbientField:
         Nx = surface.unit_normal(pts)
         Z = np.zeros_like(pts)
         for fr, phi in zip(self.frames, self.phis):
-            s, d, foot, _ = fr.nearest(pts, self.tube_radius)
-            cut = plateau(d, self.tube_radius / 2.0, self.tube_radius)
-            live = cut > 0
+            live, s, foot, cut = fr.tube(pts, self.tube_radius)
             if not live.any():
                 continue
-            phi_s = fr.interp(phi, s[live])
-            n_s = fr.interp(fr.normals, s[live])
-            rel = pts[live] - foot[live]
+            phi_s = fr.interp(phi, s)
+            n_s = fr.interp(fr.normals, s)
+            rel = pts[live] - foot
             side = np.sum(rel * n_s, axis=1)
             tang = rel - np.sum(rel * Nx[live], axis=1, keepdims=True) * Nx[live]
             norm = np.linalg.norm(tang, axis=1)
@@ -170,7 +180,7 @@ class AmbientField:
             transported[far] = (
                 np.sign(side[far])[:, None] * tang[far] / norm[far][:, None]
             )
-            Z[live] += (cut[live] * phi_s)[:, None] * transported
+            Z[live] += (cut * phi_s)[:, None] * transported
         out = Z
         for data in self.crossing_data:
             r = np.linalg.norm(pts - data["position"], axis=1)
@@ -192,24 +202,27 @@ class AmbientField:
         return U(coords[:, 0], coords[:, 1])
 
 
-def _axis_function(fr: _CurveFrame, phi, t_corr, s_vertex, proj_coord_of_ds, shift):
+def _axis_function(fr: _CurveFrame, phi, t_corr, s_vertex, proj_coord_of_ds, v_cross):
     """Y-values along one strand as a function of its axis coordinate.
 
-    ``shift`` is the constant that pins the strand value at the crossing to
-    the common line-intersection point (it absorbs the lstsq residual left
+    A constant shift pins the strand value at the crossing to the common
+    line-intersection point ``v_cross`` (it absorbs the lstsq residual left
     by sample-level curvature, a few 1e-10).
     """
 
     coord_grid, ds_grid = proj_coord_of_ds
 
-    def u(c):
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        dseff = np.interp(c, coord_grid, ds_grid)
-        s = s_vertex + dseff
+    def corrected(c):
+        s = s_vertex + np.interp(c, coord_grid, ds_grid)
         phi_s = fr.interp(phi, s)
         n_s = fr.interp(fr.normals, s)
         T_s = fr.interp(fr.T, s)
-        vals = phi_s[:, None] * n_s + t_corr * T_s + shift
+        return phi_s[:, None] * n_s + t_corr * T_s
+
+    shift = v_cross - corrected(np.zeros(1))[0]
+
+    def u(c):
+        vals = corrected(np.atleast_1d(np.asarray(c, dtype=float))) + shift
         return vals if vals.shape[0] > 1 else vals[0]
 
     return u
@@ -240,12 +253,7 @@ def extend_normal_field(
     verts = network.vertices
     if verts:
         if len(verts) > 1:
-            pos = np.array([v.position for v in verts])
-            dmin = min(
-                np.linalg.norm(pos[i] - pos[j])
-                for i in range(len(pos))
-                for j in range(i + 1, len(pos))
-            )
+            dmin = pdist(np.array([v.position for v in verts])).min()
         else:
             dmin = min(c.length for c in curves) / 4.0
         if eta is None:
@@ -294,12 +302,10 @@ def extend_normal_field(
             order = np.argsort(coords)
             grids.append((coords[order], ds_grid[order]))
         v_cross = X0 + t0 * T0
-        zero3 = np.zeros(3)
-        u0_raw = _axis_function(fr0, phis[c0], t0, s0, grids[0], zero3)
-        u1_raw = _axis_function(fr1, phis[c1], t1, s1, grids[1], zero3)
-        u0 = _axis_function(fr0, phis[c0], t0, s0, grids[0], v_cross - u0_raw(0.0))
-        u1 = _axis_function(fr1, phis[c1], t1, s1, grids[1], v_cross - u1_raw(0.0))
-        U = cross_extension(u0, u1)
+        U = cross_extension(
+            _axis_function(fr0, phis[c0], t0, s0, grids[0], v_cross),
+            _axis_function(fr1, phis[c1], t1, s1, grids[1], v_cross),
+        )
         crossing_data.append(
             {
                 "position": np.asarray(v.position, dtype=float),
@@ -317,21 +323,16 @@ def extend_normal_field(
             inside = np.linalg.norm(c.samples - v.position, axis=1) <= 7 * eta / 8
             support += inside.sum() * (c.length / c.n)
 
-    fieldobj = AmbientField(
+    return AmbientField(
         network=network,
         frames=frames,
         phis=phis,
         eta=float(eta),
         tube_radius=float(tube_radius),
         crossing_data=crossing_data,
-        support_description=(
-            f"tubes of radius {tube_radius:.3g} around {len(curves)} curves; "
-            f"{len(verts)} crossing balls of radius {eta:.3g}"
-        ),
+        support_measure=float(support),
+        delta=float(delta),
     )
-    fieldobj.support_measure = float(support)
-    fieldobj.delta = float(delta)
-    return fieldobj
 
 
 class SumField:
@@ -348,27 +349,24 @@ class SumField:
 class TangentialField:
     """Pure tangential field along a network, for invariance checks."""
 
-    def __init__(self, network: GeodesicNetwork, profiles, tube_radius=0.2):
+    def __init__(self, network: GeodesicNetwork, profiles):
         self.surface = network.ambient_surface
         self.frames = [_CurveFrame(c, self.surface) for c in network.curves]
         self.profiles = [
             _profile_samples(c, spec) for c, spec in zip(network.curves, profiles)
         ]
-        self.tube_radius = tube_radius
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.zeros_like(pts)
         Nx = self.surface.unit_normal(pts)
         for fr, prof in zip(self.frames, self.profiles):
-            s, d, foot, _ = fr.nearest(pts, self.tube_radius)
-            cut = plateau(d, self.tube_radius / 2.0, self.tube_radius)
-            live = cut > 0
+            live, s, _, cut = fr.tube(pts, TANGENTIAL_TUBE)
             if not live.any():
                 continue
-            T_s = fr.interp(fr.T, s[live])
+            T_s = fr.interp(fr.T, s)
             T_s -= np.sum(T_s * Nx[live], axis=1, keepdims=True) * Nx[live]
-            out[live] += (cut[live] * fr.interp(prof, s[live]))[:, None] * T_s
+            out[live] += (cut * fr.interp(prof, s))[:, None] * T_s
         return out
 
 

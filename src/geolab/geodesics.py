@@ -148,7 +148,10 @@ def curve_length(curve_or_samples, surface: Optional[SurfaceModel] = None, close
         closed = curve_or_samples.closed
     else:
         samples = np.asarray(curve_or_samples, dtype=float)
-    sp, dtheta = curve_speeds(samples, surface, closed)
+    return _length_from_speeds(*curve_speeds(samples, surface, closed), closed)
+
+
+def _length_from_speeds(sp: np.ndarray, dtheta: float, closed: bool) -> float:
     if closed:
         return float(sp.sum() * dtheta)
     return float(simpson(sp, dx=dtheta))
@@ -653,8 +656,8 @@ def curve_from_samples(
     surface, samples, closed=True, primitive=True, cover_multiplicity=1
 ) -> GeodesicCurve:
     samples = np.asarray(samples, dtype=float)
-    sp, _ = curve_speeds(samples, surface, closed)
-    length = curve_length(samples, surface, closed)
+    sp, dtheta = curve_speeds(samples, surface, closed)
+    length = _length_from_speeds(sp, dtheta, closed)
     # a sampled loop is closed by construction; open curves have no closure
     res = 0.0 if closed else np.inf
     return GeodesicCurve(

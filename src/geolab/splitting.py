@@ -49,12 +49,7 @@ from .geodesics import (
     metric_right_normals,
 )
 from .networks import GeodesicNetwork, VertexRecord, detect_vertices
-from .surfaces import (
-    ConformalFactor,
-    SurfaceModel,
-    chart_euclidean_deviation,
-    gauss_curvature,
-)
+from .surfaces import SurfaceModel, chart_euclidean_deviation, gauss_curvature
 
 # geometry fractions of the working-ball radius R: bridges span
 # [P, p] = [-0.8 R, -0.4 R] and [q, Q] = [0.4 R, 0.8 R] along the strand
@@ -222,16 +217,17 @@ class DetourCurve:
 
 @dataclass
 class ConformalFactorField:
-    """The vertex-splitting factor f in Fermi coordinates of the detour."""
+    """The vertex-splitting factor f in Fermi coordinates of the detour.
+
+    A chart factor: called on points of shape (..., 2) it returns f of
+    shape (...), exactly 0 outside the working ball and the support tube.
+    """
 
     base_curve: DetourCurve
     fermi_half_width: float  # d0
-    tangential_cutoff: str
-    normal_cutoff: str
-    curvature_profile: np.ndarray  # kappa samples over the window
     working_ball: tuple  # (center, radius)
-    psi_inner: float = 0.0
-    psi_outer: float = 0.0
+    psi_inner: float
+    psi_outer: float
 
     def __post_init__(self):
         # f != 0 needs a Fermi foot point c(s) on a bridge and |t| < d0, so
@@ -247,16 +243,17 @@ class ConformalFactorField:
         reach = self.fermi_half_width * np.min(lam) ** -0.5 + spacing.max()
         self._tube = (cKDTree(probes), reach)
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(pts.shape[0])
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        flat = pts.reshape(-1, 2)
+        out = np.zeros(flat.shape[0])
         center, radius = self.working_ball
-        near = np.linalg.norm(pts - center, axis=1) < radius
+        near = np.linalg.norm(flat - center, axis=1) < radius
         tree, reach = self._tube  # Fermi runs only where f can be nonzero
-        near[near] = np.isfinite(tree.query(pts[near], distance_upper_bound=reach)[0])
+        near[near] = np.isfinite(tree.query(flat[near], distance_upper_bound=reach)[0])
         if near.any():
-            out[near] = self._tube_value(pts[near])
-        return out
+            out[near] = self._tube_value(flat[near])
+        return out.reshape(pts.shape[:-1])[()]
 
     def _tube_value(self, pts):
         """f at points of the support tube, without the pre-tests."""
@@ -265,15 +262,6 @@ class ConformalFactorField:
         chi = plateau(t, d0 / 2.0, d0)
         psi = plateau(s, self.psi_inner, self.psi_outer)
         return -chi * t * self.base_curve.kappa(s) * psi
-
-    def as_conformal_factor(self) -> ConformalFactor:
-        center, radius = self.working_ball
-        return ConformalFactor(
-            value=self.evaluate,
-            center=np.asarray(center, dtype=float),
-            radius=float(radius),
-            label="vertex-split",
-        )
 
     def sup_norm(self) -> float:
         """max |f| over a dense grid of the support tube."""
@@ -497,15 +485,10 @@ def conformal_factor_for(
         raise D0TooLarge(
             f"d0 = {d0:.3g} exceeds half the bridge clearance {dmin:.3g}"
         )
-    sP, sp, sq, sQ = detour.s_window
     R = detour.ball_radius
-    s_probe = np.linspace(sP, sQ, 801)
     return ConformalFactorField(
         base_curve=detour,
         fermi_half_width=float(d0),
-        tangential_cutoff=f"plateau(|s|; {0.85 * R:.4g}, {0.95 * R:.4g})",
-        normal_cutoff=f"plateau(|t|; {d0 / 2:.4g}, {d0:.4g})",
-        curvature_profile=detour.kappa(s_probe),
         working_ball=(detour.vertex_position.copy(), R),
         psi_inner=0.85 * R,
         psi_outer=0.95 * R,
@@ -541,8 +524,9 @@ def split_vertex(
     near = np.linalg.norm(others - detour.vertex_position, axis=1) < 2.0 * R
     field = conformal_factor_for(detour, surface, d0, others[near])
 
-    kappa_before = float(np.max(np.abs(field.curvature_profile)))
-    new_surface = surface.with_conformal_factor(field.as_conformal_factor())
+    sP, _, _, sQ = detour.s_window
+    kappa_before = float(np.max(np.abs(detour.kappa(np.linspace(sP, sQ, 801)))))
+    new_surface = surface.with_conformal_factor(field)
     kappa_after = float(
         np.max(np.abs(detour_curvature_in(detour, new_surface, _probe_grid(detour))))
     )

@@ -12,16 +12,16 @@ Two representations are supported:
   per axis.  Christoffel symbols and Brioschi curvature each take their
   finite differences from one metric evaluation on a stencil.
 
-Charts can carry a conformal factor f; the effective metric is
-``exp(2 f) g``.  Factors are stored procedurally (callables with an explicit
-support ball), never as grids, so support containment is exact.  Level sets
+Charts can carry a tuple of conformal factors whose sum f gives the effective
+metric ``exp(2 f) g``.  Factors are stored procedurally (callables with an
+exact support), never as grids, so support containment is exact.  Level sets
 carry no factor: vertex splitting works in charts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class ConformalFactor:
     value: Callable[[np.ndarray], np.ndarray]
     center: np.ndarray
     radius: float
-    label: str = ""
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -78,20 +77,6 @@ class ConformalFactor:
         out = np.zeros(pts.shape[:-1])
         if inside.any():
             out[inside] = np.asarray(self.value(pts[inside]), dtype=float)
-        return out[()]
-
-
-class CompositeFactor:
-    """Sum of conformal factors from successive deformations."""
-
-    def __init__(self, parts: Sequence[ConformalFactor]):
-        self.parts = list(parts)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for part in self.parts:
-            out = out + part(pts)
         return out[()]
 
 
@@ -118,7 +103,7 @@ class SurfaceModel:
     chart_metric_fn: Optional[Callable] = None
     chart_domain: tuple = (0.0, 1.0, 0.0, 1.0)
     chart_periodic: tuple = (False, False)
-    conformal_factor: Optional[object] = None
+    conformal_factors: tuple = ()
 
     def __post_init__(self):
         if self.kind != "levelset":
@@ -135,23 +120,23 @@ class SurfaceModel:
     # -- basic queries ---------------------------------------------------
 
     def with_conformal_factor(self, factor) -> "SurfaceModel":
-        """Return a copy carrying ``factor`` composed onto any existing one.
+        """Return a copy carrying ``factor`` after its existing factors.
 
-        Raises ChartUnavailable for level sets: factors live on charts only.
+        A factor is any callable taking chart points of shape (..., 2) to
+        values of shape (...).  Raises ChartUnavailable for level sets:
+        factors live on charts only.
         """
         if self.kind != "chart":
             raise ChartUnavailable("conformal factors need a chart representation")
-        if self.conformal_factor is None:
-            return replace(self, conformal_factor=factor)
-        old = self.conformal_factor
-        parts = list(old.parts) if isinstance(old, CompositeFactor) else [old]
-        return replace(self, conformal_factor=CompositeFactor(parts + [factor]))
+        return replace(self, conformal_factors=self.conformal_factors + (factor,))
 
     def factor_value(self, points: np.ndarray) -> np.ndarray:
-        if self.conformal_factor is None:
-            pts = np.asarray(points, dtype=float)
-            return np.zeros(pts.shape[:-1]) if pts.ndim > 1 else 0.0
-        return self.conformal_factor(points)
+        """Sum of the conformal factors, in order, at points of shape (..., 2)."""
+        pts = np.asarray(points, dtype=float)
+        out = np.zeros(pts.shape[:-1])
+        for factor in self.conformal_factors:
+            out = out + factor(pts)
+        return out[()]
 
     # -- level-set machinery ----------------------------------------------
 
@@ -237,8 +222,8 @@ class SurfaceModel:
             raise ChartUnavailable("surface has no chart representation")
         uv = np.asarray(uv, dtype=float)
         g = self.chart_metric_fn(uv)
-        if self.conformal_factor is not None:
-            g = g * np.exp(2.0 * self.conformal_factor(uv))[..., None, None]
+        if self.conformal_factors:
+            g = g * np.exp(2.0 * self.factor_value(uv))[..., None, None]
         return g
 
     def in_chart_domain(self, uv: np.ndarray) -> bool:
@@ -445,7 +430,7 @@ def gauss_curvature(surface: SurfaceModel, points: np.ndarray):
             raise PointOffSurface("chart point outside parameter rectangle")
         if surface.name in ("flat_chart", "flat_torus"):
             # conformally flat: K = -exp(-2 f) Lap f (vectorized FD)
-            if surface.conformal_factor is None:
+            if not surface.conformal_factors:
                 K = np.zeros(pts2.shape[0])
             else:
                 h = 1e-5

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -55,19 +55,14 @@ class WidthBound:
     p: int
     upper_bound: float
     construction: str
-    reference_value: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "p": int(self.p),
             "upper_bound": float(self.upper_bound),
             "construction": self.construction,
             "label": "upper bound (constructed sweepout)",
         }
-        if self.reference_value is not None:
-            out["reference"] = float(self.reference_value)
-            out["reference_label"] = "reference (known value)"
-        return out
 
 
 def level_circle_sweepout(surface: SurfaceModel, samples: int = 512) -> OneSweepout:
@@ -114,6 +109,20 @@ def guth_p_sweepout_bound(sweepout: OneSweepout, p: int) -> WidthBound:
         upper_bound=float(p * sweepout.max_mass),
         construction=f"{p} shifted copies of the level-circle 1-sweepout",
     )
+
+
+def width_table(sweepout: OneSweepout, p_max: int, reference: Callable[[int], float]):
+    """Rows p = 1 .. p_max of a width table: the bound of
+    ``guth_p_sweepout_bound``, the known value ``reference(p)`` and their gap."""
+    table = []
+    for p in range(1, p_max + 1):
+        row = guth_p_sweepout_bound(sweepout, p).to_json_dict()
+        ref = float(reference(p))
+        row["reference"] = ref
+        row["reference_label"] = "reference (known value)"
+        row["gap"] = float(row["upper_bound"] - ref)
+        table.append(row)
+    return table
 
 
 def round_sphere_width(p: int) -> float:
@@ -226,21 +235,15 @@ def mk_multiplicity_experiment(
             )
         records.append(rec)
 
-    sweep = level_circle_sweepout(surface)
-    table = []
+    table = width_table(level_circle_sweepout(surface), P_TABLE, lambda l: 2.0 * np.pi * l)
     gamma0_rec = next((r for r in records if r["is_gamma0"]), None)
-    for l in range(1, P_TABLE + 1):
-        wb = guth_p_sweepout_bound(sweep, l)
-        wb.reference_value = 2.0 * np.pi * l
-        row = wb.to_json_dict()
-        row["gap"] = float(wb.upper_bound - wb.reference_value)
-        if spectra and gamma0_rec is not None:
+    if spectra and gamma0_rec is not None:
+        for row in table:
             # candidate network at level l: gamma_0 with multiplicity l
             # (multiplicity does not change the negative-direction count)
             row["candidate_index"] = gamma0_rec["index"]
-            row["index_le_level"] = bool(gamma0_rec["index"] <= l)
-            row["vertices_le_level"] = bool(gamma0_rec["self_vertices"] <= l)
-        table.append(row)
+            row["index_le_level"] = bool(gamma0_rec["index"] <= row["p"])
+            row["vertices_le_level"] = bool(gamma0_rec["self_vertices"] <= row["p"])
 
     short = [r for r in records if r["length"] < 2 * np.pi + 0.1]
     shortest = records[0] if records else None

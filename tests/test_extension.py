@@ -45,8 +45,8 @@ class TestCurveFrame:
     def test_bounded_nearest_matches_unbounded_inside_bound(
         self, circle_frame, pts, bound
     ):
-        s, d, foot, _ = circle_frame.nearest(pts)
-        s_b, d_b, foot_b, _ = circle_frame.nearest(pts, bound)
+        s, d, foot = circle_frame.nearest(pts)
+        s_b, d_b, foot_b = circle_frame.nearest(pts, bound)
         inside = d < bound
         assert np.array_equal(s_b[inside], s[inside])
         assert np.array_equal(d_b[inside], d[inside])

@@ -139,7 +139,7 @@ class TestConformalFactor:
         det = build_detour(chart, net, net.vertices[0], 0, 0.02, 0.5)
         others = np.vstack([net.curves[1].samples, net.curves[2].samples])
         field = conformal_factor_for(det, chart, other_strand_points=others)
-        rescaled = chart.with_conformal_factor(field.as_conformal_factor())
+        rescaled = chart.with_conformal_factor(field)
         kappa = detour_curvature_in(det, rescaled, _probe_grid(det))
         assert np.max(np.abs(kappa)) < 1e-6
         # before the change the detour is visibly curved
@@ -152,12 +152,12 @@ class TestConformalFactor:
         others = np.vstack([net.curves[1].samples, net.curves[2].samples])
         field = conformal_factor_for(det, chart, other_strand_points=others)
         s = np.linspace(-0.9, 0.9, 400)
-        on_curve = np.abs(field.evaluate(det.position(s)))
+        on_curve = np.abs(field(det.position(s)))
         assert np.max(on_curve) < 1e-15  # f = -chi * t * kappa * psi, t = 0
         rng = np.random.default_rng(3)
         pts = rng.uniform(-1.3, 1.3, size=(800, 2))
         outside = pts[np.linalg.norm(pts, axis=1) > 0.5]
-        assert np.max(np.abs(field.evaluate(outside))) == 0.0
+        assert np.max(np.abs(field(outside))) == 0.0
 
     def test_sup_norm_decreases_with_offset(self, chart, three_lines):
         net = three_lines

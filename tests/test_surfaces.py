@@ -191,21 +191,63 @@ class TestChristoffel:
             christoffel(mk4, np.array([0.0, 0.0]))
 
 
+def _ball_factor():
+    return ConformalFactor(
+        value=lambda pts: np.sin(pts[:, 0]) * pts[:, 1] + 1.0,
+        center=np.zeros(2),
+        radius=1.0,
+    )
+
+
+def _splitting_factor(rng):
+    """The vertex-splitting factor of a detour around three concurrent
+    lines in the flat chart, with points inside its support tube."""
+    from geolab.geodesics import curve_from_samples
+    from geolab.networks import GeodesicNetwork
+    from geolab.splitting import build_detour, conformal_factor_for
+
+    chart = make_flat_chart(2.6, 2.6)
+    t = np.linspace(-1.0, 1.0, 2000)
+    curves = [
+        curve_from_samples(chart, np.outer(t, [np.cos(a), np.sin(a)]), closed=False)
+        for a in (0.0, np.pi / 2, np.pi / 4)
+    ]
+    net = GeodesicNetwork.build(chart, curves, clustering_radius=0.01)
+    det = build_detour(chart, net, net.vertices[0], 0, 0.02, 0.5)
+    others = np.vstack([curves[1].samples, curves[2].samples])
+    field = conformal_factor_for(det, chart, other_strand_points=others)
+    on_bridges = det.bridge_points()[rng.choice(800, size=12, replace=False)]
+    offsets = rng.uniform(-0.5, 0.5, size=(12, 1)) * field.fermi_half_width
+    return field, on_bridges + offsets * det.n_left
+
+
+def _two_factor_chart():
+    shifted = ConformalFactor(
+        value=lambda pts: np.cos(pts[:, 1]) - pts[:, 0],
+        center=np.array([0.3, 0.0]),
+        radius=0.8,
+    )
+    chart = make_flat_chart().with_conformal_factor(_ball_factor())
+    return chart.with_conformal_factor(shifted).factor_value
+
+
 class TestConformalFactorShape:
-    def test_stacked_points_match_flat_call(self):
-        factor = ConformalFactor(
-            value=lambda pts: np.sin(pts[:, 0]) * pts[:, 1] + 1.0,
-            center=np.zeros(2),
-            radius=1.0,
-        )
-        composite = make_flat_chart().with_conformal_factor(factor)
-        composite = composite.with_conformal_factor(factor).conformal_factor
-        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 3, 2))
-        for f in (factor, composite):
-            vals = f(pts)
-            assert vals.shape == (4, 3)
-            assert np.array_equal(vals, f(pts.reshape(-1, 2)).reshape(4, 3))
-            assert f(pts[1, 2]) == vals[1, 2]
+    @pytest.mark.parametrize("case", ["ball_factor", "splitting_factor", "chart_two_factors"])
+    def test_stacked_points_match_flat_call(self, case):
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-1.0, 1.0, size=(4, 3, 2))
+        if case == "ball_factor":
+            f = _ball_factor()
+        elif case == "splitting_factor":
+            f, tube_pts = _splitting_factor(rng)
+            pts = tube_pts.reshape(4, 3, 2)
+        else:
+            f = _two_factor_chart()
+        vals = f(pts)
+        assert vals.shape == (4, 3)
+        assert np.any(vals != 0.0)
+        assert np.array_equal(vals, f(pts.reshape(-1, 2)).reshape(4, 3))
+        assert f(pts[1, 2]) == vals[1, 2]
 
 
 class TestConformalCurvatureLaw:

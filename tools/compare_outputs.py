@@ -1,0 +1,114 @@
+"""Byte-identity check of two geolab checkouts' outputs.
+
+    python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
+
+Runs the README's ten CLI configurations and the curved-chart reductions of
+order 3 and 4 (concurrent lines in ``sphere_exp_chart(1.2)``, reduced by
+``reduce_vertex_fully`` and written to ``reduction.json``) in each checkout.
+Every run is a fresh process with ``PYTHONPATH`` set to that checkout's
+``src`` and ``OPENBLAS_NUM_THREADS=1``, writing into its own output
+directory under a temporary directory that is removed afterwards.  Per
+configuration it prints ``identical`` or the files that differ or exist on
+one side only, and it exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CLI_CONFIGS = [
+    ["mk-experiment", "--k", "100", "--n-seeds", "200", "--seed", "7"],
+    ["mk-experiment", "--k", "4", "--n-seeds", "40", "--seed", "7"],
+    ["find-geodesics", "--k", "9", "--mu", "2", "--n-seeds", "16", "--seed", "2"],
+    ["ellipsoid-experiment", "--a", "0.96,1.0,1.04"],
+    ["extend-field", "--builtin", "two-circles"],
+    ["split-vertex", "--order", "4"],
+    ["network", "--builtin", "concurrent-lines", "--order", "4"],
+    ["index", "--k", "16", "--cover", "4", "--grid", "2048"],
+    ["index", "--k", "4"],
+    ["sweepout-bound", "--k", "100", "--p", "5"],
+]
+CHART_ORDERS = (3, 4)
+
+# the full reduction of an order-d vertex of concurrent lines in the sphere's
+# normal chart, through the public library functions
+CHART_REDUCTION = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from geolab.geodesics import curve_from_samples
+from geolab.networks import GeodesicNetwork
+from geolab.splitting import reduce_vertex_fully
+from geolab.surfaces import sphere_exp_chart
+
+order, out = int(sys.argv[1]), Path(sys.argv[2])
+chart = sphere_exp_chart(1.2)
+t = np.linspace(-1.0, 1.0, 6000)
+curves = [
+    curve_from_samples(chart, np.outer(t, [np.cos(a), np.sin(a)]), closed=False)
+    for a in np.pi * np.arange(order) / order
+]
+net = GeodesicNetwork.build(chart, curves, clustering_radius=0.01)
+_, reduced, transcript = reduce_vertex_fully(chart, net, net.vertices[0])
+payload = {"vertices": [v.to_json_dict() for v in reduced.vertices], "transcript": transcript}
+out.mkdir(parents=True, exist_ok=True)
+(out / "reduction.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\\n")
+"""
+
+
+def configurations():
+    """(name, interpreter arguments); each run appends its output directory."""
+    for argv in CLI_CONFIGS:
+        yield " ".join(argv), ["-m", "geolab.cli", *argv, "--out"]
+    for order in CHART_ORDERS:
+        yield f"chart-reduction --order {order}", ["-c", CHART_REDUCTION, str(order)]
+
+
+def run_one(checkout: Path, argv, out: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, *argv, str(out)], cwd=checkout, env=env, capture_output=True, text=True
+    )
+    return proc.returncode
+
+
+def differing_files(a: Path, b: Path):
+    """Relative paths that differ in content or exist under one root only."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    diff = sorted(files_a ^ files_b)
+    diff += sorted(
+        f for f in files_a & files_b if not filecmp.cmp(a / f, b / f, shallow=False)
+    )
+    return [str(f) for f in diff]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    args = ap.parse_args(argv)
+    checkouts = (args.parent.resolve(), args.change.resolve())
+    differ = False
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        work = Path(tmp)
+        for i, (name, argv_) in enumerate(configurations()):
+            outs = [work / side / f"{i:02d}" for side in ("parent", "change")]
+            codes = [run_one(c, argv_, o) for c, o in zip(checkouts, outs)]
+            files = differing_files(*outs)
+            if codes[0] != codes[1]:
+                files.insert(0, f"exit code {codes[0]} -> {codes[1]}")
+            differ |= bool(files)
+            print(f"{name}: {'identical' if not files else ', '.join(files)}"
+                  f" (exit {codes[1]})", flush=True)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
