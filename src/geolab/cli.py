@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 MAX_TABLE_LEVEL = 1000  # largest p of a sweepout-bound table
 GRID_PER_PERIOD = 512  # default index grid points per cover period
 # size caps, each keeping its largest run within a few GB (README)
-MAX_GRID = 8192  # a dense grid x grid spectral block; bounds 512 * cover too
+MAX_GRID = 8192  # one banded Bloch block: about 3 s, 85 MB peak; bounds 512 * cover too
 MAX_N_SEEDS = 5000  # one shooting batch of all seeds
 MAX_ORDER = 64  # network --order 64 peaks at 615 MB
 MAX_SPLIT_ORDER = 4  # split-vertex at order 5 outgrows 8 GB

@@ -706,17 +706,20 @@ def sample_great_circle(surface: SurfaceModel, u, v, n: int = DEFAULT_STEPS):
     return curve_from_samples(surface, pts)
 
 
-def hausdorff_distance(a: np.ndarray, b: np.ndarray, bound: float = np.inf) -> float:
+def hausdorff_distance(a, b, bound: float = np.inf, tree_a=None, tree_b=None) -> float:
     """Symmetric Hausdorff distance between two sample clouds.
 
     Exact up to ``bound``; inf once the distance exceeds it, which lets the
-    nearest-neighbour queries stop early.
+    nearest-neighbour queries stop early.  ``tree_a`` and ``tree_b``, cKDTrees
+    of ``a`` and ``b``, let a caller comparing one cloud often build it once.
     """
     bound = np.nextafter(bound, np.inf)  # cKDTree keeps distances < bound only
-    d_ab = cKDTree(b).query(a, distance_upper_bound=bound)[0].max()
+    tree_b = cKDTree(b) if tree_b is None else tree_b
+    d_ab = tree_b.query(a, distance_upper_bound=bound)[0].max()
     if np.isinf(d_ab):
         return np.inf
-    return float(max(d_ab, cKDTree(a).query(b, distance_upper_bound=bound)[0].max()))
+    tree_a = cKDTree(a) if tree_a is None else tree_a
+    return float(max(d_ab, tree_a.query(b, distance_upper_bound=bound)[0].max()))
 
 
 _PLASTIC = 1.32471795724474602596  # root of x^3 = x + 1

@@ -19,6 +19,8 @@ theory", CPAM 9, 1956): block j couples across the period boundary with
 phase omega = exp(2 pi i j / m) forward and its conjugate backward.  Blocks
 j and m - j are complex conjugates with one spectrum, so only
 j = 0 .. m // 2 are solved; j = 0 and j = m / 2 (omega = +-1) are real.
+Each block is reordered into a Hermitian band of bandwidth 4 and solved
+whole by LAPACK ?sbevd / ?hbevd, so no n x n matrix is formed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import eigvals_banded
 
 from .errors import GridTooCoarse
 from .geodesics import (
@@ -91,29 +94,33 @@ def second_variation(
     return float(np.sum(dphi * dpsi - K * phi * psi) * ds)
 
 
-def _bloch_block(K: np.ndarray, h: float, j: int, m: int) -> np.ndarray:
-    """One-period five-point block of -d^2/ds^2 - K with Bloch phase j of m.
+def _bloch_band(K: np.ndarray, h: float, j: int, m: int) -> np.ndarray:
+    """Lower band, shape (5, n), of the one-period five-point block of
+    -d^2/ds^2 - K with Bloch phase j of m.
 
     ``K`` holds the n samples of one period.  Column i + off of the cover
-    lands in column (i + off) mod n of the block with weight
-    omega^((i + off) // n), so entries that wrap forward carry omega and
-    those that wrap backward its conjugate.
+    lands in column (i + off) mod n with weight omega^q, q = (i + off) // n,
+    so entries that wrap forward carry omega and those that wrap backward
+    its conjugate.  In the folding order 0, n-1, 1, n-2, ... every cyclic
+    neighbour i +- 1, i +- 2 lies within four places of i; entry (r, c <= r)
+    of the reordered block is stored at [r - c, c].
     """
-    if 2 * j % m:
-        omega = np.exp(2j * np.pi * j / m)
-    else:
-        omega = -1.0 if j else 1.0  # real block
+    omega = np.exp(2j * np.pi * j / m) if 2 * j % m else (-1.0 if j else 1.0)  # +-1: real
     n = K.size
-    B = np.zeros((n, n), dtype=np.result_type(omega))
     i = np.arange(n)
-    B[i, i] = 2.5
+    pos = np.where(2 * i < n, 2 * i, 2 * (n - 1 - i) + 1)  # place in folding order
+    band = np.zeros((5, n), dtype=np.result_type(omega))
+    band[0, pos] = 2.5
     for off, c in ((1, -4.0 / 3.0), (2, 1.0 / 12.0)):
         for col in (i + off, i - off):
-            # add.at: periods shorter than the stencil fold onto one column
-            np.add.at(B, (i, col % n), c * omega ** (col // n))
-    B /= h**2
-    B[i, i] -= K
-    return B
+            q, pc = col // n, pos[col % n]
+            phase = np.where(q < 0, np.conj(omega) ** -q, omega ** q)
+            low = pos >= pc  # lower triangle
+            # add.at: periods shorter than the stencil fold onto one entry
+            np.add.at(band, (pos[low] - pc[low], pc[low]), c * phase[low])
+    band /= h**2
+    band[0, pos] -= K
+    return band
 
 
 def jacobi_spectrum(
@@ -142,10 +149,9 @@ def jacobi_spectrum(
         raise ValueError("grid_size must be a multiple of cover_multiplicity")
     require_geodesic(curve, surface)
 
-    n = grid_size
-    h = curve.length * m / n
+    h = curve.length * m / grid_size
     # K sampled on one period
-    s = np.arange(n // m) * h
+    s = np.arange(grid_size // m) * h
     K_curve = curvature_along(curve, surface)
     s_curve = np.arange(curve.n) * (curve.length / curve.n)
     K = np.interp(s, s_curve, K_curve, period=curve.length)
@@ -153,26 +159,22 @@ def jacobi_spectrum(
     # blocks j and m - j share a spectrum: count 0 < j < m / 2 twice
     blocks = []
     for j in range(m // 2 + 1):
-        eig_j = np.linalg.eigvalsh(_bloch_block(K, h, j, m))
+        eig_j = eigvals_banded(_bloch_band(K, h, j, m), lower=True)
         blocks += [eig_j] if 2 * j % m == 0 else [eig_j, eig_j]
     eig = np.sort(np.concatenate(blocks))
 
-    maxK = float(np.max(np.abs(K)))
-    zero_tol = max(1e-8, 10.0 * h**2 * maxK)
+    zero_tol = max(1e-8, 10.0 * h**2 * float(np.max(np.abs(K))))
     index = int(np.sum(eig < -zero_tol))
     nullity = int(np.sum(np.abs(eig) <= zero_tol))
 
     # classification is ambiguous when an eigenvalue sits near the boundary
-    near = np.abs(np.abs(eig) - zero_tol) < 0.25 * zero_tol
-    if near.any():
-        raise GridTooCoarse(
-            "eigenvalue within 25% of the zero tolerance; refine grid_size"
-        )
+    if np.any(np.abs(np.abs(eig) - zero_tol) < 0.25 * zero_tol):
+        raise GridTooCoarse("eigenvalue within 25% of the zero tolerance; refine grid_size")
     return SpectrumReport(
         eigenvalues=eig,
         index=index,
         nullity=nullity,
-        grid_size=n,
+        grid_size=grid_size,
         zero_tolerance=zero_tol,
         cover_multiplicity=m,
     )
@@ -196,9 +198,7 @@ def network_index(
         multiplicities = [1] * len(curves)
     if len(multiplicities) != len(curves) or any(m < 1 for m in multiplicities):
         raise ValueError("multiplicities must be positive, one per curve")
-    reports = []
-    for cur in curves:
-        reports.append(jacobi_spectrum(cur, grid_size=grid_size))
+    reports = [jacobi_spectrum(cur, grid_size=grid_size) for cur in curves]
     total = int(sum(r.index for r in reports))
     descriptor = {
         "per_curve": [r.to_json_dict() for r in reports],

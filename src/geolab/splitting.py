@@ -4,7 +4,7 @@ To reduce the order of a vertex, one strand is replaced by a detour that
 misses the vertex: a graphical bridge out of the strand, a geodesic chord
 past the vertex, and a bridge back.  A conformal factor
 
-    f(s, t) = -chi(t) * t * kappa(s) * psi(s)
+    f(s, t) = -chi(t) * t * kappa(s)
 
 in Fermi coordinates (arclength s along the detour, signed normal distance
 t) then makes the detour a geodesic of exp(2 f) g: on the curve f = 0 and
@@ -226,8 +226,6 @@ class ConformalFactorField:
     base_curve: DetourCurve
     fermi_half_width: float  # d0
     working_ball: tuple  # (center, radius)
-    psi_inner: float
-    psi_outer: float
 
     def __post_init__(self):
         # f != 0 needs a Fermi foot point c(s) on a bridge and |t| < d0, so
@@ -260,8 +258,7 @@ class ConformalFactorField:
         s, t = self.base_curve.fermi(pts)
         d0 = self.fermi_half_width
         chi = plateau(t, d0 / 2.0, d0)
-        psi = plateau(s, self.psi_inner, self.psi_outer)
-        return -chi * t * self.base_curve.kappa(s) * psi
+        return -chi * t * self.base_curve.kappa(s)
 
     def sup_norm(self) -> float:
         """max |f| over a dense grid of the support tube."""
@@ -485,13 +482,10 @@ def conformal_factor_for(
         raise D0TooLarge(
             f"d0 = {d0:.3g} exceeds half the bridge clearance {dmin:.3g}"
         )
-    R = detour.ball_radius
     return ConformalFactorField(
         base_curve=detour,
         fermi_half_width=float(d0),
-        working_ball=(detour.vertex_position.copy(), R),
-        psi_inner=0.85 * R,
-        psi_outer=0.95 * R,
+        working_ball=(detour.vertex_position.copy(), detour.ball_radius),
     )
 
 

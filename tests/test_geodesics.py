@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.spatial import cKDTree
 from scipy.special import ellipe
 
 from geolab.errors import LeftChartDomain, NoConvergence
@@ -362,6 +363,11 @@ class TestHelpers:
         a = np.array([[0.0, 0.0], [1.0, 0.0]])
         b = np.array([[0.0, 0.1], [1.0, 0.0], [2.0, 0.0]])
         assert hausdorff_distance(a, b) == pytest.approx(1.0)
+        # trees built by the caller give the same distance, past the bound too
+        for x, y in ((a, b), (b, a)):
+            for bound in (np.inf, 1.0, 0.5, 0.05):
+                d = hausdorff_distance(x, y, bound, cKDTree(x), cKDTree(y))
+                assert d == hausdorff_distance(x, y, bound)
 
     def test_chart_flow_straight(self):
         chart = make_flat_chart(4.0, 4.0)

@@ -224,8 +224,32 @@ class TestSpectrum:
         assert rep.eigenvalues.shape == (grid,)
         assert np.max(np.abs(rep.eigenvalues - eig)) <= 1e-9
         assert (rep.index, rep.nullity) == (index, nullity)
-        if m == 1:
-            assert np.array_equal(rep.eigenvalues, eig)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [5.0, 16.0])
+    def test_cover_spectrum_matches_fourier_symbol(self, k, m):
+        # constant K = 1/k: the cyclic five-point matrix on N points has exactly
+        # the eigenvalues (5/2 - (8/3) cos theta + (1/6) cos 2 theta) / h^2 - K,
+        # theta = 2 pi l / N
+        eq = sample_level_circle(make_mk(k, 1.0), 0.0)
+        N = 512 * m
+        h = m * eq.length / N
+        theta = 2 * np.pi * np.arange(N) / N
+        exact = np.sort((2.5 - 8 / 3 * np.cos(theta) + np.cos(2 * theta) / 6) / h**2 - 1 / k)
+        rep = jacobi_spectrum(eq, cover_multiplicity=m, grid_size=N)
+        err = np.abs(rep.eigenvalues - exact)
+        assert err.max() <= 1e-13 * np.abs(exact).max()
+        assert err[:12].max() <= 1e-10
+
+    @pytest.mark.parametrize("grid, m", [(256, 64), (256, 128), (256, 256), (300, 100)])
+    def test_periods_shorter_than_stencil(self, grid, m):
+        # 4, 2, 1 and 3 points per period: wrapped stencil entries fold onto
+        # one block entry, and onto the diagonal for a single point
+        eq = sample_level_circle(make_mk(5.0, 1.0), 0.0)
+        rep = jacobi_spectrum(eq, cover_multiplicity=m, grid_size=grid)
+        eig, index, nullity = dense_cover_spectrum(eq, m, grid)
+        assert np.max(np.abs(rep.eigenvalues - eig)) <= 1e-12
+        assert (rep.index, rep.nullity) == (index, nullity)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("k", [4.0, 5.0, 9.0, 16.0])

@@ -9,13 +9,18 @@ Every run is a fresh process with ``PYTHONPATH`` set to that checkout's
 ``src`` and ``OPENBLAS_NUM_THREADS=1``, writing into its own output
 directory under a temporary directory that is removed afterwards.  Per
 configuration it prints ``identical`` or the files that differ or exist on
-one side only, and it exits 1 on any difference.
+one side only, and it exits 1 on any difference.  For a JSON file that
+differs it also prints the largest absolute difference over the numeric
+leaves found at the same path on both sides, and lists the paths whose
+values differ otherwise (not both numbers) or exist on one side only.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import json
+import math
 import os
 import subprocess
 import sys
@@ -89,6 +94,53 @@ def differing_files(a: Path, b: Path):
     return [str(f) for f in diff]
 
 
+def json_leaves(node, path=""):
+    """{path: value} of the scalar leaves of a parsed JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return {path or "/": node}
+    leaves = {}
+    for key, child in items:
+        leaves.update(json_leaves(child, f"{path}/{key}"))
+    return leaves
+
+
+def json_difference(a: Path, b: Path) -> str:
+    """The largest numeric change between two JSON files and the paths that
+    differ in any other way."""
+    try:
+        leaves = [json_leaves(json.loads(p.read_text())) for p in (a, b)]
+    except ValueError:
+        return "not JSON on both sides"
+
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+    largest, changed, other = 0.0, 0, []
+    for path in sorted(leaves[0].keys() | leaves[1].keys()):
+        if path not in leaves[0] or path not in leaves[1]:
+            other.append(f"{path} ({'change' if path in leaves[1] else 'parent'} only)")
+            continue
+        va, vb = leaves[0][path], leaves[1][path]
+        if number(va) and number(vb):
+            if va != vb:
+                largest, changed = max(largest, abs(vb - va)), changed + 1
+        elif repr(va) != repr(vb):  # repr: NaN equals NaN, True differs from 1
+            other.append(path)
+    text = f"max |numeric difference| {largest:.3g} over {changed} leaves"
+    return text + (f"; other differences: {', '.join(other)}" if other else "")
+
+
+def describe(a: Path, b: Path, rel: str) -> str:
+    """``rel``, with the numeric summary for a JSON file on both sides."""
+    if rel.endswith(".json") and (a / rel).is_file() and (b / rel).is_file():
+        return f"{rel} [{json_difference(a / rel, b / rel)}]"
+    return rel
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -101,7 +153,7 @@ def main(argv=None) -> int:
         for i, (name, argv_) in enumerate(configurations()):
             outs = [work / side / f"{i:02d}" for side in ("parent", "change")]
             codes = [run_one(c, argv_, o) for c, o in zip(checkouts, outs)]
-            files = differing_files(*outs)
+            files = [describe(*outs, f) for f in differing_files(*outs)]
             if codes[0] != codes[1]:
                 files.insert(0, f"exit code {codes[0]} -> {codes[1]}")
             differ |= bool(files)
