@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -124,8 +125,8 @@ def load_config(args) -> dict:
         val = cfg[key]
         number = isinstance(val, (int, float)) and not isinstance(val, bool)
         integral = number and (isinstance(val, int) or val.is_integer())
-        if not (integral if key in _INT_KEYS else number):
-            kind = "an integer" if key in _INT_KEYS else "a number"
+        if not (integral if key in _INT_KEYS else number and math.isfinite(val)):
+            kind = "an integer" if key in _INT_KEYS else "a finite number"
             raise ConfigInvalid(f"{key} must be {kind}, got {val!r}")
     for key in ("cap", "delta", "flow_step"):
         if cfg.get(key) is not None and cfg[key] <= 0:
@@ -152,15 +153,16 @@ def load_config(args) -> dict:
 
 
 def write_json(path: Path, payload: dict):
+    """Strict JSON: a NaN or infinity raises ValueError before the file is written."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(text + "\n")
 
 
 def write_csv(path: Path, header, rows):
+    """Rows of Python ints and floats, each written as its repr."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -456,6 +458,15 @@ def run(argv=None) -> int:
     try:
         cfg = load_config(args)
         payload, checks = HANDLERS[args.command](cfg, out)
+        report = {
+            "tool": "geolab",
+            "version": __version__,
+            "command": args.command,
+            "config": cfg,
+            "checks": checks,
+            "result": payload,
+        }
+        write_json(out / "report.json", report)  # ValueError on a non-finite value
     except (GeolabError, ValueError) as exc:
         write_json(
             out / "error.json",
@@ -463,15 +474,6 @@ def run(argv=None) -> int:
         )
         print(f"geolab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    report = {
-        "tool": "geolab",
-        "version": __version__,
-        "command": args.command,
-        "config": cfg,
-        "checks": checks,
-        "result": payload,
-    }
-    write_json(out / "report.json", report)
     failed = [k for k, v in checks.items() if v is False]
     if failed:
         print(f"geolab: property checks failed: {', '.join(failed)}", file=sys.stderr)

@@ -45,8 +45,7 @@ DEFAULT_STEPS = 4096
 GEODESIC_KAPPA_TOL = 1e-6
 SAMPLES_PER_STEP = 16  # path samples per DOP853 step of the geodesic flows
 COARSE_STEPS = 512  # flow samples per seed in the coarse Newton phase
-MAX_COVER_MULT = 6  # highest cover multiplicity a shot loop is tested for
-COVER_TOL = 1e-7  # cover match tolerance, relative to the loop's extent
+COVER_TOL = 1e-7  # Fourier amplitude that counts as a mode, relative to the loop's extent
 SEED_BAND = 0.6  # mk seeds lie in |x3| <= SEED_BAND * zmax
 
 
@@ -63,9 +62,8 @@ class GeodesicCurve:
     samples: np.ndarray
     speeds: np.ndarray
     length: float
-    closure_residual: float
+    closure_residual: Optional[float]  # None for open curves
     surface: SurfaceModel
-    primitive: bool = True
     cover_multiplicity: int = 1
     closed: bool = True
     extra: dict = field(default_factory=dict)
@@ -79,7 +77,7 @@ class GeodesicCurve:
             "length": self.length,
             "closure_residual": self.closure_residual,
             "cover_multiplicity": self.cover_multiplicity,
-            "primitive": self.primitive,
+            "primitive": True,
             "n_samples": int(self.n),
         }
 
@@ -499,19 +497,28 @@ def shoot_closed_batch(
     }
 
 
-def _detect_cover(path: np.ndarray):
-    """Smallest m such that the loop is an m-fold cover of a primitive loop."""
-    n = path.shape[0]
-    scale = max(np.ptp(path, axis=0).max(), 1e-30)
-    for mult in range(2, MAX_COVER_MULT + 1):
-        shift = n / mult
-        idx = (np.arange(n) + shift) % n
-        lo = np.floor(idx).astype(int)
-        frac = (idx - lo)[:, None]
-        shifted = path[lo] * (1 - frac) + path[(lo + 1) % n] * frac
-        if np.max(np.linalg.norm(shifted - path, axis=1)) < COVER_TOL * scale:
-            return mult
-    return 1
+def _primitive_loop(loop: np.ndarray):
+    """(m, primitive) for a closed loop of n uniform samples (n, d).
+
+    An m-fold cover carries only the Fourier modes k = j m, so m is the gcd
+    of the modes whose amplitude 2 |c_k| / n exceeds COVER_TOL times the
+    loop's extent, and its mode j m is the primitive loop's mode j.  The
+    primitive is the inverse transform of every m-th mode on the same n
+    samples.  The Nyquist mode n / 2 of an even n holds a cosine once,
+    while the inverse transform counts every mode below it twice (with its
+    conjugate); where m divides n / 2 it moves below, so it is halved
+    first.  A loop with m = 1 is returned unchanged.
+    """
+    n = loop.shape[0]
+    modes = np.fft.rfft(loop, axis=0)
+    if n % 2 == 0:
+        modes[-1] /= 2
+    amplitude = 2.0 / n * np.linalg.norm(modes[1:], axis=1)
+    live = np.flatnonzero(amplitude > COVER_TOL * np.ptp(loop, axis=0).max()) + 1
+    m = int(np.gcd.reduce(live))
+    if m == 1:
+        return 1, loop
+    return m, np.fft.irfft(modes[::m], n, axis=0)
 
 
 def curves_from_shots(surface, shots) -> list:
@@ -520,33 +527,26 @@ def curves_from_shots(surface, shots) -> list:
     ``shots`` holds rows of a ``shoot_closed_batch`` result.  The samples
     are each shot's own final flow and the closure residual is that flow's
     position plus direction mismatch.  A shot that closes as an m-fold
-    cover is flowed again over period / m, so the curve holds one primitive
-    loop with ``cover_multiplicity`` m.
+    cover keeps the primitive loop of its flow (``_primitive_loop``), on the
+    same number of samples, with length period / m and ``cover_multiplicity``
+    m.
     """
     P0, V0, paths = shots["p0"], shots["v0"], shots["path"]
-    periods = shots["period"].copy()
     n_samples = paths.shape[1] - 1
     residuals = np.linalg.norm(paths[:, -1] - P0, axis=1) + np.linalg.norm(
         shots["v1"] - V0, axis=1
     )
-    mults = np.array([_detect_cover(path[:-1]) for path in paths])
-    covers = np.where(mults > 1)[0]
-    if covers.size:
-        periods[covers] = periods[covers] / mults[covers]
-        paths = paths.copy()
-        _, _, paths[covers] = flow_levelset(
-            surface, P0[covers], V0[covers], periods[covers], n_samples, store_path=True
-        )
+    loops = [_primitive_loop(path[:-1]) for path in paths]
     return [
         GeodesicCurve(
-            samples=paths[i][:-1],
-            speeds=np.full(n_samples, periods[i] / (2 * np.pi)),
-            length=float(periods[i]),
-            closure_residual=float(residuals[i]),
+            samples=loop,
+            speeds=np.full(n_samples, period / m / (2 * np.pi)),
+            length=float(period / m),
+            closure_residual=float(residual),
             surface=surface,
-            cover_multiplicity=int(mults[i]),
+            cover_multiplicity=m,
         )
-        for i in range(P0.shape[0])
+        for (m, loop), period, residual in zip(loops, shots["period"], residuals)
     ]
 
 
@@ -652,21 +652,18 @@ def require_geodesic(curve, surface=None, tol: float = GEODESIC_KAPPA_TOL):
 # ---------------------------------------------------------------------------
 
 
-def curve_from_samples(
-    surface, samples, closed=True, primitive=True, cover_multiplicity=1
-) -> GeodesicCurve:
+def curve_from_samples(surface, samples, closed=True, cover_multiplicity=1) -> GeodesicCurve:
     samples = np.asarray(samples, dtype=float)
     sp, dtheta = curve_speeds(samples, surface, closed)
     length = _length_from_speeds(sp, dtheta, closed)
     # a sampled loop is closed by construction; open curves have no closure
-    res = 0.0 if closed else np.inf
+    res = 0.0 if closed else None
     return GeodesicCurve(
         samples=samples,
         speeds=sp,
         length=length,
         closure_residual=res,
         surface=surface,
-        primitive=primitive,
         cover_multiplicity=cover_multiplicity,
         closed=closed,
     )
@@ -746,13 +743,9 @@ def mk_seed_directions(surface: SurfaceModel, n_seeds: int, seed: int):
     c = SEED_BAND * zmax * (2.0 * u[:, 0] - 1.0)
     phi = 2 * np.pi * u[:, 1]
     alpha = np.pi * (u[:, 2] - 0.5)
-    rho = np.sqrt(np.maximum(1.0 - (c * c) ** p["mu"] / p["k"], 1e-9))
-    pts = np.stack([rho * np.cos(phi), rho * np.sin(phi), c], axis=1)
-    pts = surface.project(pts)
-    n = surface.unit_normal(pts)
+    rho = np.sqrt(np.maximum(level_circle_radius2(surface, c), 1e-9))
+    pts = surface.project(np.stack([rho * np.cos(phi), rho * np.sin(phi), c], axis=1))
     east = np.stack([-np.sin(phi), np.cos(phi), np.zeros(n_seeds)], axis=1)
-    east -= np.sum(east * n, axis=1, keepdims=True) * n
-    east /= np.linalg.norm(east, axis=1, keepdims=True)
-    north = np.cross(n, east)
+    east, north, _ = _frames_at(surface, pts, east)
     dirs = np.cos(alpha)[:, None] * east + np.sin(alpha)[:, None] * north
     return pts, dirs

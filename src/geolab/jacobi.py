@@ -136,8 +136,9 @@ def jacobi_spectrum(
     points.  Eigenvalues are the union of the m one-period Bloch blocks
     (module docstring); index counts eigenvalues below -zero_tolerance and
     nullity those within it, with zero_tolerance = max(1e-8, 10 h^2 max|K|).
-    Raises GridTooCoarse when an eigenvalue falls too close to the
-    classification boundary to trust.
+    Raises GridTooCoarse when the tolerance reaches max|K| > 0 (no index is
+    then countable) or an eigenvalue falls too close to the classification
+    boundary to trust.
     """
     surface = surface or curve.surface
     if grid_size < 256:
@@ -155,6 +156,11 @@ def jacobi_spectrum(
     K_curve = curvature_along(curve, surface)
     s_curve = np.arange(curve.n) * (curve.length / curve.n)
     K = np.interp(s, s_curve, K_curve, period=curve.length)
+    K_max = float(np.max(np.abs(K)))
+    zero_tol = max(1e-8, 10.0 * h**2 * K_max)
+    # every eigenvalue is >= -max|K|: at this tolerance none can count as index
+    if zero_tol >= K_max > 0:
+        raise GridTooCoarse("zero tolerance reaches max|K|; refine grid_size")
 
     # blocks j and m - j share a spectrum: count 0 < j < m / 2 twice
     blocks = []
@@ -163,7 +169,6 @@ def jacobi_spectrum(
         blocks += [eig_j] if 2 * j % m == 0 else [eig_j, eig_j]
     eig = np.sort(np.concatenate(blocks))
 
-    zero_tol = max(1e-8, 10.0 * h**2 * float(np.max(np.abs(K))))
     index = int(np.sum(eig < -zero_tol))
     nullity = int(np.sum(np.abs(eig) <= zero_tol))
 

@@ -528,9 +528,7 @@ def split_vertex(
     new_curves = list(network.curves)
     old = network.curves[ci]
     new_samples = detour.replace_in_samples(old.samples)
-    new_curves[ci] = curve_from_samples(
-        new_surface, new_samples, closed=old.closed, primitive=old.primitive
-    )
+    new_curves[ci] = curve_from_samples(new_surface, new_samples, closed=old.closed)
     radius = clustering_radius or min(network.clustering_radius, 0.1 * t)
     # detection runs on copies refined near the ball and near every prior
     # vertex (all intersection events live there); the stored curves keep
@@ -590,7 +588,6 @@ def _locally_refined(
         length=curve.length,
         closure_residual=curve.closure_residual,
         surface=surface,
-        primitive=curve.primitive,
         cover_multiplicity=curve.cover_multiplicity,
         closed=curve.closed,
         extra={"detection_only": True},

@@ -179,10 +179,10 @@ def mk_multiplicity_experiment(
     pts, dirs = np.tile(pts, (2, 1)), np.tile(dirs, (2, 1))
     guesses = np.repeat([2.0 * np.pi, min(cap, 4.0 * np.pi) * 0.999], n_seeds)
     out = shoot_closed_batch(surface, pts, dirs, guesses, n_steps=N_SAMPLES)
-    shots = out["shots"]
-    keep = shots["period"] <= cap + 1e-6
+    keep = out["shots"]["period"] <= cap + 1e-6
     rows = np.flatnonzero(out["ok"])[keep]
-    curves = curves_from_shots(surface, {key: v[keep] for key, v in shots.items()})
+    # popped, so the unfiltered shot paths (0.1 MB each) are freed before the spectra
+    curves = curves_from_shots(surface, {key: v[keep] for key, v in out.pop("shots").items()})
     found = [(int(row % n_seeds), cur) for row, cur in zip(rows, curves)]
 
     # deduplicate by Hausdorff distance between primitive images, one KD-tree per curve

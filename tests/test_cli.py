@@ -53,6 +53,10 @@ def read_curve_lengths(out_dir):
         ["index", "--cover", str(MAX_GRID // GRID_PER_PERIOD + 1)],
         ["mk-experiment", "--n-seeds", str(MAX_N_SEEDS + 1)],
         ["network", "--builtin", "concurrent-lines", "--order", str(MAX_ORDER + 1)],
+        # 4 points per period: the zero tolerance swallows the whole spectrum
+        ["index", "--k", "5", "--cover", "64", "--grid", "256"],
+        # a non-finite surface parameter cannot be written as strict JSON
+        ["index", "--k", "inf"],
     ],
 )
 def test_invalid_input_exit_1_with_error_json(tmp_path, argv):
@@ -124,6 +128,21 @@ def test_index_needs_surface_of_revolution(tmp_path, argv, config):
     assert not (out / "report.json").exists()
 
 
+def _strict_json(path):
+    """Parsed JSON; a NaN or infinity raises ValueError."""
+    def reject(name):
+        raise ValueError(f"{path}: non-finite {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_open_curves_write_null_closure_residual(tmp_path):
+    out = tmp_path / "o"
+    argv = ["network", "--builtin", "concurrent-lines", "--order", "4", "--out", str(out)]
+    assert run(argv) == 0
+    curves = _strict_json(out / "report.json")["result"]["curves"]
+    assert [c["closure_residual"] for c in curves] == [None] * 4
+
+
 class TestCli:
     def test_invalid_config_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -142,6 +161,12 @@ class TestCli:
             ),
             ("find-geodesics", {"n_seeds": "abc"}),
             ("sweepout-bound", {"surface": {"type": "mk", "k": "nan"}}),
+            # non-finite floats, written as JSON's NaN and Infinity
+            ("mk-experiment", {"cap": np.inf}),
+            ("network", {"K0": np.nan, "p": 3}),
+            ("mk-experiment", {"cap": np.nan}),
+            ("extend-field", {"delta": np.nan}),
+            ("network", {"omega1": -np.inf, "p": 3}),
         ],
     )
     def test_bad_config_value_exit_1(self, tmp_path, command, config):
@@ -151,6 +176,8 @@ class TestCli:
         assert rc == 1
         err = json.loads((tmp_path / "o" / "error.json").read_text())
         assert err["error"] == "ConfigInvalid"
+        assert next(iter(config)) in err["message"]  # names the key
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_unreadable_config_exit_1(self, tmp_path):
         rc = run(
@@ -336,3 +363,5 @@ def test_cli_contract_on_fuzzed_config(key, value, command):
         rc = run(command + ["--config", str(cfg), "--out", str(out)])
         assert rc in (0, 1, 2)
         assert (out / "error.json").exists() == (rc == 1)
+        if rc != 1:
+            _strict_json(out / "report.json")

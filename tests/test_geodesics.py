@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.spatial import cKDTree
 from scipy.special import ellipe
@@ -7,6 +10,7 @@ from scipy.special import ellipe
 from geolab.errors import LeftChartDomain, NoConvergence
 from geolab.geodesics import (
     SAMPLES_PER_STEP,
+    _primitive_loop,
     close_geodesic,
     curve_from_samples,
     curves_from_shots,
@@ -280,15 +284,19 @@ class TestCloseGeodesic:
         )
         assert abs(cur.length - 2 * np.pi) < 1e-8
 
-    def test_cover_detection(self):
-        # k = 5: the doubled equator is non-degenerate (2m/sqrt(k) not an
-        # integer), so the shot lands cleanly on the 2-fold cover
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    def test_cover_detection(self, m):
+        # k = 5: no cover of the equator is degenerate (2m/sqrt(k) is never
+        # an integer), so the shot lands cleanly on the m-fold cover; m = 3,
+        # 5, 6 and 7 do not divide the 4096 samples
         mk5 = make_mk(5.0, 1.0)
         cur = close_geodesic(
-            mk5, (np.array([1.0, 0.03, 0.01]), np.array([-0.03, 1.0, 0.005]), 4 * np.pi)
+            mk5, (np.array([1.0, 0.03, 0.01]), np.array([-0.03, 1.0, 0.005]), 2 * np.pi * m)
         )
-        assert cur.cover_multiplicity == 2
+        assert cur.cover_multiplicity == m
         assert abs(cur.length - 2 * np.pi) < 1e-8  # primitive representative
+        assert require_geodesic(cur) < 1e-10
+        assert np.max(np.abs(mk5.level(cur.samples))) < 1e-13
 
     def test_no_convergence(self, mk4):
         with pytest.raises(NoConvergence):
@@ -297,6 +305,49 @@ class TestCloseGeodesic:
                 (np.array([0.4, 0.5, 1.5]), np.array([0.1, -0.5, 0.6]), 7.0),
                 max_iter=1,
             )
+
+
+def _fourier_loop(coeffs, theta):
+    """Real loop sum_j Re(coeffs[j] e^{i j theta}), coeffs of shape (B, 3)."""
+    waves = np.exp(1j * np.outer(theta, np.arange(coeffs.shape[0])))
+    return (waves @ coeffs).real
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 7),
+    n=st.integers(90, 700),
+    live=st.sets(st.integers(1, 6), min_size=1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_primitive_loop_recovers_band_limited_covers(m, n, live, seed):
+    # an m-fold cover of a loop whose modes ``live`` (gcd 1, so the loop is
+    # primitive, though mode 1 may be absent) lie below n / (2m), sampled at
+    # n points that m does not divide: the shift by n / m falls between samples
+    assume(math.gcd(*live) == 1 and (m == 1 or n % m))
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((7, 3), dtype=complex)
+    for j in [0, *live]:
+        c = rng.normal(size=3) + 1j * rng.normal(size=3)
+        coeffs[j] = c / np.linalg.norm(c)
+    theta = 2 * np.pi * np.arange(n) / n
+    mult, primitive = _primitive_loop(_fourier_loop(coeffs, m * theta))
+    assert mult == m
+    assert np.max(np.abs(primitive - _fourier_loop(coeffs, theta))) <= 1e-12
+
+
+@pytest.mark.parametrize("m, n", [(2, 64), (3, 48), (5, 90)])
+def test_primitive_loop_keeps_a_cosine_on_the_nyquist_mode(m, n):
+    # m divides n / 2: the cover's Nyquist mode n / 2 is the primitive's
+    # mode n / (2m), below the primitive's Nyquist slot
+    theta = 2 * np.pi * np.arange(n) / n
+    J = n // (2 * m)
+    coeffs = np.zeros((J + 1, 3), dtype=complex)
+    coeffs[1, :2] = [1.0, -1j]
+    coeffs[J, 2] = 0.3
+    mult, primitive = _primitive_loop(_fourier_loop(coeffs, m * theta))
+    assert mult == m
+    assert np.max(np.abs(primitive - _fourier_loop(coeffs, theta))) <= 1e-14
 
 
 class TestLengthAndCurvature:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.linalg import eigvals_banded
 
 from geolab.errors import GridTooCoarse, NotAGeodesic
 from geolab.geodesics import (
@@ -12,6 +13,7 @@ from geolab.geodesics import (
     shoot_closed_batch,
 )
 from geolab.jacobi import (
+    _bloch_band,
     curvature_along,
     degeneracy_criterion_mk,
     jacobi_spectrum,
@@ -244,12 +246,21 @@ class TestSpectrum:
     @pytest.mark.parametrize("grid, m", [(256, 64), (256, 128), (256, 256), (300, 100)])
     def test_periods_shorter_than_stencil(self, grid, m):
         # 4, 2, 1 and 3 points per period: wrapped stencil entries fold onto
-        # one block entry, and onto the diagonal for a single point
+        # one block entry, and onto the diagonal for a single point; the
+        # blocks are solved here, as jacobi_spectrum refuses grids this coarse
         eq = sample_level_circle(make_mk(5.0, 1.0), 0.0)
-        rep = jacobi_spectrum(eq, cover_multiplicity=m, grid_size=grid)
-        eig, index, nullity = dense_cover_spectrum(eq, m, grid)
-        assert np.max(np.abs(rep.eigenvalues - eig)) <= 1e-12
-        assert (rep.index, rep.nullity) == (index, nullity)
+        h = eq.length * m / grid
+        s_curve = np.arange(eq.n) * (eq.length / eq.n)
+        K = np.interp(np.arange(grid // m) * h, s_curve, curvature_along(eq), period=eq.length)
+        blocks = []
+        for j in range(m // 2 + 1):
+            eig_j = eigvals_banded(_bloch_band(K, h, j, m), lower=True)
+            blocks += [eig_j] if 2 * j % m == 0 else [eig_j, eig_j]
+        eig = dense_cover_spectrum(eq, m, grid)[0]
+        assert np.max(np.abs(np.sort(np.concatenate(blocks)) - eig)) <= 1e-12
+        # the zero tolerance 10 h^2 max|K| reaches max|K|: no index is countable
+        with pytest.raises(GridTooCoarse, match="reaches max"):
+            jacobi_spectrum(eq, cover_multiplicity=m, grid_size=grid)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("k", [4.0, 5.0, 9.0, 16.0])

@@ -13,6 +13,8 @@ one side only, and it exits 1 on any difference.  For a JSON file that
 differs it also prints the largest absolute difference over the numeric
 leaves found at the same path on both sides, and lists the paths whose
 values differ otherwise (not both numbers) or exist on one side only.
+JSON files that a strict parser rejects (NaN or Infinity) are listed per
+side and count as a difference too.
 """
 
 from __future__ import annotations
@@ -94,6 +96,22 @@ def differing_files(a: Path, b: Path):
     return [str(f) for f in diff]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite {name}")
+
+
+def non_strict_json(root: Path):
+    """Relative paths of the JSON files under ``root`` that a strict parser
+    rejects."""
+    bad = []
+    for path in sorted(root.rglob("*.json")):
+        try:
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+        except ValueError:
+            bad.append(str(path.relative_to(root)))
+    return bad
+
+
 def json_leaves(node, path=""):
     """{path: value} of the scalar leaves of a parsed JSON document."""
     if isinstance(node, dict):
@@ -156,6 +174,8 @@ def main(argv=None) -> int:
             files = [describe(*outs, f) for f in differing_files(*outs)]
             if codes[0] != codes[1]:
                 files.insert(0, f"exit code {codes[0]} -> {codes[1]}")
+            for side, o in zip(("parent", "change"), outs):
+                files += [f"not strict JSON in {side}: {f}" for f in non_strict_json(o)]
             differ |= bool(files)
             print(f"{name}: {'identical' if not files else ', '.join(files)}"
                   f" (exit {codes[1]})", flush=True)
