@@ -76,7 +76,7 @@ GRID_PER_PERIOD = 512  # default index grid points per cover period
 MAX_GRID = 8192  # one banded Bloch block: about 3 s, 85 MB peak; bounds 512 * cover too
 MAX_N_SEEDS = 5000  # one shooting batch of all seeds
 MAX_ORDER = 64  # network --order 64 peaks at 615 MB
-MAX_SPLIT_ORDER = 4  # split-vertex at order 5 outgrows 8 GB
+MAX_SPLIT_ORDER = 4  # order 5's third nested ball holds no sample: NotReducible
 
 _INT_KEYS = ("seed", "grid", "p", "n_seeds", "cover", "order")
 _FLOAT_KEYS = ("cap", "delta", "flow_step", "K0", "omega1")

@@ -46,7 +46,9 @@ class VertexNotOnStrand(GeolabError):
 
 
 class NotReducible(GeolabError):
-    """Vertex order is below 3; nothing to split."""
+    """Nothing to split: the vertex order is below 3, or the detoured curve
+    has no sample in the detour window, so its samples cannot carry the
+    detour."""
 
 
 class D0TooLarge(GeolabError):

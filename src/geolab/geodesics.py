@@ -652,7 +652,7 @@ def require_geodesic(curve, surface=None, tol: float = GEODESIC_KAPPA_TOL):
 # ---------------------------------------------------------------------------
 
 
-def curve_from_samples(surface, samples, closed=True, cover_multiplicity=1) -> GeodesicCurve:
+def curve_from_samples(surface, samples, closed=True) -> GeodesicCurve:
     samples = np.asarray(samples, dtype=float)
     sp, dtheta = curve_speeds(samples, surface, closed)
     length = _length_from_speeds(sp, dtheta, closed)
@@ -664,7 +664,6 @@ def curve_from_samples(surface, samples, closed=True, cover_multiplicity=1) -> G
         length=length,
         closure_residual=res,
         surface=surface,
-        cover_multiplicity=cover_multiplicity,
         closed=closed,
     )
 

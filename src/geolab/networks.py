@@ -4,11 +4,12 @@ A network is a finite set of primitive closed curves with distinct images.
 Vertices are points where the union has at least two local strands; the
 order of a vertex counts its strands (parameter preimages).  Detection
 works on the sample level: segment pairs within a quarter of the clustering
-radius are found with a KD-tree (the hits), and a vertex is one connected
-component of the graph whose nodes are the segments and whose edges are the
-hits.  The passes through each component are grouped into strands by
-arclength proximity, and two vertices closer than twice the clustering
-radius raise AmbiguousCluster.
+radius are found with a KD-tree (the hits), hit segments of a fifth of the
+radius or longer are cut into shorter pieces and searched again, and a
+vertex is one connected component of the graph whose nodes are the segments
+and whose edges are the hits.  The passes through each component are
+grouped into strands by arclength proximity, and two vertices closer than
+twice the clustering radius raise AmbiguousCluster.
 
 Tolerances are explicit: the clustering radius is recorded in every vertex
 record, and tangential near-crossings are reported as order-2 vertices with
@@ -97,8 +98,8 @@ def _effective_radius(surface, curves, clustering_radius):
     spacing = max(
         c.length / c.n if c.closed else c.length / (c.n - 1) for c in curves
     )
-    # default 1e-4 * diameter, bumped so the sampling precondition
-    # (spacing < radius/4) holds for the curves we were handed
+    # default 1e-4 * diameter, bumped to five sample spacings so the
+    # radius is one the sampling resolves
     return max(1e-4 * diam, 5.0 * spacing)
 
 
@@ -111,8 +112,8 @@ def _segment_arrays(curves):
     """Segments of all curves (starts, ends, curve index, chord arclength at
     the start) plus per-curve cumulative chord arclength.
 
-    Sampling may be non-uniform (e.g. locally refined near a vertex); all
-    downstream geometry uses true chord arclength, not sample indices.
+    Sampling may be non-uniform (e.g. along a detour); all downstream
+    geometry uses true chord arclength, not sample indices.
     """
     starts, ends, curve_ids, cumlens = [], [], [], []
     for ci, cur in enumerate(curves):
@@ -153,6 +154,31 @@ def _segseg_distance(P1, Q1, P2, Q2):
     return dist, s, t, c1, c2
 
 
+def _hits(A, B, seg_len, cids, arc, totals, closed, tol):
+    """Segment pairs within ``tol`` of each other, as (i, j, s, t, points):
+    the two segments, the closest points' segment parameters and their
+    midpoints.  Same-curve pairs count only when they are far apart along
+    the curve."""
+    mids = 0.5 * (A + B)
+    # two segments can only intersect if their midpoints are this close
+    search = float(seg_len.max() + tol)
+    pairs = cKDTree(mids).query_pairs(search, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    # same-curve passes count as distinct strands only when their arc
+    # separation clearly exceeds the acceptance scale; nearby segments of
+    # one strand otherwise sit within tolerance of each other and would
+    # chain-cluster along the whole curve
+    ci = cids[i]
+    arc_gap = np.abs(arc[i] - arc[j])
+    arc_gap = np.where(closed[ci], np.minimum(arc_gap, totals[ci] - arc_gap), arc_gap)
+    strand_window = np.maximum(6.0 * np.maximum(seg_len[i], seg_len[j]), 4.0 * tol)
+    keep = ~((ci == cids[j]) & (arc_gap <= strand_window))
+    i, j = i[keep], j[keep]
+    dist, s, t, c1, c2 = _segseg_distance(A[i], B[i], A[j], B[j])
+    hit = dist <= tol
+    return i[hit], j[hit], s[hit], t[hit], 0.5 * (c1[hit] + c2[hit])
+
+
 def detect_vertices(
     curves: Sequence[GeodesicCurve],
     clustering_radius: float,
@@ -162,55 +188,43 @@ def detect_vertices(
     """All pairwise and self intersections, as vertex records.
 
     A hit is a pair of segments within clustering_radius / 4 of each other
-    (same-curve pairs only when they are far apart along the curve).  A
-    vertex is a connected component of segments joined by hits, so hits
-    that share a segment belong to one vertex even where no chain of their
-    closest points lies within that tolerance.  Two crossings of one curve
-    thus merge when its stretches within the tolerance of the two other
-    strands share a segment: at crossing angles a and b, up to about
-    (1/sin a + 1/sin b) * clustering_radius / 4 apart, give or take a
-    segment length.  Curves must be densely sampled (spacing <
-    clustering_radius / 4).  Raises AmbiguousCluster when two vertices come
-    closer than twice the clustering radius.
+    (same-curve pairs only when they are far apart along the curve).  When
+    a hit segment is clustering_radius / 5 or longer, every hit segment is
+    cut into floor(length / (clustering_radius / 5)) + 1 equal pieces and
+    the hits are found again among those pieces only, so callers pass
+    curves as stored.  A vertex is a connected component of segments joined
+    by hits, so hits that share a segment belong to one vertex even where
+    no chain of their closest points lies within that tolerance.  Two
+    crossings of one curve thus merge when its stretches within the
+    tolerance of the two other strands share a segment: at crossing angles
+    a and b, up to about (1/sin a + 1/sin b) * clustering_radius / 4 apart,
+    give or take a segment length.  Raises AmbiguousCluster when two
+    vertices come closer than twice the clustering radius.
     """
     curves = list(curves)
     surface = surface or curves[0].surface
     A, B, cids, arc, cumlens = _segment_arrays(curves)
-    mids = 0.5 * (A + B)
     seg_len = np.linalg.norm(B - A, axis=1)
-    # two segments can only intersect if their midpoints are this close
-    search = float(seg_len.max() + clustering_radius / 4.0)
-    tree = cKDTree(mids)
-    pairs = tree.query_pairs(search, output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    accept_tol = clustering_radius / 4.0
-    same_curve = cids[i] == cids[j]
-    # same-curve passes count as distinct strands only when their arc
-    # separation clearly exceeds the acceptance scale; nearby segments of
-    # one strand otherwise sit within tolerance of each other and would
-    # chain-cluster along the whole curve
-    totals = np.array([c[-1] for c in cumlens])[cids]
-    closed = np.array([c.closed for c in curves])[cids]
-    arc_gap = np.abs(arc[i] - arc[j])
-    arc_gap = np.where(closed[i], np.minimum(arc_gap, totals[i] - arc_gap), arc_gap)
-    strand_window = np.maximum(
-        6.0 * np.maximum(seg_len[i], seg_len[j]), 4.0 * accept_tol
-    )
-    keep = ~(same_curve & (arc_gap <= strand_window))
-    i, j = i[keep], j[keep]
-    dist, s, t, c1, c2 = _segseg_distance(A[i], B[i], A[j], B[j])
-    hit = dist <= accept_tol
-    if not hit.any():
+    totals = np.array([c[-1] for c in cumlens])
+    closed = np.array([c.closed for c in curves])
+    tol, piece = clustering_radius / 4.0, clustering_radius / 5.0
+    i, j, s, t, points = _hits(A, B, seg_len, cids, arc, totals, closed, tol)
+    hit_segs = np.unique(np.concatenate([i, j]))
+    if hit_segs.size and seg_len[hit_segs].max() >= piece:
+        # a hit segment from a to b becomes n pieces; piece m runs from
+        # lam = m / n to (m + 1) / n, at the points a (1 - lam) + b lam
+        n = (seg_len[hit_segs] // piece).astype(int) + 1
+        seg = np.repeat(hit_segs, n)
+        m = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
+        n = np.repeat(n, n)
+        lo, hi = (m / n)[:, None], ((m + 1) / n)[:, None]
+        a, b = A[seg], B[seg]
+        A, B = a * (1 - lo) + b * lo, a * (1 - hi) + b * hi
+        arc, cids = arc[seg] + lo[:, 0] * seg_len[seg], cids[seg]
+        seg_len = np.linalg.norm(B - A, axis=1)
+        i, j, s, t, points = _hits(A, B, seg_len, cids, arc, totals, closed, tol)
+    if not i.size:
         return []
-    i, j, s, t = i[hit], j[hit], s[hit], t[hit]
-    points = 0.5 * (c1[hit] + c2[hit])
-    # density requirement where intersections actually happen
-    worst = max(float(seg_len[i].max()), float(seg_len[j].max()))
-    if worst >= clustering_radius / 4.0:
-        raise ValueError(
-            f"segment length {worst:.2e} too coarse near an intersection for "
-            f"clustering radius {clustering_radius:.2e} (need < radius/4)"
-        )
 
     # one graph: segments are nodes and hits are edges, so each component
     # holding hits is one crossing (a tangential near-miss chains along its

@@ -192,12 +192,21 @@ class DetourCurve:
         return s, t
 
     def replace_in_samples(self, samples: np.ndarray) -> np.ndarray:
-        """Map the strand's samples onto the detour inside the window."""
+        """Map the strand's samples onto the detour inside the window.
+
+        Raises NotReducible when no sample lies in the window [s_P, s_Q),
+        so that the samples cannot carry the detour.
+        """
         rel = samples - self.vertex_position
         s = rel @ self.e_hat
         out = samples.copy()
         sP, _, _, sQ = self.s_window
         m = (s >= sP) & (s < sQ)
+        if not m.any():
+            raise NotReducible(
+                f"no sample of curve {self.curve_index} lies in the detour "
+                f"window of ball radius {self.ball_radius:.3g}"
+            )
         out[m] = self.position(s[m])
         return out
 
@@ -494,16 +503,15 @@ def split_vertex(
     network: GeodesicNetwork,
     vertex: VertexRecord,
     offset_t: Optional[float] = None,
-    d0: Optional[float] = None,
     ball_radius: Optional[float] = None,
-    clustering_radius: Optional[float] = None,
 ):
     """One splitting step: detour the lowest-index strand of the vertex.
 
     Returns (new_surface, new_network, step_record).  The new network has
     the vertex at order d-1 plus d-1 transverse order-2 vertices along the
     detour; the metric is unchanged outside the working ball.  Raises
-    NotReducible for order < 3.
+    NotReducible for order < 3 and when the detoured curve has no sample in
+    the detour window, which would leave the curve as it was.
     """
     if vertex.order < 3:
         raise NotReducible("vertex already has order 2")
@@ -512,11 +520,13 @@ def split_vertex(
     detour = build_detour(surface, network, vertex, 0, t, ball_radius=R)
 
     ci = detour.curve_index
+    old = network.curves[ci]
+    new_samples = detour.replace_in_samples(old.samples)
     others = np.vstack(
         [c.samples for j, c in enumerate(network.curves) if j != ci]
     )
     near = np.linalg.norm(others - detour.vertex_position, axis=1) < 2.0 * R
-    field = conformal_factor_for(detour, surface, d0, others[near])
+    field = conformal_factor_for(detour, surface, other_strand_points=others[near])
 
     sP, _, _, sQ = detour.s_window
     kappa_before = float(np.max(np.abs(detour.kappa(np.linspace(sP, sQ, 801)))))
@@ -526,20 +536,9 @@ def split_vertex(
     )
 
     new_curves = list(network.curves)
-    old = network.curves[ci]
-    new_samples = detour.replace_in_samples(old.samples)
     new_curves[ci] = curve_from_samples(new_surface, new_samples, closed=old.closed)
-    radius = clustering_radius or min(network.clustering_radius, 0.1 * t)
-    # detection runs on copies refined near the ball and near every prior
-    # vertex (all intersection events live there); the stored curves keep
-    # their uniform sampling for the differential machinery
-    windows = [(detour.vertex_position, 3.0 * R)] + [
-        (v.position, 25.0 * radius) for v in network.vertices
-    ]
-    det_curves = [
-        _locally_refined(c, windows, radius / 5.0, new_surface) for c in new_curves
-    ]
-    verts = detect_vertices(det_curves, radius, surface=new_surface)
+    radius = min(network.clustering_radius, 0.1 * t)
+    verts = detect_vertices(new_curves, radius, surface=new_surface)
     new_network = GeodesicNetwork(new_curves, verts, new_surface, radius)
     probe = detour.position(np.linspace(-0.9 * R, 0.9 * R, 33))
     step = {
@@ -555,43 +554,6 @@ def split_vertex(
         "vertex_orders_after": sorted(v.order for v in verts),
     }
     return new_surface, new_network, step
-
-
-def _locally_refined(
-    curve: GeodesicCurve, windows, spacing: float, surface
-) -> GeodesicCurve:
-    """Detection-only copy with extra samples inside the given balls.
-
-    ``windows`` is a list of (center, radius) pairs.  The result is
-    non-uniformly sampled and carries no speed data; vertex detection works
-    on chord arclength so this is all it needs.
-    """
-    pts = curve.samples
-    n = pts.shape[0]
-    near = np.zeros(n, dtype=bool)
-    for center, window in windows:
-        center = np.asarray(center, dtype=float)
-        near |= np.linalg.norm(pts - center, axis=1) < window
-    # segment k runs from a[k] to b[k]; those touching a window get
-    # int(length // spacing) evenly spaced inner samples
-    k = np.arange(n if curve.closed else n - 1)
-    a, b = pts[k], pts[(k + 1) % n]
-    extra = (np.linalg.norm(b - a, axis=1) // spacing).astype(int)
-    extra[~(near[k] | near[(k + 1) % n])] = 0
-    seg = np.repeat(k, extra)  # the segment of each inserted sample
-    r = np.arange(1, seg.size + 1) - np.repeat(np.cumsum(extra) - extra, extra)
-    lam = (r / (extra[seg] + 1))[:, None]
-    refined = np.insert(pts, seg + 1, a[seg] * (1 - lam) + b[seg] * lam, axis=0)
-    return GeodesicCurve(
-        samples=refined,
-        speeds=np.empty(0),
-        length=curve.length,
-        closure_residual=curve.closure_residual,
-        surface=surface,
-        cover_multiplicity=curve.cover_multiplicity,
-        closed=curve.closed,
-        extra={"detection_only": True},
-    )
 
 
 def reduce_vertex_fully(

@@ -249,10 +249,10 @@ def make_mk(k: float, mu: float = 1.0) -> SurfaceModel:
     family converges to the unit cylinder.  The equator {x3 = 0} is a simple
     closed geodesic of length 2 pi for every k.
     """
-    if not k > 0:  # also rejects NaN
-        raise ValueError("k must be positive")
-    if not mu >= 1:
-        raise ValueError("mu must be >= 1")
+    if not 0 < k < np.inf:  # also rejects NaN
+        raise ValueError(f"k must be finite and positive, got {k!r}")
+    if not 1 <= mu < np.inf:
+        raise ValueError(f"mu must be finite and >= 1, got {mu!r}")
     return SurfaceModel(
         kind="levelset",
         name="mk",
@@ -264,8 +264,8 @@ def make_mk(k: float, mu: float = 1.0) -> SurfaceModel:
 
 def make_ellipsoid(a1: float, a2: float, a3: float) -> SurfaceModel:
     """Ellipsoid a1 x1^2 + a2 x2^2 + a3 x3^2 = 1 (coefficient convention)."""
-    if not all(a > 0 for a in (a1, a2, a3)):  # also rejects NaN
-        raise ValueError("coefficients must be positive")
+    if not all(0 < a < np.inf for a in (a1, a2, a3)):  # also rejects NaN
+        raise ValueError(f"coefficients a must be finite and positive, got {(a1, a2, a3)!r}")
     return SurfaceModel(
         kind="levelset",
         name="ellipsoid",

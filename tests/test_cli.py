@@ -55,8 +55,12 @@ def read_curve_lengths(out_dir):
         ["network", "--builtin", "concurrent-lines", "--order", str(MAX_ORDER + 1)],
         # 4 points per period: the zero tolerance swallows the whole spectrum
         ["index", "--k", "5", "--cover", "64", "--grid", "256"],
-        # a non-finite surface parameter cannot be written as strict JSON
+        # non-finite surface parameters: rejected before any handler runs
         ["index", "--k", "inf"],
+        ["index", "--mu", "inf"],
+        ["sweepout-bound", "--k", "inf"],
+        ["mk-experiment", "--k", "inf", "--n-seeds", "2"],
+        ["ellipsoid-experiment", "--a", "0.96,inf,1.04"],
     ],
 )
 def test_invalid_input_exit_1_with_error_json(tmp_path, argv):
@@ -64,12 +68,12 @@ def test_invalid_input_exit_1_with_error_json(tmp_path, argv):
     assert run(argv + ["--out", str(out)]) == 1
     err = json.loads((out / "error.json").read_text())
     assert err["error"] and err["message"]
-    assert not (out / "report.json").exists()
+    assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
 def test_size_caps_in_load_config():
-    # split-vertex has its own order cap; running order 5 would outgrow
-    # the memory, so the cap is checked without running
+    # split-vertex has its own order cap (order 5 cannot be reduced); the
+    # caps are checked without running
     def cfg(argv):
         return load_config(build_parser().parse_args(argv))
 
@@ -363,5 +367,7 @@ def test_cli_contract_on_fuzzed_config(key, value, command):
         rc = run(command + ["--config", str(cfg), "--out", str(out)])
         assert rc in (0, 1, 2)
         assert (out / "error.json").exists() == (rc == 1)
-        if rc != 1:
+        if rc == 1:
+            assert [p.name for p in out.iterdir()] == ["error.json"]
+        else:
             _strict_json(out / "report.json")

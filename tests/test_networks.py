@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from geolab.errors import AmbiguousCluster
@@ -211,6 +211,50 @@ class TestDetectInvariance:
         assert [v.order for v in base] == [3]
         other = relabel_and_reverse(chart, curves, perm, flips)
         assert_same_vertices(base, detect_vertices(other, 0.01, surface=chart))
+
+
+def cut_below(samples, piece):
+    """Oracle refinement of an open polyline: each segment cut by linear
+    interpolation into the fewest equal pieces shorter than ``piece``."""
+    out = [samples[:1]]
+    for a, b in zip(samples[:-1], samples[1:]):
+        n = int(np.floor(np.linalg.norm(b - a) / piece)) + 1
+        out.append(a + (b - a) * (np.arange(1, n + 1)[:, None] / n))
+    return np.vstack(out)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    center=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    first=st.floats(0.0, np.pi),
+    gaps=st.lists(st.floats(0.3, 1.2), min_size=1, max_size=2),
+    spacing=st.floats(0.1, 2.0),
+    phases=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+)
+@example(center=(0.1, -0.2), first=0.3, gaps=[1.0, 0.9], spacing=0.25, phases=[0.5] * 3)
+@example(center=(0.0, 0.0), first=0.0, gaps=[0.3], spacing=2.0, phases=[0.0, 0.7, 0.0])
+def test_detect_vertices_cuts_coarse_hit_segments(center, first, gaps, spacing, phases):
+    # two or three straight lines through one point at transverse angles
+    # (pairwise at least 0.3 rad apart), sampled at spacing x radius; hit
+    # segments of radius / 5 or more are cut, so every spacing finds the
+    # crossing, as detection on copies refined below radius / 5 does
+    r = 0.01
+    chart = make_flat_chart(2.6, 2.6)
+    angles = first + np.concatenate([[0.0], np.cumsum(gaps)])
+    curves = []
+    for ang, phase in zip(angles, phases):
+        t = np.arange(-0.3, 0.3, spacing * r) + phase * spacing * r
+        pts = np.asarray(center) + np.outer(t, [np.cos(ang), np.sin(ang)])
+        curves.append(curve_from_samples(chart, pts, closed=False))
+    verts = detect_vertices(curves, r, surface=chart)
+    assert [v.order for v in verts] == [len(angles)]
+    assert np.linalg.norm(verts[0].position - center) <= r / 4
+    refined = [
+        curve_from_samples(chart, cut_below(c.samples, r / 5), closed=False) for c in curves
+    ]
+    expected = detect_vertices(refined, r, surface=chart)
+    assert [v.order for v in expected] == [len(angles)]
+    assert np.max(np.abs(verts[0].position - expected[0].position)) <= 1e-12
 
 
 class TestCounts:

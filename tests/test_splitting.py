@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from geolab.errors import (
     ChartUnavailable,
@@ -10,7 +8,8 @@ from geolab.errors import (
     OffsetTooLarge,
     VertexNotOnStrand,
 )
-from geolab.geodesics import GeodesicCurve, chart_curvature, curve_from_samples
+from geolab.geodesics import chart_curvature, curve_from_samples
+from geolab import splitting
 from geolab.networks import GeodesicNetwork, weighted_vertex_count
 from geolab.splitting import (
     build_detour,
@@ -19,7 +18,6 @@ from geolab.splitting import (
     reduce_vertex_fully,
     split_vertex,
     strand_curvature_in,
-    _locally_refined,
     _probe_grid,
 )
 from geolab.surfaces import SurfaceModel, make_flat_chart, sphere_exp_chart
@@ -188,6 +186,28 @@ class TestSplit:
         with pytest.raises(NotReducible):
             split_vertex(chart, net2, net2.vertices[0])
 
+    def test_ball_without_samples_not_reducible(self, chart, three_lines):
+        # the nearest samples of the detoured line lie 1.7e-4 from the
+        # vertex, outside the detour window [-0.8e-4, 0.8e-4)
+        with pytest.raises(NotReducible, match="no sample"):
+            split_vertex(chart, three_lines, three_lines.vertices[0], ball_radius=1e-4)
+
+    def test_full_reduction_order5_stops(self, chart, monkeypatch):
+        # the third nested ball (R about 1.3e-4) holds no sample of the
+        # detoured line, so the reduction stops instead of repeating it
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["ball_radius"])
+            assert len(calls) <= 3, "the reduction repeats a split"
+            return split_vertex(*args, **kwargs)
+
+        monkeypatch.setattr(splitting, "split_vertex", counted)
+        net = concurrent_lines(chart, np.pi * np.arange(5) / 5)
+        with pytest.raises(NotReducible, match="no sample"):
+            reduce_vertex_fully(chart, net, net.vertices[0])
+        assert len(calls) == 3 and calls[2] < 2e-4
+
     def test_full_reduction_order3(self, chart, three_lines):
         surf, net2, transcript = reduce_vertex_fully(chart, three_lines, three_lines.vertices[0])
         orders = sorted(v.order for v in net2.vertices)
@@ -242,49 +262,3 @@ class TestSplit:
             sups.append(field.sup_norm())
         assert all(a > b for a, b in zip(sups, sups[1:]))
         assert sups[-1] < 0.2 * sups[0]
-
-
-_coords = st.floats(-1.0, 1.0, allow_subnormal=False)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    pts=arrays(float, st.tuples(st.integers(2, 10), st.just(2)), elements=_coords),
-    closed=st.booleans(),
-    windows=st.lists(
-        st.tuples(arrays(float, 2, elements=_coords), st.floats(0.05, 1.5)), max_size=3
-    ),
-    spacing=st.floats(0.02, 0.5),
-)
-def test_locally_refined_subdivides_window_segments(pts, closed, windows, spacing):
-    chart = make_flat_chart(2.6, 2.6)
-    curve = GeodesicCurve(pts, np.empty(0), 1.0, 0.0, chart, closed=closed)
-    out = _locally_refined(curve, windows, spacing, chart).samples
-    n = pts.shape[0]
-    # the original samples appear in order; the open end stays last
-    assert np.array_equal(out[0], pts[0])
-    at = [0]
-    for k in range(1, n):
-        later = [q for q in range(at[-1] + 1, out.shape[0]) if np.array_equal(out[q], pts[k])]
-        assert later
-        at.append(later[0])
-    if not closed:
-        assert at[-1] == out.shape[0] - 1
-    at.append(out.shape[0])  # the closing segment's samples run to the end
-    near = np.zeros(n, dtype=bool)
-    for center, radius in windows:
-        near |= np.linalg.norm(pts - center, axis=1) < radius
-    for k in range(n if closed else n - 1):
-        a, b = pts[k], pts[(k + 1) % n]
-        inner = out[at[k] + 1 : at[k + 1]]
-        if not (near[k] or near[(k + 1) % n]):
-            assert inner.shape[0] == 0
-            continue
-        # inserted samples lie on the segment, in order from a to b
-        d = b - a
-        lam = (inner - a) @ d / max(d @ d, 1e-300)
-        off = (inner - a) @ np.array([-d[1], d[0]])
-        assert np.all(np.abs(off) <= 1e-12)
-        assert np.all((lam > 0.0) & (lam < 1.0)) and np.all(np.diff(lam) > 0.0)
-        pieces = np.linalg.norm(np.diff(np.vstack([a, inner, b]), axis=0), axis=1)
-        assert np.all(pieces < spacing * (1.0 + 1e-12))

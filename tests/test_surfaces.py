@@ -309,3 +309,13 @@ class TestConfig:
             surface_from_config({"type": "nope"})
         with pytest.raises(ConfigInvalid):
             surface_from_config("mk")
+        # non-finite parameters, named in the message
+        for spec, message in (
+            ({"type": "mk", "k": np.inf}, "k must be finite"),
+            ({"type": "mk", "k": np.nan}, "k must be finite"),
+            ({"type": "mk", "k": 4.0, "mu": np.inf}, "mu must be finite"),
+            ({"type": "ellipsoid", "a": [0.96, np.inf, 1.04]}, "coefficients a must be finite"),
+            ({"type": "ellipsoid", "a": [0.96, 1.0, -np.inf]}, "coefficients a must be finite"),
+        ):
+            with pytest.raises(ConfigInvalid, match=message):
+                surface_from_config(spec)

@@ -2,9 +2,11 @@
 
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
-Runs the README's ten CLI configurations and the curved-chart reductions of
-order 3 and 4 (concurrent lines in ``sphere_exp_chart(1.2)``, reduced by
-``reduce_vertex_fully`` and written to ``reduction.json``) in each checkout.
+Runs the README's ten CLI configurations and the reductions of order 3 and 4
+of concurrent lines in a curved chart (``sphere_exp_chart(1.2)``) and in the
+CLI's flat chart (``make_flat_chart(2.6, 2.6)``), each reduced by
+``reduce_vertex_fully`` and written with its final vertex records to
+``reduction.json``, in each checkout.
 Every run is a fresh process with ``PYTHONPATH`` set to that checkout's
 ``src`` and ``OPENBLAS_NUM_THREADS=1``, writing into its own output
 directory under a temporary directory that is removed afterwards.  Per
@@ -42,9 +44,10 @@ CLI_CONFIGS = [
     ["sweepout-bound", "--k", "100", "--p", "5"],
 ]
 CHART_ORDERS = (3, 4)
+CHARTS = ("chart", "flat")  # sphere_exp_chart(1.2), make_flat_chart(2.6, 2.6)
 
-# the full reduction of an order-d vertex of concurrent lines in the sphere's
-# normal chart, through the public library functions
+# the full reduction of an order-d vertex of concurrent lines at the CLI's
+# angles, sampling and clustering radius, through the public library functions
 CHART_REDUCTION = """
 import json, sys
 from pathlib import Path
@@ -52,10 +55,10 @@ import numpy as np
 from geolab.geodesics import curve_from_samples
 from geolab.networks import GeodesicNetwork
 from geolab.splitting import reduce_vertex_fully
-from geolab.surfaces import sphere_exp_chart
+from geolab.surfaces import make_flat_chart, sphere_exp_chart
 
-order, out = int(sys.argv[1]), Path(sys.argv[2])
-chart = sphere_exp_chart(1.2)
+chart = sphere_exp_chart(1.2) if sys.argv[1] == "chart" else make_flat_chart(2.6, 2.6)
+order, out = int(sys.argv[2]), Path(sys.argv[3])
 t = np.linspace(-1.0, 1.0, 6000)
 curves = [
     curve_from_samples(chart, np.outer(t, [np.cos(a), np.sin(a)]), closed=False)
@@ -73,8 +76,9 @@ def configurations():
     """(name, interpreter arguments); each run appends its output directory."""
     for argv in CLI_CONFIGS:
         yield " ".join(argv), ["-m", "geolab.cli", *argv, "--out"]
-    for order in CHART_ORDERS:
-        yield f"chart-reduction --order {order}", ["-c", CHART_REDUCTION, str(order)]
+    for chart in CHARTS:
+        for order in CHART_ORDERS:
+            yield f"{chart}-reduction --order {order}", ["-c", CHART_REDUCTION, chart, str(order)]
 
 
 def run_one(checkout: Path, argv, out: Path) -> int:
