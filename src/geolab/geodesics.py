@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.integrate._ivp.dop853_coefficients import A as _DOP_A, D as _DOP_D
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -152,7 +150,15 @@ def curve_length(curve_or_samples, surface: Optional[SurfaceModel] = None, close
 def _length_from_speeds(sp: np.ndarray, dtheta: float, closed: bool) -> float:
     if closed:
         return float(sp.sum() * dtheta)
-    return float(simpson(sp, dx=dtheta))
+    # Simpson as scipy computes it, with Cartwright's last interval on an even count
+    n, h = sp.size - 1 + sp.size % 2, dtheta
+    r = np.sum(sp[0 : n - 2 : 2] + 4.0 * sp[1 : n - 1 : 2] + sp[2:n:2]) * (h / 3.0)
+    if n < sp.size:
+        alpha = (2 * h**2 + 3 * h * h) / (6 * (h + h))
+        beta = (h**2 + 3.0 * h * h) / (6 * h)
+        eta = h**3 / (6 * h * (h + h))
+        r = r + (alpha * sp[-1] + beta * sp[-2] - eta * sp[-3])
+    return float(r)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +166,89 @@ def _length_from_speeds(sp: np.ndarray, dtheta: float, closed: bool) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _tableau(rows, entries):
+    """A (rows, 16) array with ``entries`` {(row, column): value}, else 0."""
+    out = np.zeros((rows, 16))
+    out[tuple(zip(*entries))] = list(entries.values())
+    return out
+
+
+# The DOP853 tableau of Dormand and Prince (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.5-II.6), with the digits of Hairer's dop853 code: the weights
+# A[s, t] of stages 1-11, of the solution (row 12) and of the three extra
+# stages 13-15 of the continuous extension, and the extension's rows D.
+_DOP_A = _tableau(16, {
+    (1, 0): 5.26001519587677318785587544488e-2,
+    (2, 0): 1.97250569845378994544595329183e-2, (2, 1): 5.91751709536136983633785987549e-2,
+    (3, 0): 2.95875854768068491816892993775e-2, (3, 2): 8.87627564304205475450678981324e-2,
+    (4, 0): 2.41365134159266685502369798665e-1, (4, 2): -8.84549479328286085344864962717e-1,
+    (4, 3): 9.24834003261792003115737966543e-1,
+    (5, 0): 3.7037037037037037037037037037e-2, (5, 3): 1.70828608729473871279604482173e-1,
+    (5, 4): 1.25467687566822425016691814123e-1,
+    (6, 0): 3.7109375e-2, (6, 3): 1.70252211019544039314978060272e-1,
+    (6, 4): 6.02165389804559606850219397283e-2, (6, 5): -1.7578125e-2,
+    (7, 0): 3.70920001185047927108779319836e-2, (7, 3): 1.70383925712239993810214054705e-1,
+    (7, 4): 1.07262030446373284651809199168e-1, (7, 5): -1.53194377486244017527936158236e-2,
+    (7, 6): 8.27378916381402288758473766002e-3,
+    (8, 0): 6.24110958716075717114429577812e-1, (8, 3): -3.36089262944694129406857109825,
+    (8, 4): -8.68219346841726006818189891453e-1, (8, 5): 2.75920996994467083049415600797e1,
+    (8, 6): 2.01540675504778934086186788979e1, (8, 7): -4.34898841810699588477366255144e1,
+    (9, 0): 4.77662536438264365890433908527e-1, (9, 3): -2.48811461997166764192642586468,
+    (9, 4): -5.90290826836842996371446475743e-1, (9, 5): 2.12300514481811942347288949897e1,
+    (9, 6): 1.52792336328824235832596922938e1, (9, 7): -3.32882109689848629194453265587e1,
+    (9, 8): -2.03312017085086261358222928593e-2,
+    (10, 0): -9.3714243008598732571704021658e-1, (10, 3): 5.18637242884406370830023853209,
+    (10, 4): 1.09143734899672957818500254654, (10, 5): -8.14978701074692612513997267357,
+    (10, 6): -1.85200656599969598641566180701e1, (10, 7): 2.27394870993505042818970056734e1,
+    (10, 8): 2.49360555267965238987089396762, (10, 9): -3.0467644718982195003823669022,
+    (11, 0): 2.27331014751653820792359768449, (11, 3): -1.05344954667372501984066689879e1,
+    (11, 4): -2.00087205822486249909675718444, (11, 5): -1.79589318631187989172765950534e1,
+    (11, 6): 2.79488845294199600508499808837e1, (11, 7): -2.85899827713502369474065508674,
+    (11, 8): -8.87285693353062954433549289258, (11, 9): 1.23605671757943030647266201528e1,
+    (11, 10): 6.43392746015763530355970484046e-1,
+    (12, 0): 5.42937341165687622380535766363e-2, (12, 5): 4.45031289275240888144113950566,
+    (12, 6): 1.89151789931450038304281599044, (12, 7): -5.8012039600105847814672114227,
+    (12, 8): 3.1116436695781989440891606237e-1, (12, 9): -1.52160949662516078556178806805e-1,
+    (12, 10): 2.01365400804030348374776537501e-1, (12, 11): 4.47106157277725905176885569043e-2,
+    (13, 0): 5.61675022830479523392909219681e-2, (13, 6): 2.53500210216624811088794765333e-1,
+    (13, 7): -2.46239037470802489917441475441e-1, (13, 8): -1.24191423263816360469010140626e-1,
+    (13, 9): 1.5329179827876569731206322685e-1, (13, 10): 8.20105229563468988491666602057e-3,
+    (13, 11): 7.56789766054569976138603589584e-3, (13, 12): -8.298e-3,
+    (14, 0): 3.18346481635021405060768473261e-2, (14, 5): 2.83009096723667755288322961402e-2,
+    (14, 6): 5.35419883074385676223797384372e-2, (14, 7): -5.49237485713909884646569340306e-2,
+    (14, 10): -1.08347328697249322858509316994e-4, (14, 11): 3.82571090835658412954920192323e-4,
+    (14, 12): -3.40465008687404560802977114492e-4, (14, 13): 1.41312443674632500278074618366e-1,
+    (15, 0): -4.28896301583791923408573538692e-1, (15, 5): -4.69762141536116384314449447206,
+    (15, 6): 7.68342119606259904184240953878, (15, 7): 4.06898981839711007970213554331,
+    (15, 8): 3.56727187455281109270669543021e-1, (15, 12): -1.39902416515901462129418009734e-3,
+    (15, 13): 2.9475147891527723389556272149, (15, 14): -9.15095847217987001081870187138,
+})
+_DOP_D = _tableau(4, {
+    (0, 0): -0.84289382761090128651353491142e+1, (0, 5): 0.56671495351937776962531783590,
+    (0, 6): -0.30689499459498916912797304727e+1, (0, 7): 0.23846676565120698287728149680e+1,
+    (0, 8): 0.21170345824450282767155149946e+1, (0, 9): -0.87139158377797299206789907490,
+    (0, 10): 0.22404374302607882758541771650e+1, (0, 11): 0.63157877876946881815570249290,
+    (0, 12): -0.88990336451333310820698117400e-1, (0, 13): 0.18148505520854727256656404962e+2,
+    (0, 14): -0.91946323924783554000451984436e+1, (0, 15): -0.44360363875948939664310572000e+1,
+    (1, 0): 0.10427508642579134603413151009e+2, (1, 5): 0.24228349177525818288430175319e+3,
+    (1, 6): 0.16520045171727028198505394887e+3, (1, 7): -0.37454675472269020279518312152e+3,
+    (1, 8): -0.22113666853125306036270938578e+2, (1, 9): 0.77334326684722638389603898808e+1,
+    (1, 10): -0.30674084731089398182061213626e+2, (1, 11): -0.93321305264302278729567221706e+1,
+    (1, 12): 0.15697238121770843886131091075e+2, (1, 13): -0.31139403219565177677282850411e+2,
+    (1, 14): -0.93529243588444783865713862664e+1, (1, 15): 0.35816841486394083752465898540e+2,
+    (2, 0): 0.19985053242002433820987653617e+2, (2, 5): -0.38703730874935176555105901742e+3,
+    (2, 6): -0.18917813819516756882830838328e+3, (2, 7): 0.52780815920542364900561016686e+3,
+    (2, 8): -0.11573902539959630126141871134e+2, (2, 9): 0.68812326946963000169666922661e+1,
+    (2, 10): -0.10006050966910838403183860980e+1, (2, 11): 0.77771377980534432092869265740,
+    (2, 12): -0.27782057523535084065932004339e+1, (2, 13): -0.60196695231264120758267380846e+2,
+    (2, 14): 0.84320405506677161018159903784e+2, (2, 15): 0.11992291136182789328035130030e+2,
+    (3, 0): -0.25693933462703749003312586129e+2, (3, 5): -0.15418974869023643374053993627e+3,
+    (3, 6): -0.23152937917604549567536039109e+3, (3, 7): 0.35763911791061412378285349910e+3,
+    (3, 8): 0.93405324183624310003907691704e+2, (3, 9): -0.37458323136451633156875139351e+2,
+    (3, 10): 0.10409964950896230045147246184e+3, (3, 11): 0.29840293426660503123344363579e+2,
+    (3, 12): -0.43533456590011143754432175058e+2, (3, 13): 0.96324553959188282948394950600e+2,
+    (3, 14): -0.39177261675615439165231486172e+2, (3, 15): -0.14972683625798562581422125276e+3,
+})
 _A = _DOP_A[:, :, None, None]  # stage weights, broadcast over (rows, columns)
 # stage terms of the continuous extension: K_0, -(K_0 + K_12) and the four
 # D rows; stages 1-4 carry no weight in any of them

@@ -192,16 +192,15 @@ class DetourCurve:
         return s, t
 
     def replace_in_samples(self, samples: np.ndarray) -> np.ndarray:
-        """Map the strand's samples onto the detour inside the window.
-
-        Raises NotReducible when no sample lies in the window [s_P, s_Q),
-        so that the samples cannot carry the detour.
-        """
+        """Map the strand's samples in the window onto the detour: those in
+        the working ball with s in [s_P, s_Q), so that far arcs of a closed
+        curve stay put.  Raises NotReducible when the window holds no
+        sample, so that the samples cannot carry the detour."""
         rel = samples - self.vertex_position
         s = rel @ self.e_hat
         out = samples.copy()
         sP, _, _, sQ = self.s_window
-        m = (s >= sP) & (s < sQ)
+        m = (s >= sP) & (s < sQ) & (np.linalg.norm(rel, axis=1) < self.ball_radius)
         if not m.any():
             raise NotReducible(
                 f"no sample of curve {self.curve_index} lies in the detour "

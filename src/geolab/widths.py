@@ -14,7 +14,6 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from .errors import SeedBudgetExhausted
@@ -285,16 +284,11 @@ def mk_multiplicity_experiment(
 
 
 def plane_ellipse_circumference(b: float, c: float) -> float:
-    """Adaptive quadrature of the circumference of x^2/b^2 + y^2/c^2 = 1."""
-    val, _ = quad(
-        lambda t: np.hypot(b * np.sin(t), c * np.cos(t)),
-        0.0,
-        2.0 * np.pi,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=200,
-    )
-    return float(val)
+    """Circumference of x^2/b^2 + y^2/c^2 = 1 by the periodic trapezoid rule on
+    1024 points: the speed is smooth and periodic, so the rule converges
+    geometrically, to roundoff for axis ratios down to 0.1."""
+    t = np.arange(1024) * (2.0 * np.pi / 1024)
+    return float(np.hypot(b * np.sin(t), c * np.cos(t)).sum() * (2.0 * np.pi / 1024))
 
 
 def ellipsoid_experiment(a1: float, a2: float, a3: float) -> dict:

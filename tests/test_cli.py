@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geolab
 from geolab.cli import (
     GRID_PER_PERIOD,
     MAX_GRID,
@@ -371,3 +375,17 @@ def test_cli_contract_on_fuzzed_config(key, value, command):
             assert [p.name for p in out.iterdir()] == ["error.json"]
         else:
             _strict_json(out / "report.json")
+
+
+def test_cli_import_leaves_out_scipy_integrate_and_optimize():
+    # every command pays for what the package imports, in a fresh process
+    src = str(Path(geolab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, geolab.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
-from scipy.integrate import quad, solve_ivp
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.integrate import quad, simpson, solve_ivp
 from scipy.spatial import cKDTree
 from scipy.special import ellipe
 
 from geolab.errors import LeftChartDomain, NoConvergence
 from geolab.geodesics import (
     SAMPLES_PER_STEP,
+    _DOP_A,
+    _DOP_D,
+    _length_from_speeds,
     _primitive_loop,
     close_geodesic,
     curve_from_samples,
@@ -238,6 +241,11 @@ class TestDop853:
             assert np.array_equal(pi[0], path[i])
         assert dop853_integrate(_harmonic, y0, T, self.n_steps, keep)[1] is None
 
+    def test_tableau_matches_scipy(self):
+        coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert np.array_equal(_DOP_A, coefficients.A)
+        assert np.array_equal(_DOP_D, coefficients.D)
+
 
 class TestCloseGeodesic:
     def test_equator(self, mk4):
@@ -348,6 +356,23 @@ def test_primitive_loop_keeps_a_cosine_on_the_nyquist_mode(m, n):
     mult, primitive = _primitive_loop(_fourier_loop(coeffs, m * theta))
     assert mult == m
     assert np.max(np.abs(primitive - _fourier_loop(coeffs, theta))) <= 1e-14
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 4097),
+    h=st.floats(1e-4, 10.0),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, h=0.5, scale=1.0, seed=0)
+@example(n=4, h=0.5, scale=1.0, seed=0)
+@example(n=4096, h=2 * np.pi / 4095, scale=1.0, seed=1)
+@example(n=4097, h=2 * np.pi / 4096, scale=1.0, seed=1)
+def test_open_curve_simpson_matches_scipy(n, h, scale, seed):
+    # bit for bit, so that no reported open-curve length moves off scipy's rule
+    y = scale * np.random.default_rng(seed).uniform(0.01, 1.0, n)
+    assert _length_from_speeds(y, h, closed=False) == float(simpson(y, dx=h))
 
 
 class TestLengthAndCurvature:

@@ -60,6 +60,22 @@ class TestDetour:
         assert d >= 0.4 * t
         assert d <= 0.6 * t
 
+    def test_window_stays_in_working_ball(self, chart):
+        # an ellipse 0.8 x 0.3 through the vertex of two lines: its far arc,
+        # 0.6 away, projects into the detour window but must stay put
+        th = 2 * np.pi * np.arange(4000) / 4000
+        ellipse = np.column_stack([0.8 * np.sin(th), 0.3 - 0.3 * np.cos(th)])
+        net = concurrent_lines(chart, (np.pi / 3, 2 * np.pi / 3))
+        curves = [curve_from_samples(chart, ellipse), *net.curves]
+        net = GeodesicNetwork.build(chart, curves, clustering_radius=0.01)
+        (vertex,) = [v for v in net.vertices if v.order == 3]
+        R = 0.05
+        det = build_detour(chart, net, vertex, 0, 0.1 * R, ball_radius=R)
+        assert det.curve_index == 0
+        moved = np.any(det.replace_in_samples(ellipse) != ellipse, axis=1)
+        far = np.linalg.norm(ellipse - det.vertex_position, axis=1) >= R
+        assert moved.any() and not (moved & far).any()
+
     @pytest.mark.parametrize(
         "make_chart",
         [lambda: make_flat_chart(2.6, 2.6), lambda: sphere_exp_chart(1.2)],

@@ -11,10 +11,11 @@ Every run is a fresh process with ``PYTHONPATH`` set to that checkout's
 ``src`` and ``OPENBLAS_NUM_THREADS=1``, writing into its own output
 directory under a temporary directory that is removed afterwards.  Per
 configuration it prints ``identical`` or the files that differ or exist on
-one side only, and it exits 1 on any difference.  For a JSON file that
-differs it also prints the largest absolute difference over the numeric
-leaves found at the same path on both sides, and lists the paths whose
-values differ otherwise (not both numbers) or exist on one side only.
+one side only, and each side's wall time in seconds, import included; it
+exits 1 on any difference.  For a JSON file that differs it also prints the
+largest absolute difference over the numeric leaves found at the same path
+on both sides, and lists the paths whose values differ otherwise (not both
+numbers) or exist on one side only.
 JSON files that a strict parser rejects (NaN or Infinity) are listed per
 side and count as a difference too.
 """
@@ -30,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 CLI_CONFIGS = [
     ["mk-experiment", "--k", "100", "--n-seeds", "200", "--seed", "7"],
@@ -81,12 +83,14 @@ def configurations():
             yield f"{chart}-reduction --order {order}", ["-c", CHART_REDUCTION, chart, str(order)]
 
 
-def run_one(checkout: Path, argv, out: Path) -> int:
+def run_one(checkout: Path, argv, out: Path):
+    """Exit code and wall seconds of one fresh-process run."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
+    t0 = perf_counter()
     proc = subprocess.run(
         [sys.executable, *argv, str(out)], cwd=checkout, env=env, capture_output=True, text=True
     )
-    return proc.returncode
+    return proc.returncode, perf_counter() - t0
 
 
 def differing_files(a: Path, b: Path):
@@ -174,7 +178,7 @@ def main(argv=None) -> int:
         work = Path(tmp)
         for i, (name, argv_) in enumerate(configurations()):
             outs = [work / side / f"{i:02d}" for side in ("parent", "change")]
-            codes = [run_one(c, argv_, o) for c, o in zip(checkouts, outs)]
+            codes, walls = zip(*(run_one(c, argv_, o) for c, o in zip(checkouts, outs)))
             files = [describe(*outs, f) for f in differing_files(*outs)]
             if codes[0] != codes[1]:
                 files.insert(0, f"exit code {codes[0]} -> {codes[1]}")
@@ -182,7 +186,8 @@ def main(argv=None) -> int:
                 files += [f"not strict JSON in {side}: {f}" for f in non_strict_json(o)]
             differ |= bool(files)
             print(f"{name}: {'identical' if not files else ', '.join(files)}"
-                  f" (exit {codes[1]})", flush=True)
+                  f" (exit {codes[1]}; parent {walls[0]:.2f} s -> change {walls[1]:.2f} s)",
+                  flush=True)
     return 1 if differ else 0
 
 
