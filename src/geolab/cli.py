@@ -21,7 +21,7 @@ from .errors import ConfigInvalid, GeolabError
 from .geodesics import curve_from_samples, sample_great_circle, sample_level_circle
 from .jacobi import degeneracy_criterion_mk, jacobi_spectrum
 from .networks import GeodesicNetwork, check_appendix_bounds, weighted_vertex_count
-from .splitting import reduce_vertex_fully
+from .splitting import split_vertex
 from .extension import extend_normal_field, verify_second_variation_match
 from .surfaces import make_flat_chart, make_sphere, surface_from_config
 from .widths import (
@@ -76,7 +76,7 @@ GRID_PER_PERIOD = 512  # default index grid points per cover period
 MAX_GRID = 8192  # one banded Bloch block: about 3 s, 85 MB peak; bounds 512 * cover too
 MAX_N_SEEDS = 5000  # one shooting batch of all seeds
 MAX_ORDER = 64  # network --order 64 peaks at 615 MB
-MAX_SPLIT_ORDER = 4  # order 5's third nested ball holds no sample: NotReducible
+MAX_SPLIT_ORDER = 32  # split-vertex --order 32 (30 detours in one ball) peaks at 426 MB
 
 _INT_KEYS = ("seed", "grid", "p", "n_seeds", "cover", "order")
 _FLOAT_KEYS = ("cap", "delta", "flow_step", "K0", "omega1")
@@ -131,9 +131,9 @@ def load_config(args) -> dict:
     for key in ("cap", "delta", "flow_step"):
         if cfg.get(key) is not None and cfg[key] <= 0:
             raise ConfigInvalid(f"{key} must be positive")
-    for key in ("n_seeds", "p"):
-        if key in cfg and cfg[key] < 1:
-            raise ConfigInvalid(f"{key} must be at least 1")
+    for key, low in (("n_seeds", 1), ("p", 1), ("order", 2)):
+        if key in cfg and cfg[key] < low:
+            raise ConfigInvalid(f"{key} must be at least {low}")
     grid = cfg.get("grid", GRID_PER_PERIOD * cfg.get("cover", 1))  # index's default grid
     order_cap = MAX_SPLIT_ORDER if args.command == "split-vertex" else MAX_ORDER
     for key, val, cap in (("grid" if "grid" in cfg else "512 * cover", grid, MAX_GRID),
@@ -362,7 +362,7 @@ def cmd_split_vertex(cfg, out: Path):
     net = _synthetic_network("concurrent-lines", order)
     surface = net.ambient_surface
     vertex = net.vertices[0]
-    surface, net2, transcript = reduce_vertex_fully(surface, net, vertex)
+    surface, net2, transcript = split_vertex(surface, net, vertex)
     payload = {
         "initial_order": order,
         "transcript": transcript,

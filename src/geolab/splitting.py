@@ -1,6 +1,6 @@
 """Vertex splitting by detour curves and conformal metric deformation.
 
-To reduce the order of a vertex, one strand is replaced by a detour that
+To reduce the order of a vertex, a strand is replaced by a detour that
 misses the vertex: a graphical bridge out of the strand, a geodesic chord
 past the vertex, and a bridge back.  A conformal factor
 
@@ -12,7 +12,10 @@ df/dn = -kappa, so the conformally transformed curvature
 exp(-f) (kappa + df/dn) vanishes.  The factor is supported in a tube of
 half-width d0 around the bridges, which by construction stays clear of the
 other strands and of an inner ball around the vertex, so the remaining
-strands stay geodesics and the deformation composes across nested splits.
+strands stay geodesics.  An order-d vertex is split in one working ball:
+d - 2 strands get detours with distinct offsets, each factor's tube stays
+clear of every other curve as replaced, so the d - 2 factors add, and the
+vertex is left with the two straight strands as one transverse crossing.
 The chord and the strand outside the window are geodesics, so kappa is
 taken as 0 there and the factor vanishes in the tube around the chord.
 
@@ -297,7 +300,7 @@ def detour_curvature_in(
     """
     s = np.atleast_1d(np.asarray(s_values, dtype=float))
     # FD step scaled to the ball so coefficient differencing resolves the
-    # factor's feature scale (d0 shrinks with the ball on nested splits)
+    # factor's feature scale (d0 shrinks with the ball and the offsets)
     return chart_curvature(surface, *detour.jet(s), fd_h=2e-6 * detour.ball_radius)
 
 
@@ -314,18 +317,13 @@ def _probe_grid(detour: DetourCurve) -> np.ndarray:
     return sP + (sQ - sP) * i / (n + 2)
 
 
-def strand_curvature_in(
-    curve: GeodesicCurve, surface: SurfaceModel, mask_radius=None, center=None
-) -> np.ndarray:
+def strand_curvature_in(curve: GeodesicCurve, surface: SurfaceModel) -> np.ndarray:
     """Curvature of a straight-strand curve in ``surface``'s metric.
 
     For the synthetic line strands the base derivatives are exact, so any
     nonzero value measures conformal-factor leakage onto the strand.
     """
     samples = curve.samples
-    if mask_radius is not None and center is not None:
-        keep = np.linalg.norm(samples - np.asarray(center), axis=1) <= mask_radius
-        samples = samples[keep]
     a = samples[0]
     b = samples[-1]
     d = (b - a) / np.linalg.norm(b - a)
@@ -497,103 +495,81 @@ def conformal_factor_for(
     )
 
 
-def split_vertex(
-    surface: SurfaceModel,
-    network: GeodesicNetwork,
-    vertex: VertexRecord,
-    offset_t: Optional[float] = None,
-    ball_radius: Optional[float] = None,
-):
-    """One splitting step: detour the lowest-index strand of the vertex.
+def split_vertex(surface: SurfaceModel, network: GeodesicNetwork, vertex: VertexRecord):
+    """Split an order-d vertex into C(d, 2) transverse double points in one
+    working ball.
 
-    Returns (new_surface, new_network, step_record).  The new network has
-    the vertex at order d-1 plus d-1 transverse order-2 vertices along the
-    detour; the metric is unchanged outside the working ball.  Raises
-    NotReducible for order < 3 and when the detoured curve has no sample in
-    the detour window, which would leave the curve as it was.
+    Strands 0..d-3 get detours with offsets t ((d-2-j)/(d-2))^2, where
+    t = OFFSET_FRAC R min(1, 2 tan delta) and delta is the smallest angle
+    between strand directions (mod pi), so that no bridge crosses a
+    neighbouring strand; the last two strands stay straight and cross at
+    the vertex.  Each detour's factor is measured against every other curve
+    as replaced, so its tube misses them all and the factors add.
+
+    Returns (new_surface, new_network, transcript) with one record per
+    detour; an order-2 vertex comes back unchanged with an empty
+    transcript.  The metric is unchanged outside the working ball.  Raises
+    NotReducible when a detoured curve has no sample in its detour window.
     """
-    if vertex.order < 3:
-        raise NotReducible("vertex already has order 2")
-    R = ball_radius or default_ball_radius(surface, network, vertex)
-    t = offset_t if offset_t is not None else OFFSET_FRAC * R
-    detour = build_detour(surface, network, vertex, 0, t, ball_radius=R)
+    d = vertex.order
+    if d < 3:
+        return surface, network, []
+    R = default_ball_radius(surface, network, vertex)
+    ang = np.asarray(vertex.strand_angles)
+    gaps = np.abs(ang[:, None] - ang[None, :])[np.triu_indices(d, 1)] % np.pi
+    delta = float(np.min(np.minimum(gaps, np.pi - gaps)))
+    t = OFFSET_FRAC * R * min(1.0, 2.0 * np.tan(delta))
+    detours = [
+        build_detour(surface, network, vertex, j, t * ((d - 2 - j) / (d - 2)) ** 2, ball_radius=R)
+        for j in range(d - 2)
+    ]
 
-    ci = detour.curve_index
-    old = network.curves[ci]
-    new_samples = detour.replace_in_samples(old.samples)
-    others = np.vstack(
-        [c.samples for j, c in enumerate(network.curves) if j != ci]
-    )
-    near = np.linalg.norm(others - detour.vertex_position, axis=1) < 2.0 * R
-    field = conformal_factor_for(detour, surface, other_strand_points=others[near])
-
-    sP, _, _, sQ = detour.s_window
-    kappa_before = float(np.max(np.abs(detour.kappa(np.linspace(sP, sQ, 801)))))
-    new_surface = surface.with_conformal_factor(field)
-    kappa_after = float(
-        np.max(np.abs(detour_curvature_in(detour, new_surface, _probe_grid(detour))))
-    )
+    samples = [c.samples for c in network.curves]
+    for det in detours:
+        samples[det.curve_index] = det.replace_in_samples(samples[det.curve_index])
+    owner = np.concatenate([np.full(len(x), k) for k, x in enumerate(samples)])
+    points = np.vstack(samples)
+    near = np.linalg.norm(points - vertex.position, axis=1) < 2.0 * R
+    fields = [
+        conformal_factor_for(
+            det, surface, other_strand_points=points[near & (owner != det.curve_index)]
+        )
+        for det in detours
+    ]
+    new_surface = surface
+    for field in fields:
+        new_surface = new_surface.with_conformal_factor(field)
 
     new_curves = list(network.curves)
-    new_curves[ci] = curve_from_samples(new_surface, new_samples, closed=old.closed)
-    radius = min(network.clustering_radius, 0.1 * t)
-    verts = detect_vertices(new_curves, radius, surface=new_surface)
-    new_network = GeodesicNetwork(new_curves, verts, new_surface, radius)
-    probe = detour.position(np.linspace(-0.9 * R, 0.9 * R, 33))
-    step = {
-        "vertex": [float(x) for x in vertex.position],
-        "strand_id": 0,
-        "offset_t": float(t),
-        "ball_radius": float(R),
-        "chart_flatness": chart_euclidean_deviation(surface, probe),
-        "d0": float(field.fermi_half_width),
-        "max_f": field.sup_norm(),
-        "curvature_residual_before": kappa_before,
-        "curvature_residual_after": kappa_after,
-        "vertex_orders_after": sorted(v.order for v in verts),
-    }
-    return new_surface, new_network, step
-
-
-def reduce_vertex_fully(
-    surface: SurfaceModel,
-    network: GeodesicNetwork,
-    vertex: VertexRecord,
-):
-    """Split until every descendant of the vertex has order 2.
-
-    Returns (surface, network, transcript).  Each round works in a smaller
-    ball that avoids the previous detours, where the metric is still the
-    original one.
-    """
-    transcript = []
-    current = vertex
-    while current.order >= 3:
-        R = default_ball_radius(surface, network, current)
-        # stay clear of every curve not through the current vertex location
-        through = [ci for ci, _ in current.strands]
-        for j, cur in enumerate(network.curves):
-            if j in through:
-                continue
-            d = np.min(np.linalg.norm(cur.samples - current.position, axis=1))
-            R = min(R, 0.8 * d)
-        surface, network, step = split_vertex(
-            surface, network, current, offset_t=OFFSET_FRAC * R, ball_radius=R
+    for ci in {det.curve_index for det in detours}:
+        new_curves[ci] = curve_from_samples(
+            new_surface, samples[ci], closed=network.curves[ci].closed
         )
-        transcript.append(step)
-        current = _find_vertex_near(network, step["vertex"])
-        if current is None:
-            break
-    return surface, network, transcript
+    radius = min(network.clustering_radius, 0.1 * min(det.offset_t for det in detours))
+    verts = detect_vertices(new_curves, radius, surface=new_surface)
+    orders = sorted(v.order for v in verts)
+    transcript = []
+    for j, (det, field) in enumerate(zip(detours, fields)):
+        sP, _, _, sQ = det.s_window
+        probe = det.position(np.linspace(-0.9 * R, 0.9 * R, 33))
+        transcript.append({
+            "vertex": [float(x) for x in vertex.position],
+            "strand_id": j,
+            "offset_t": det.offset_t,
+            "ball_radius": float(R),
+            "chart_flatness": chart_euclidean_deviation(surface, probe),
+            "d0": float(field.fermi_half_width),
+            "max_f": field.sup_norm(),
+            "curvature_residual_before": float(
+                np.max(np.abs(det.kappa(np.linspace(sP, sQ, 801))))
+            ),
+            "curvature_residual_after": float(
+                np.max(np.abs(detour_curvature_in(det, new_surface, _probe_grid(det))))
+            ),
+            "vertex_orders_after": orders,
+        })
+    return new_surface, GeodesicNetwork(new_curves, verts, new_surface, radius), transcript
 
 
-def _find_vertex_near(network: GeodesicNetwork, position):
-    position = np.asarray(position, dtype=float)
-    best, best_d = None, np.inf
-    for v in network.vertices:
-        d = np.linalg.norm(v.position - position)
-        if d < best_d:
-            best, best_d = v, d
-    if best is not None and best_d <= 4.0 * network.clustering_radius:
-        return best
-    return None
+# the benchmark harness and older callers import the full reduction by this name
+reduce_vertex_fully = split_vertex

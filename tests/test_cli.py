@@ -65,6 +65,9 @@ def read_curve_lengths(out_dir):
         ["sweepout-bound", "--k", "inf"],
         ["mk-experiment", "--k", "inf", "--n-seeds", "2"],
         ["ellipsoid-experiment", "--a", "0.96,inf,1.04"],
+        # a vertex needs two strands
+        ["split-vertex", "--order", "1"],
+        ["network", "--builtin", "concurrent-lines", "--order", "0"],
     ],
 )
 def test_invalid_input_exit_1_with_error_json(tmp_path, argv):
@@ -76,8 +79,8 @@ def test_invalid_input_exit_1_with_error_json(tmp_path, argv):
 
 
 def test_size_caps_in_load_config():
-    # split-vertex has its own order cap (order 5 cannot be reduced); the
-    # caps are checked without running
+    # split-vertex has its own order cap (its detours and their factors
+    # grow with the order); the caps are checked without running
     def cfg(argv):
         return load_config(build_parser().parse_args(argv))
 

@@ -9,7 +9,6 @@ from geolab.errors import (
     VertexNotOnStrand,
 )
 from geolab.geodesics import chart_curvature, curve_from_samples
-from geolab import splitting
 from geolab.networks import GeodesicNetwork, weighted_vertex_count
 from geolab.splitting import (
     build_detour,
@@ -193,36 +192,67 @@ class TestConformalFactor:
 
 class TestSplit:
     def test_single_split_orders(self, chart, three_lines):
-        _, net2, step = split_vertex(chart, three_lines, three_lines.vertices[0])
+        _, net2, (step,) = split_vertex(chart, three_lines, three_lines.vertices[0])
         assert step["vertex_orders_after"] == [2, 2, 2]
         assert step["curvature_residual_after"] <= 1e-6
 
-    def test_not_reducible(self, chart, three_lines):
-        _, net2, _ = split_vertex(chart, three_lines, three_lines.vertices[0])
-        with pytest.raises(NotReducible):
-            split_vertex(chart, net2, net2.vertices[0])
+    def test_not_reducible(self, chart):
+        # an order-2 vertex is already a transverse double point
+        net = concurrent_lines(chart, (0.0, np.pi / 2))
+        surf, net2, transcript = split_vertex(chart, net, net.vertices[0])
+        assert surf is chart and net2 is net and transcript == []
 
     def test_ball_without_samples_not_reducible(self, chart, three_lines):
         # the nearest samples of the detoured line lie 1.7e-4 from the
         # vertex, outside the detour window [-0.8e-4, 0.8e-4)
+        det = build_detour(chart, three_lines, three_lines.vertices[0], 0, 1e-5, ball_radius=1e-4)
         with pytest.raises(NotReducible, match="no sample"):
-            split_vertex(chart, three_lines, three_lines.vertices[0], ball_radius=1e-4)
+            det.replace_in_samples(three_lines.curves[det.curve_index].samples)
 
-    def test_full_reduction_order5_stops(self, chart, monkeypatch):
-        # the third nested ball (R about 1.3e-4) holds no sample of the
-        # detoured line, so the reduction stops instead of repeating it
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs["ball_radius"])
-            assert len(calls) <= 3, "the reduction repeats a split"
-            return split_vertex(*args, **kwargs)
-
-        monkeypatch.setattr(splitting, "split_vertex", counted)
-        net = concurrent_lines(chart, np.pi * np.arange(5) / 5)
-        with pytest.raises(NotReducible, match="no sample"):
-            reduce_vertex_fully(chart, net, net.vertices[0])
-        assert len(calls) == 3 and calls[2] < 2e-4
+    @pytest.mark.parametrize(
+        "make_chart, order",
+        [
+            (lambda: make_flat_chart(2.6, 2.6), 5),
+            (lambda: make_flat_chart(2.6, 2.6), 8),
+            (lambda: make_flat_chart(2.6, 2.6), 16),
+            (lambda: sphere_exp_chart(1.2), 8),
+        ],
+        ids=["flat-5", "flat-8", "flat-16", "sphere_exp-8"],
+    )
+    def test_one_ball_split(self, make_chart, order):
+        chart = make_chart()
+        net = concurrent_lines(chart, np.pi * np.arange(order) / order)
+        vertex = net.vertices[0]
+        surf, net2, transcript = split_vertex(chart, net, vertex)
+        pairs = order * (order - 1) // 2
+        assert len(transcript) == order - 2
+        assert sorted(v.order for v in net2.vertices) == [2] * pairs
+        assert all(v.transverse for v in net2.vertices)
+        assert weighted_vertex_count(net2.vertices) == pairs
+        assert all(s["curvature_residual_after"] <= 1e-6 for s in transcript)
+        (R,) = {s["ball_radius"] for s in transcript}
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-1.3, 1.3, size=(600, 2))
+        outside = pts[np.linalg.norm(pts, axis=1) > R]
+        assert np.max(np.abs(surf.factor_value(outside))) == 0.0
+        # every strand of the vertex is a geodesic of the final metric on
+        # (-R, R), probed off the detours' piece joints at a quarter of the
+        # narrowest tube half-width d0 or finer, so that no tube crossing a
+        # strand slips between probes
+        d0 = min(step["d0"] for step in transcript)
+        n = max(801, int(np.ceil(8 * R / d0)))
+        s = np.linspace(-R, R, n + 2)[1:-1] + 0.381966 * 2 * R / (n + 1)
+        for step in transcript:
+            det = build_detour(
+                chart, net, vertex, step["strand_id"], step["offset_t"], ball_radius=R
+            )
+            assert np.max(np.abs(detour_curvature_in(det, surf, s))) <= 1e-6
+        detoured = {vertex.strands[step["strand_id"]][0] for step in transcript}
+        for ci, curve in enumerate(net2.curves):
+            if ci not in detoured:
+                e = curve.samples[-1] - curve.samples[0]
+                line = curve_from_samples(chart, np.outer(s, e / np.linalg.norm(e)), closed=False)
+                assert np.max(np.abs(strand_curvature_in(line, surf))) <= 1e-6
 
     def test_full_reduction_order3(self, chart, three_lines):
         surf, net2, transcript = reduce_vertex_fully(chart, three_lines, three_lines.vertices[0])

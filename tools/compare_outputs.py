@@ -2,11 +2,13 @@
 
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
-Runs the README's ten CLI configurations and the reductions of order 3 and 4
-of concurrent lines in a curved chart (``sphere_exp_chart(1.2)``) and in the
-CLI's flat chart (``make_flat_chart(2.6, 2.6)``), each reduced by
+Runs the README's ten CLI configurations and the reductions of order 3, 4
+and 8 of concurrent lines in a curved chart (``sphere_exp_chart(1.2)``) and
+in the CLI's flat chart (``make_flat_chart(2.6, 2.6)``), each reduced by
 ``reduce_vertex_fully`` and written with its final vertex records to
-``reduction.json``, in each checkout.
+``reduction.json``, in each checkout.  Order 8 is beyond the nested
+one-strand-per-ball reduction, which stops with ``AmbiguousCluster``; a
+checkout that still has it reads ``exit code 1`` there.
 Every run is a fresh process with ``PYTHONPATH`` set to that checkout's
 ``src`` and ``OPENBLAS_NUM_THREADS=1``, writing into its own output
 directory under a temporary directory that is removed afterwards.  Per
@@ -45,7 +47,7 @@ CLI_CONFIGS = [
     ["index", "--k", "4"],
     ["sweepout-bound", "--k", "100", "--p", "5"],
 ]
-CHART_ORDERS = (3, 4)
+CHART_ORDERS = (3, 4, 8)
 CHARTS = ("chart", "flat")  # sphere_exp_chart(1.2), make_flat_chart(2.6, 2.6)
 
 # the full reduction of an order-d vertex of concurrent lines at the CLI's
