@@ -39,6 +39,7 @@ from .geodesics import (
 )
 from .jacobi import (
     SpectrumReport,
+    cover_spectra,
     degeneracy_criterion_mk,
     jacobi_spectrum,
     network_index,

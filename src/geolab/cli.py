@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 MAX_TABLE_LEVEL = 1000  # largest p of a sweepout-bound table
 GRID_PER_PERIOD = 512  # default index grid points per cover period
 # size caps, each keeping its largest run within a few GB (README)
-MAX_GRID = 8192  # one banded Bloch block: about 3 s, 85 MB peak; bounds 512 * cover too
+MAX_GRID = 8192  # one banded Bloch block: about 1.5 s, 73 MB peak; bounds 512 * cover too
 MAX_N_SEEDS = 5000  # one shooting batch of all seeds
 MAX_ORDER = 64  # network --order 64 peaks at 615 MB
 MAX_SPLIT_ORDER = 32  # split-vertex --order 32 (30 detours in one ball) peaks at 426 MB
@@ -131,7 +131,7 @@ def load_config(args) -> dict:
     for key in ("cap", "delta", "flow_step"):
         if cfg.get(key) is not None and cfg[key] <= 0:
             raise ConfigInvalid(f"{key} must be positive")
-    for key, low in (("n_seeds", 1), ("p", 1), ("order", 2)):
+    for key, low in (("n_seeds", 1), ("p", 1), ("cover", 1), ("order", 2)):
         if key in cfg and cfg[key] < low:
             raise ConfigInvalid(f"{key} must be at least {low}")
     grid = cfg.get("grid", GRID_PER_PERIOD * cfg.get("cover", 1))  # index's default grid

@@ -19,14 +19,20 @@ theory", CPAM 9, 1956): block j couples across the period boundary with
 phase omega = exp(2 pi i j / m) forward and its conjugate backward.  Blocks
 j and m - j are complex conjugates with one spectrum, so only
 j = 0 .. m // 2 are solved; j = 0 and j = m / 2 (omega = +-1) are real.
-Each block is reordered into a Hermitian band of bandwidth 4 and solved
-whole by LAPACK ?sbevd / ?hbevd, so no n x n matrix is formed.
+Each block is reordered into a Hermitian band of bandwidth 4, so no n x n
+matrix is formed, and only its low end is computed, by LAPACK's bisection
+?sbevx / ?hbevx (Barth, Martin & Wilkinson, Numer. Math. 9, 1967): the
+lowest REPORTED_EIGS eigenvalues, and the whole block when they do not
+reach past the band 1.25 zero_tolerance that classification looks at.
+``cover_spectra`` solves each distinct phase j / m of a curve once for all
+of its covers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigvals_banded
@@ -46,7 +52,9 @@ REPORTED_EIGS = 12  # lowest eigenvalues written to a report
 class SpectrumReport:
     """Eigenvalues of the periodic Jacobi operator with classification."""
 
-    eigenvalues: np.ndarray  # ascending
+    # the lowest eigenvalues, ascending: at least REPORTED_EIGS, and all of
+    # them up to 1.25 zero_tolerance
+    eigenvalues: np.ndarray
     index: int
     nullity: int
     grid_size: int
@@ -123,24 +131,95 @@ def _bloch_band(K: np.ndarray, h: float, j: int, m: int) -> np.ndarray:
     return band
 
 
+def cover_spectra(
+    curve: GeodesicCurve,
+    surface: Optional[SurfaceModel] = None,
+    covers: Iterable[int] = (1,),
+    points_per_period: int = 512,
+) -> dict:
+    """Spectra of -phi'' - K phi on the m-fold covers of the curve, one
+    SpectrumReport per m in ``covers``, each on ``points_per_period`` points
+    per period.
+
+    The covers share the curvature samples, the spacing and the zero
+    tolerance, and each Bloch phase j / m (in lowest terms) is solved once:
+    phases 0 and 1/2 serve every even cover.  Index counts eigenvalues below
+    -zero_tolerance and nullity those within it, with zero_tolerance =
+    max(1e-8, 10 h^2 max|K|).  Raises GridTooCoarse when the tolerance
+    reaches max|K| > 0 (no index is then countable) or an eigenvalue falls
+    too close to the classification boundary to trust.
+    """
+    surface = surface or curve.surface
+    n = int(points_per_period)
+    covers = [int(m) for m in covers]
+    for m in covers:
+        if m < 1:
+            raise ValueError("cover_multiplicity must be >= 1")
+        if n * m < 256:
+            raise ValueError("grid_size must be at least 256")
+    require_geodesic(curve, surface)
+
+    h = curve.length / n
+    # K sampled on one period
+    s_curve = np.arange(curve.n) * (curve.length / curve.n)
+    K = np.interp(np.arange(n) * h, s_curve, curvature_along(curve, surface), period=curve.length)
+    K_max = float(np.max(np.abs(K)))
+    zero_tol = max(1e-8, 10.0 * h**2 * K_max)
+    # every eigenvalue is >= -max|K|: at this tolerance none can count as index
+    if zero_tol >= K_max > 0:
+        raise GridTooCoarse("zero tolerance reaches max|K|; refine grid_size")
+    classified = 1.25 * zero_tol  # index, nullity and ambiguity look no higher
+
+    solved = {}  # phase j / m in lowest terms -> low end of its block
+    reports = {}
+    for m in covers:
+        blocks = []
+        for j in range(m // 2 + 1):
+            phase = (j // math.gcd(j, m), m // math.gcd(j, m))
+            if phase not in solved:
+                band = _bloch_band(K, h, *phase)
+                low = (0, min(n, REPORTED_EIGS) - 1)
+                solved[phase] = eigvals_banded(band, lower=True, select="i", select_range=low)
+                if solved[phase].size < n and solved[phase][-1] <= classified:
+                    solved[phase] = eigvals_banded(band, lower=True)
+            # blocks j and m - j share a spectrum: count 0 < j < m / 2 twice
+            blocks += [solved[phase]] * (1 if 2 * j % m == 0 else 2)
+        eig = np.sort(np.concatenate(blocks))
+        # an eigenvalue not computed lies above REPORTED_EIGS computed ones of
+        # its block and above `classified`: this is exactly the cover's low end
+        eig = eig[: max(REPORTED_EIGS, int(np.sum(eig <= classified)))]
+
+        index = int(np.sum(eig < -zero_tol))
+        nullity = int(np.sum(np.abs(eig) <= zero_tol))
+
+        # classification is ambiguous when an eigenvalue sits near the boundary
+        if np.any(np.abs(np.abs(eig) - zero_tol) < 0.25 * zero_tol):
+            raise GridTooCoarse("eigenvalue within 25% of the zero tolerance; refine grid_size")
+        reports[m] = SpectrumReport(
+            eigenvalues=eig,
+            index=index,
+            nullity=nullity,
+            grid_size=n * m,
+            zero_tolerance=zero_tol,
+            cover_multiplicity=m,
+        )
+    return reports
+
+
 def jacobi_spectrum(
     curve: GeodesicCurve,
     surface: Optional[SurfaceModel] = None,
     cover_multiplicity: int = 1,
     grid_size: int = 512,
 ) -> SpectrumReport:
-    """Periodic spectrum of -phi'' - K phi on [0, m length(curve)].
+    """Periodic spectrum of -phi'' - K phi on [0, m length(curve)]: the
+    one-cover case of ``cover_spectra``.
 
     ``grid_size`` counts the points on the whole m-fold cover and must be a
     multiple of m, so that every period carries the same grid_size / m
-    points.  Eigenvalues are the union of the m one-period Bloch blocks
-    (module docstring); index counts eigenvalues below -zero_tolerance and
-    nullity those within it, with zero_tolerance = max(1e-8, 10 h^2 max|K|).
-    Raises GridTooCoarse when the tolerance reaches max|K| > 0 (no index is
-    then countable) or an eigenvalue falls too close to the classification
-    boundary to trust.
+    points.  The report holds the low end of the spectrum (SpectrumReport),
+    its index and nullity.
     """
-    surface = surface or curve.surface
     if grid_size < 256:
         raise ValueError("grid_size must be at least 256")
     m = int(cover_multiplicity)
@@ -148,41 +227,7 @@ def jacobi_spectrum(
         raise ValueError("cover_multiplicity must be >= 1")
     if grid_size % m:
         raise ValueError("grid_size must be a multiple of cover_multiplicity")
-    require_geodesic(curve, surface)
-
-    h = curve.length * m / grid_size
-    # K sampled on one period
-    s = np.arange(grid_size // m) * h
-    K_curve = curvature_along(curve, surface)
-    s_curve = np.arange(curve.n) * (curve.length / curve.n)
-    K = np.interp(s, s_curve, K_curve, period=curve.length)
-    K_max = float(np.max(np.abs(K)))
-    zero_tol = max(1e-8, 10.0 * h**2 * K_max)
-    # every eigenvalue is >= -max|K|: at this tolerance none can count as index
-    if zero_tol >= K_max > 0:
-        raise GridTooCoarse("zero tolerance reaches max|K|; refine grid_size")
-
-    # blocks j and m - j share a spectrum: count 0 < j < m / 2 twice
-    blocks = []
-    for j in range(m // 2 + 1):
-        eig_j = eigvals_banded(_bloch_band(K, h, j, m), lower=True)
-        blocks += [eig_j] if 2 * j % m == 0 else [eig_j, eig_j]
-    eig = np.sort(np.concatenate(blocks))
-
-    index = int(np.sum(eig < -zero_tol))
-    nullity = int(np.sum(np.abs(eig) <= zero_tol))
-
-    # classification is ambiguous when an eigenvalue sits near the boundary
-    if np.any(np.abs(np.abs(eig) - zero_tol) < 0.25 * zero_tol):
-        raise GridTooCoarse("eigenvalue within 25% of the zero tolerance; refine grid_size")
-    return SpectrumReport(
-        eigenvalues=eig,
-        index=index,
-        nullity=nullity,
-        grid_size=grid_size,
-        zero_tolerance=zero_tol,
-        cover_multiplicity=m,
-    )
+    return cover_spectra(curve, surface, (m,), grid_size // m)[m]
 
 
 def network_index(

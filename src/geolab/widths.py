@@ -26,7 +26,7 @@ from .geodesics import (
     sample_level_circle,
     shoot_closed_batch,
 )
-from .jacobi import degeneracy_criterion_mk, jacobi_spectrum
+from .jacobi import cover_spectra, degeneracy_criterion_mk, jacobi_spectrum
 from .networks import detect_vertices
 from .surfaces import SurfaceModel, make_ellipsoid, make_mk
 
@@ -332,10 +332,8 @@ def ellipsoid_experiment(a1: float, a2: float, a3: float) -> dict:
 
     details = []
     for i, (cur, oracle) in enumerate(zip(curves, oracles)):
-        spectra = {}
-        for m in range(1, MAX_COVER + 1):
-            rep = jacobi_spectrum(cur, surface, cover_multiplicity=m, grid_size=512 * m)
-            spectra[m] = {"index": rep.index, "nullity": rep.nullity}
+        reps = cover_spectra(cur, surface, range(1, MAX_COVER + 1), 512)
+        spectra = {m: {"index": r.index, "nullity": r.nullity} for m, r in reps.items()}
         details.append(
             {
                 "plane": f"x{i+1}=0",

@@ -105,6 +105,16 @@ def test_index_cover_beyond_default_grid_cap(tmp_path):
     assert rep["cover_multiplicity"] == 20 and rep["grid_size"] == 2000
 
 
+@pytest.mark.parametrize("cover", ["0", "-2"])
+def test_index_cover_below_one_exit_1(tmp_path, cover):
+    # the cover is named, not the default grid 512 * cover it would give
+    out = tmp_path / "o"
+    assert run(["index", "--cover", cover, "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["message"] == "cover must be at least 1"
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

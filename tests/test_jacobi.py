@@ -12,8 +12,11 @@ from geolab.geodesics import (
     sample_level_circle,
     shoot_closed_batch,
 )
+import geolab.jacobi as jacobi
 from geolab.jacobi import (
+    REPORTED_EIGS,
     _bloch_band,
+    cover_spectra,
     curvature_along,
     degeneracy_criterion_mk,
     jacobi_spectrum,
@@ -56,6 +59,19 @@ def dense_cover_spectrum(curve, m, grid_size):
     eig = np.linalg.eigvalsh(A / h**2 - np.diag(K))
     zero_tol = max(1e-8, 10.0 * h**2 * np.max(np.abs(K)))
     return eig, int(np.sum(eig < -zero_tol)), int(np.sum(np.abs(eig) <= zero_tol))
+
+
+def whole_block_spectrum(curve, m, n):
+    """Reference: the union of the m Bloch blocks of the m-fold cover on n
+    points per period, each solved whole, with conjugate phases twice."""
+    h = curve.length / n
+    s_curve = np.arange(curve.n) * (curve.length / curve.n)
+    K = np.interp(np.arange(n) * h, s_curve, curvature_along(curve), period=curve.length)
+    blocks = []
+    for j in range(m // 2 + 1):
+        eig_j = eigvals_banded(_bloch_band(K, h, j, m), lower=True)
+        blocks += [eig_j] if 2 * j % m == 0 else [eig_j, eig_j]
+    return np.sort(np.concatenate(blocks))
 
 
 def monodromy(curve):
@@ -221,10 +237,13 @@ class TestSpectrum:
         else:
             curve = sample_level_circle(mk16, 0.0)
         grid = 512 * m
-        rep = jacobi_spectrum(curve, cover_multiplicity=m, grid_size=grid)
         eig, index, nullity = dense_cover_spectrum(curve, m, grid)
-        assert rep.eigenvalues.shape == (grid,)
-        assert np.max(np.abs(rep.eigenvalues - eig)) <= 1e-9
+        assert np.max(np.abs(whole_block_spectrum(curve, m, 512) - eig)) <= 1e-9
+        # the report holds the low end: exactly the dense spectrum's prefix
+        rep = jacobi_spectrum(curve, cover_multiplicity=m, grid_size=grid)
+        low = rep.eigenvalues.size
+        assert low >= REPORTED_EIGS
+        assert np.max(np.abs(rep.eigenvalues - eig[:low])) <= 1e-9
         assert (rep.index, rep.nullity) == (index, nullity)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -238,10 +257,46 @@ class TestSpectrum:
         h = m * eq.length / N
         theta = 2 * np.pi * np.arange(N) / N
         exact = np.sort((2.5 - 8 / 3 * np.cos(theta) + np.cos(2 * theta) / 6) / h**2 - 1 / k)
+        whole = np.abs(whole_block_spectrum(eq, m, 512) - exact)
+        assert whole.max() <= 1e-13 * np.abs(exact).max()
         rep = jacobi_spectrum(eq, cover_multiplicity=m, grid_size=N)
-        err = np.abs(rep.eigenvalues - exact)
+        low = rep.eigenvalues.size
+        assert low >= REPORTED_EIGS
+        err = np.abs(rep.eigenvalues - exact[:low])
         assert err.max() <= 1e-13 * np.abs(exact).max()
         assert err[:12].max() <= 1e-10
+
+    def test_block_reaching_the_zero_band_is_solved_whole(self, great_circle, monkeypatch):
+        # with 2 eigenvalues per block the great circle's low end stops at the
+        # first of its two zero modes; the block is then solved whole
+        rep = jacobi_spectrum(great_circle, grid_size=512)
+        monkeypatch.setattr(jacobi, "REPORTED_EIGS", 2)
+        rep2 = jacobi_spectrum(great_circle, grid_size=512)
+        assert (rep2.index, rep2.nullity) == (rep.index, rep.nullity) == (1, 2)
+        low = rep2.eigenvalues.size
+        assert low == 3  # -1 and both zero modes: all of the block up to the band
+        assert np.max(np.abs(rep2.eigenvalues - rep.eigenvalues[:low])) <= 1e-9
+
+    def test_covers_share_phases(self, ellipses_094, monkeypatch):
+        # phases 0, 1/2, 1/3, 1/4 serve covers 1-4: 4 block solves, not 1+2+2+3
+        curve = ellipses_094[0]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("select", "a"))
+            return eigvals_banded(*args, **kwargs)
+
+        monkeypatch.setattr(jacobi, "eigvals_banded", counted)
+        reps = cover_spectra(curve, covers=(1, 2, 3, 4))
+        assert calls == ["i"] * 4
+        del calls[:]
+        single = {m: jacobi_spectrum(curve, cover_multiplicity=m, grid_size=512 * m)
+                  for m in (1, 2, 3, 4)}
+        assert calls == ["i"] * 8
+        for m, rep in reps.items():
+            assert (rep.index, rep.nullity) == (single[m].index, single[m].nullity)
+            assert rep.eigenvalues.size == single[m].eigenvalues.size
+            assert np.max(np.abs(rep.eigenvalues - single[m].eigenvalues)) <= 1e-9
 
     @pytest.mark.parametrize("grid, m", [(256, 64), (256, 128), (256, 256), (300, 100)])
     def test_periods_shorter_than_stencil(self, grid, m):
@@ -249,15 +304,8 @@ class TestSpectrum:
         # one block entry, and onto the diagonal for a single point; the
         # blocks are solved here, as jacobi_spectrum refuses grids this coarse
         eq = sample_level_circle(make_mk(5.0, 1.0), 0.0)
-        h = eq.length * m / grid
-        s_curve = np.arange(eq.n) * (eq.length / eq.n)
-        K = np.interp(np.arange(grid // m) * h, s_curve, curvature_along(eq), period=eq.length)
-        blocks = []
-        for j in range(m // 2 + 1):
-            eig_j = eigvals_banded(_bloch_band(K, h, j, m), lower=True)
-            blocks += [eig_j] if 2 * j % m == 0 else [eig_j, eig_j]
         eig = dense_cover_spectrum(eq, m, grid)[0]
-        assert np.max(np.abs(np.sort(np.concatenate(blocks)) - eig)) <= 1e-12
+        assert np.max(np.abs(whole_block_spectrum(eq, m, grid // m) - eig)) <= 1e-12
         # the zero tolerance 10 h^2 max|K| reaches max|K|: no index is countable
         with pytest.raises(GridTooCoarse, match="reaches max"):
             jacobi_spectrum(eq, cover_multiplicity=m, grid_size=grid)

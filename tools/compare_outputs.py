@@ -16,8 +16,10 @@ configuration it prints ``identical`` or the files that differ or exist on
 one side only, and each side's wall time in seconds, import included; it
 exits 1 on any difference.  For a JSON file that differs it also prints the
 largest absolute difference over the numeric leaves found at the same path
-on both sides, and lists the paths whose values differ otherwise (not both
-numbers) or exist on one side only.
+on both sides, then each moved numeric leaf with its own largest change,
+runs of consecutive integer keys (list indices) under one parent folded
+into a range (``/result/eigenvalues/0-11``), and lists the paths whose values differ
+otherwise (not both numbers) or exist on one side only.
 JSON files that a strict parser rejects (NaN or Infinity) are listed per
 side and count as a difference too.
 """
@@ -136,6 +138,27 @@ def json_leaves(node, path=""):
     return leaves
 
 
+def fold_indices(moved):
+    """``path (largest change)`` per (path, change) in ``moved``, in order,
+    with runs of consecutive integer last components under one parent
+    folded into ``parent/first-last``."""
+    runs = []  # [parent, first, last, largest], or [path, None, None, change]
+    for path, change in moved:
+        parent, _, key = path.rpartition("/")
+        if not key.isdigit():
+            runs.append([path, None, None, change])
+        elif runs and runs[-1][0] == parent and runs[-1][2] == int(key) - 1:
+            runs[-1][2:] = [int(key), max(runs[-1][3], change)]
+        else:
+            runs.append([parent, int(key), int(key), change])
+    text = []
+    for head, first, last, largest in runs:
+        if first is not None:
+            head += f"/{first}" + (f"-{last}" if last > first else "")
+        text.append(f"{head} ({largest:.3g})")
+    return text
+
+
 def json_difference(a: Path, b: Path) -> str:
     """The largest numeric change between two JSON files and the paths that
     differ in any other way."""
@@ -147,18 +170,24 @@ def json_difference(a: Path, b: Path) -> str:
     def number(v):
         return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
-    largest, changed, other = 0.0, 0, []
-    for path in sorted(leaves[0].keys() | leaves[1].keys()):
+    def order(path):  # list indices in numeric order
+        return [(0, int(k), "") if k.isdigit() else (1, 0, k) for k in path.split("/")]
+
+    moved, other = [], []
+    for path in sorted(leaves[0].keys() | leaves[1].keys(), key=order):
         if path not in leaves[0] or path not in leaves[1]:
             other.append(f"{path} ({'change' if path in leaves[1] else 'parent'} only)")
             continue
         va, vb = leaves[0][path], leaves[1][path]
         if number(va) and number(vb):
             if va != vb:
-                largest, changed = max(largest, abs(vb - va)), changed + 1
+                moved.append((path, abs(vb - va)))
         elif repr(va) != repr(vb):  # repr: NaN equals NaN, True differs from 1
             other.append(path)
-    text = f"max |numeric difference| {largest:.3g} over {changed} leaves"
+    largest = max((change for _, change in moved), default=0.0)
+    text = f"max |numeric difference| {largest:.3g} over {len(moved)} leaves"
+    if moved:
+        text += f": {', '.join(fold_indices(moved))}"
     return text + (f"; other differences: {', '.join(other)}" if other else "")
 
 
