@@ -32,16 +32,45 @@ from .widths import (
     width_table,
 )
 
-COMMANDS = (
-    "find-geodesics",
-    "index",
-    "network",
-    "split-vertex",
-    "extend-field",
-    "sweepout-bound",
-    "mk-experiment",
-    "ellipsoid-experiment",
-)
+MK4 = {"type": "mk", "k": 4.0, "mu": 1.0}
+# each command's defaults: what it runs with where neither the config nor a
+# flag gives a key
+DEFAULTS = {
+    "find-geodesics": {"surface": MK4, "n_seeds": 40, "cap": None},
+    "index": {"surface": MK4, "cover": 1, "grid": None},  # grid None: 512 points per period
+    "network": {"builtin": "two-circles", "order": 3, "p": None, "K0": 1.0, "omega1": 2 * np.pi},
+    "split-vertex": {"order": 3},
+    "extend-field": {"builtin": "two-circles", "delta": 2.0, "flow_step": 0.005},
+    "sweepout-bound": {"surface": MK4, "p": 5},
+    "mk-experiment": {
+        "surface": {"type": "mk", "k": 100.0, "mu": 1.0}, "n_seeds": 200, "cap": None,
+    },
+    "ellipsoid-experiment": {"surface": {"type": "ellipsoid", "a": [0.96, 1.0, 1.04]}},
+}
+COMMANDS = tuple(DEFAULTS)
+# the one surface type a command runs on; the others take any surface
+SURFACE_TYPES = {
+    "find-geodesics": "mk",
+    "mk-experiment": "mk",
+    "ellipsoid-experiment": "ellipsoid",
+}
+# config key -> (type, help); each key is also a flag, --n-seeds for n_seeds
+_KEYS = {
+    "seed": (int, "seed of the shooting directions"),
+    "grid": (int, "index: grid points on the whole cover"),
+    "p": (int, "width level / bound level"),
+    "n_seeds": (int, "number of shooting seeds"),
+    "cap": (float, "length cap"),
+    "cover": (int, "cover multiplicity"),
+    "order": (int, "synthetic vertex order"),
+    "delta": (float, "length bound of the extended field's support"),
+    "flow_step": (float, "step of the second-variation flow"),
+    "builtin": (str, "builtin network name"),
+    "K0": (float, "curvature lower bound of the appendix bounds"),
+    "omega1": (float, "first width of the appendix bounds"),
+}
+_INT_KEYS = tuple(key for key, (kind, _) in _KEYS.items() if kind is int)
+_FLOAT_KEYS = tuple(key for key, (kind, _) in _KEYS.items() if kind is float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,22 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--config", type=Path, help="JSON config file (flags override)")
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--out", type=Path, default=Path("geolab-out"))
-    ap.add_argument("--grid", type=int, default=None, help="spectral grid size")
-    ap.add_argument("--k", type=float, default=None)
-    ap.add_argument("--mu", type=float, default=None)
-    ap.add_argument("--a", type=str, default=None, help="ellipsoid coefficients a1,a2,a3")
-    ap.add_argument("--p", type=int, default=None, help="width level / bound level")
-    ap.add_argument("--n-seeds", type=int, default=None)
-    ap.add_argument("--cap", type=float, default=None, help="length cap")
-    ap.add_argument("--cover", type=int, default=None, help="cover multiplicity")
-    ap.add_argument("--order", type=int, default=None, help="synthetic vertex order")
-    ap.add_argument("--delta", type=float, default=None)
-    ap.add_argument("--flow-step", type=float, default=None)
-    ap.add_argument("--builtin", type=str, default=None, help="builtin network name")
-    ap.add_argument("--K0", type=float, default=None)
-    ap.add_argument("--omega1", type=float, default=None)
+    ap.add_argument("--out", type=Path, default=Path("geolab-out"), help="output directory")
+    ap.add_argument("--k", type=float, help="mk surface k")
+    ap.add_argument("--mu", type=float, help="mk surface mu")
+    ap.add_argument("--a", help="ellipsoid coefficients a1,a2,a3")
+    for key, (kind, text) in _KEYS.items():
+        ap.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     return ap
 
 
@@ -78,11 +97,18 @@ MAX_N_SEEDS = 5000  # one shooting batch of all seeds
 MAX_ORDER = 64  # network --order 64 peaks at 615 MB
 MAX_SPLIT_ORDER = 32  # split-vertex --order 32 (30 detours in one ball) peaks at 426 MB
 
-_INT_KEYS = ("seed", "grid", "p", "n_seeds", "cover", "order")
-_FLOAT_KEYS = ("cap", "delta", "flow_step", "K0", "omega1")
+
+def _cover_grid(cfg) -> int:
+    """Grid points on the whole cover: ``grid``, or 512 per period."""
+    return GRID_PER_PERIOD * cfg["cover"] if cfg.get("grid") is None else cfg["grid"]
 
 
 def load_config(args) -> dict:
+    """The config file's keys with the flags over them, plus ``seed``.
+
+    Types are checked on these keys; bounds, caps and the surface type on
+    what the command runs with, its DEFAULTS with these keys over them.
+    """
     cfg = {}
     if args.config is not None:
         try:
@@ -91,58 +117,50 @@ def load_config(args) -> dict:
             raise ConfigInvalid(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigInvalid("config file must hold a JSON object")
-    overrides = {
-        "seed": args.seed,
-        "grid": args.grid,
-        "p": args.p,
-        "n_seeds": args.n_seeds,
-        "cap": args.cap,
-        "cover": args.cover,
-        "order": args.order,
-        "delta": args.delta,
-        "flow_step": args.flow_step,
-        "builtin": args.builtin,
-        "K0": args.K0,
-        "omega1": args.omega1,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
-    if args.k is not None or args.mu is not None:
-        cfg.setdefault("surface", {"type": "mk", "k": 4.0, "mu": 1.0})
-        if args.k is not None:
-            cfg["surface"]["k"] = args.k
-        if args.mu is not None:
-            cfg["surface"]["mu"] = args.mu
+    for key in _KEYS:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    if args.k is not None or args.mu is not None:  # edit the command's own mk surface
+        own = DEFAULTS[args.command].get("surface", MK4)
+        surface = cfg.setdefault("surface", dict(own if own["type"] == "mk" else MK4))
+        if isinstance(surface, dict):  # any other spec fails surface_from_config below
+            if args.k is not None:
+                surface["k"] = args.k
+            if args.mu is not None:
+                surface["mu"] = args.mu
     if args.a is not None:
         a = [float(x) for x in args.a.split(",")]
         if len(a) != 3:
             raise ConfigInvalid(f"--a needs three coefficients a1,a2,a3, got {len(a)}")
         cfg["surface"] = {"type": "ellipsoid", "a": a}
-    for key in _INT_KEYS + _FLOAT_KEYS:
-        if key not in cfg or (key == "cap" and cfg[key] is None):  # null cap: no cap
+    for key, (kind, _) in _KEYS.items():
+        if kind is str or key not in cfg or (key == "cap" and cfg[key] is None):  # null cap: no cap
             continue
         val = cfg[key]
         number = isinstance(val, (int, float)) and not isinstance(val, bool)
         integral = number and (isinstance(val, int) or val.is_integer())
-        if not (integral if key in _INT_KEYS else number and math.isfinite(val)):
-            kind = "an integer" if key in _INT_KEYS else "a finite number"
-            raise ConfigInvalid(f"{key} must be {kind}, got {val!r}")
+        if not (integral if kind is int else number and math.isfinite(val)):
+            what = "an integer" if kind is int else "a finite number"
+            raise ConfigInvalid(f"{key} must be {what}, got {val!r}")
+    runs = {**DEFAULTS[args.command], **cfg}
     for key in ("cap", "delta", "flow_step"):
-        if cfg.get(key) is not None and cfg[key] <= 0:
+        if runs.get(key) is not None and runs[key] <= 0:
             raise ConfigInvalid(f"{key} must be positive")
     for key, low in (("n_seeds", 1), ("p", 1), ("cover", 1), ("order", 2)):
-        if key in cfg and cfg[key] < low:
+        if runs.get(key) is not None and runs[key] < low:
             raise ConfigInvalid(f"{key} must be at least {low}")
-    grid = cfg.get("grid", GRID_PER_PERIOD * cfg.get("cover", 1))  # index's default grid
+    grid = _cover_grid(runs) if "grid" in runs or "cover" in runs else None
     order_cap = MAX_SPLIT_ORDER if args.command == "split-vertex" else MAX_ORDER
     for key, val, cap in (("grid" if "grid" in cfg else "512 * cover", grid, MAX_GRID),
-                          ("n_seeds", cfg.get("n_seeds", 1), MAX_N_SEEDS),
-                          ("order", cfg.get("order", 3), order_cap)):
-        if val > cap:
+                          ("n_seeds", runs.get("n_seeds"), MAX_N_SEEDS),
+                          ("order", runs.get("order"), order_cap)):
+        if val is not None and val > cap:
             raise ConfigInvalid(f"{key} must be at most {cap}, got {val}")
     if "surface" in cfg:
         surface_from_config(cfg["surface"])
+        wanted = SURFACE_TYPES.get(args.command)
+        if wanted is not None and cfg["surface"]["type"] != wanted:
+            raise ConfigInvalid(f"{args.command} runs on {wanted} surfaces")
     cfg["seed"] = int(cfg.get("seed", 0))
     return cfg
 
@@ -244,12 +262,7 @@ def write_svg_eigenvalues(path: Path, eigenvalues, zero_tol, title=""):
 # ---------------------------------------------------------------------------
 
 
-def _surface_from(cfg, default=None):
-    spec = cfg.get("surface", default or {"type": "mk", "k": 4.0, "mu": 1.0})
-    return surface_from_config(spec), spec
-
-
-def _synthetic_network(name: str, order: int = 3):
+def _synthetic_network(name: str, order: int):
     if name == "two-circles":
         sph = make_sphere()
         curves = [
@@ -294,15 +307,11 @@ def _write_width_bounds(out: Path, table):
 
 
 def cmd_find_geodesics(cfg, out: Path):
-    surf_spec = cfg.get("surface", {"type": "mk", "k": 4.0, "mu": 1.0})
-    if surf_spec.get("type") != "mk":
-        raise ConfigInvalid("find-geodesics runs on mk surfaces")
     rep = mk_multiplicity_experiment(
-        k=float(surf_spec["k"]),
-        mu=float(surf_spec.get("mu", 1.0)),
-        length_cap=cfg.get("cap"),
-        n_seeds=int(cfg.get("n_seeds", 40)),
-        seed=int(cfg["seed"]),
+        **surface_from_config(cfg["surface"]).builtin_params,  # k and mu
+        length_cap=cfg["cap"],
+        n_seeds=int(cfg["n_seeds"]),
+        seed=cfg["seed"],
         spectra=False,
         keep_curves=True,
     )
@@ -311,18 +320,14 @@ def cmd_find_geodesics(cfg, out: Path):
 
 
 def cmd_index(cfg, out: Path):
-    surface, spec = _surface_from(cfg)
+    spec = cfg["surface"]
+    surface = surface_from_config(spec)
     curve = sample_level_circle(surface, 0.0)
-    cover = int(cfg.get("cover", 1))
-    rep = jacobi_spectrum(
-        curve,
-        surface,
-        cover_multiplicity=cover,
-        grid_size=int(cfg.get("grid", GRID_PER_PERIOD * cover)),
-    )
+    cover = int(cfg["cover"])
+    rep = jacobi_spectrum(curve, surface, cover_multiplicity=cover, grid_size=int(_cover_grid(cfg)))
     payload = rep.to_json_dict()
     payload["curve"] = curve.to_record()
-    if spec.get("type") == "mk":
+    if spec["type"] == "mk":
         payload["degeneracy_criterion"] = degeneracy_criterion_mk(
             float(spec["k"]), cover
         )
@@ -334,16 +339,11 @@ def cmd_index(cfg, out: Path):
 
 
 def cmd_network(cfg, out: Path):
-    net = _synthetic_network(cfg.get("builtin", "two-circles"), int(cfg.get("order", 3)))
+    net = _synthetic_network(cfg["builtin"], int(cfg["order"]))
     payload = net.to_json_dict()
     checks = {}
-    if cfg.get("p") is not None:
-        bounds = check_appendix_bounds(
-            net,
-            int(cfg["p"]),
-            float(cfg.get("K0", 1.0)),
-            float(cfg.get("omega1", 2 * np.pi)),
-        )
+    if cfg["p"] is not None:
+        bounds = check_appendix_bounds(net, int(cfg["p"]), float(cfg["K0"]), float(cfg["omega1"]))
         payload["appendix_bounds"] = bounds
         checks = {
             "edge_bound_ok": bounds.get("edge_bound_ok", True),
@@ -358,7 +358,7 @@ def cmd_network(cfg, out: Path):
 
 
 def cmd_split_vertex(cfg, out: Path):
-    order = int(cfg.get("order", 3))
+    order = int(cfg["order"])
     net = _synthetic_network("concurrent-lines", order)
     surface = net.ambient_surface
     vertex = net.vertices[0]
@@ -386,22 +386,20 @@ def cmd_split_vertex(cfg, out: Path):
 
 
 def cmd_extend_field(cfg, out: Path):
-    net = _synthetic_network(cfg.get("builtin", "two-circles"))
+    # order is not an extend-field key: only order-2 crossings extend
+    net = _synthetic_network(cfg["builtin"], DEFAULTS["network"]["order"])
     phis = [1.0] * len(net.curves)
-    X = extend_normal_field(net, phis, delta=float(cfg.get("delta", 2.0)))
-    rep = verify_second_variation_match(
-        net, phis, X, flow_step=float(cfg.get("flow_step", 0.005))
-    )
+    X = extend_normal_field(net, phis, delta=float(cfg["delta"]))
+    rep = verify_second_variation_match(net, phis, X, flow_step=float(cfg["flow_step"]))
     return rep, {"rel_error_small": rep["rel_error"] <= 1e-3}
 
 
 def cmd_sweepout_bound(cfg, out: Path):
-    surface, spec = _surface_from(cfg)
-    p_max = int(cfg.get("p", 5))
+    p_max = int(cfg["p"])
     if p_max > MAX_TABLE_LEVEL:  # one table row per level
         raise ConfigInvalid(f"p must be at most {MAX_TABLE_LEVEL} here, got {p_max}")
-    sweep = level_circle_sweepout(surface)
-    reference = (lambda l: 2 * np.pi * l) if spec.get("type") == "mk" else round_sphere_width
+    sweep = level_circle_sweepout(surface_from_config(cfg["surface"]))
+    reference = (lambda l: 2 * np.pi * l) if cfg["surface"]["type"] == "mk" else round_sphere_width
     table = width_table(sweep, p_max, reference)
     _write_width_bounds(out, table)
     payload = {"max_mass": sweep.max_mass, "table": table}
@@ -409,13 +407,11 @@ def cmd_sweepout_bound(cfg, out: Path):
 
 
 def cmd_mk_experiment(cfg, out: Path):
-    spec = cfg.get("surface", {"type": "mk", "k": 100.0, "mu": 1.0})
     rep = mk_multiplicity_experiment(
-        k=float(spec.get("k", 100.0)),
-        mu=float(spec.get("mu", 1.0)),
-        length_cap=cfg.get("cap"),
-        n_seeds=int(cfg.get("n_seeds", 200)),
-        seed=int(cfg["seed"]),
+        **surface_from_config(cfg["surface"]).builtin_params,  # k and mu
+        length_cap=cfg["cap"],
+        n_seeds=int(cfg["n_seeds"]),
+        seed=cfg["seed"],
         keep_curves=True,
     )
     _write_found_curves(rep, out)
@@ -424,9 +420,7 @@ def cmd_mk_experiment(cfg, out: Path):
 
 
 def cmd_ellipsoid_experiment(cfg, out: Path):
-    spec = cfg.get("surface", {"type": "ellipsoid", "a": [0.96, 1.0, 1.04]})
-    a = spec.get("a", [0.96, 1.0, 1.04])
-    rep = ellipsoid_experiment(float(a[0]), float(a[1]), float(a[2]))
+    rep = ellipsoid_experiment(**surface_from_config(cfg["surface"]).builtin_params)
     checks = {
         "all_found": len(rep["geodesics"]) == 3,
         "nondegenerate": all(
@@ -457,7 +451,7 @@ def run(argv=None) -> int:
     out = Path(args.out)
     try:
         cfg = load_config(args)
-        payload, checks = HANDLERS[args.command](cfg, out)
+        payload, checks = HANDLERS[args.command]({**DEFAULTS[args.command], **cfg}, out)
         report = {
             "tool": "geolab",
             "version": __version__,

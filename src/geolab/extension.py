@@ -35,7 +35,7 @@ from .geodesics import (
     require_geodesic,
 )
 from .jacobi import second_variation
-from .networks import GeodesicNetwork, is_g_plus
+from .networks import GeodesicNetwork, is_g_plus, smallest_strand_angle
 from .surfaces import SurfaceModel
 
 DRIFT_TOL = 1e-3  # largest |F| at a field-flow step end, times max(1, diameter)
@@ -266,12 +266,9 @@ def extend_normal_field(
     else:
         eta = eta or 0.0
 
-    theta_min = np.pi / 2
-    for v in verts:
-        d = abs(v.strand_angles[0] - v.strand_angles[1]) % np.pi
-        theta_min = min(theta_min, min(d, np.pi - d))
     tube_radius = 0.2 * min(c.length for c in curves)
     if verts:
+        theta_min = min(smallest_strand_angle(v.strand_angles) for v in verts)
         tube_radius = min(tube_radius, 0.45 * (5.0 * eta / 8.0) * np.sin(theta_min))
 
     crossing_data = []

@@ -37,7 +37,7 @@ from .errors import (
     NoConvergence,
     NotAGeodesic,
 )
-from .surfaces import SurfaceModel, christoffel_batch
+from .surfaces import SurfaceModel, christoffel_batch, mk_height
 
 DEFAULT_STEPS = 4096
 GEODESIC_KAPPA_TOL = 1e-6
@@ -825,8 +825,7 @@ def low_discrepancy_seeds(n: int, dims: int, seed: int = 0) -> np.ndarray:
 def mk_seed_directions(surface: SurfaceModel, n_seeds: int, seed: int):
     """Shooting seeds on an mk surface: points in a latitude band plus
     tangent directions from the low-discrepancy sequence."""
-    p = surface.builtin_params
-    zmax = p["k"] ** (1.0 / (2.0 * p["mu"]))
+    zmax = mk_height(surface)
     u = low_discrepancy_seeds(n_seeds, 3, seed)
     c = SEED_BAND * zmax * (2.0 * u[:, 0] - 1.0)
     phi = 2 * np.pi * u[:, 1]

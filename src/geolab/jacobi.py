@@ -145,9 +145,11 @@ def cover_spectra(
     tolerance, and each Bloch phase j / m (in lowest terms) is solved once:
     phases 0 and 1/2 serve every even cover.  Index counts eigenvalues below
     -zero_tolerance and nullity those within it, with zero_tolerance =
-    max(1e-8, 10 h^2 max|K|).  Raises GridTooCoarse when the tolerance
-    reaches max|K| > 0 (no index is then countable) or an eigenvalue falls
-    too close to the classification boundary to trust.
+    max(1e-8, 10 h^2 max|K|).  Raises GridTooCoarse when the grid term
+    10 h^2 max|K| reaches max|K| > 0 (no index is then countable; a finer
+    grid would help) or an eigenvalue falls too close to the classification
+    boundary to trust.  When max|K| is below the 1e-8 floor every eigenvalue
+    lies above -zero_tolerance and the index is 0.
     """
     surface = surface or curve.surface
     n = int(points_per_period)
@@ -164,9 +166,11 @@ def cover_spectra(
     s_curve = np.arange(curve.n) * (curve.length / curve.n)
     K = np.interp(np.arange(n) * h, s_curve, curvature_along(curve, surface), period=curve.length)
     K_max = float(np.max(np.abs(K)))
-    zero_tol = max(1e-8, 10.0 * h**2 * K_max)
-    # every eigenvalue is >= -max|K|: at this tolerance none can count as index
-    if zero_tol >= K_max > 0:
+    grid_tol = 10.0 * h**2 * K_max
+    zero_tol = max(1e-8, grid_tol)
+    # every eigenvalue is >= -max|K|: at a grid term this large none can count
+    # as index; below the 1e-8 floor the index is 0 on any grid
+    if grid_tol >= K_max > 0:
         raise GridTooCoarse("zero tolerance reaches max|K|; refine grid_size")
     classified = 1.25 * zero_tol  # index, nullity and ambiguity look no higher
 

@@ -251,7 +251,7 @@ def detect_vertices(
             _strand_angle(curves[ci], s_arc, cumlens[ci], centroid, surface)
             for ci, s_arc in strands
         ]
-        transverse = _all_transverse(angles, ANGLE_THRESHOLD)
+        transverse = smallest_strand_angle(angles) >= ANGLE_THRESHOLD
         records.append(
             VertexRecord(
                 position=centroid,
@@ -318,14 +318,11 @@ def _strand_angle(curve, s_arc, cumlen, centroid, surface):
     return float(ang % np.pi)
 
 
-def _all_transverse(angles, threshold):
-    for a in range(len(angles)):
-        for b in range(a + 1, len(angles)):
-            d = abs(angles[a] - angles[b]) % np.pi
-            d = min(d, np.pi - d)
-            if d < threshold:
-                return False
-    return True
+def smallest_strand_angle(angles) -> float:
+    """Smallest angle between two of at least two strand directions, mod pi."""
+    ang = np.asarray(angles, dtype=float)
+    gaps = np.abs(ang[:, None] - ang[None, :])[np.triu_indices(ang.size, 1)] % np.pi
+    return float(np.min(np.minimum(gaps, np.pi - gaps)))
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from .geodesics import (
     flow_chart,
     metric_right_normals,
 )
-from .networks import GeodesicNetwork, VertexRecord, detect_vertices
+from .networks import GeodesicNetwork, VertexRecord, detect_vertices, smallest_strand_angle
 from .surfaces import SurfaceModel, chart_euclidean_deviation, gauss_curvature
 
 # geometry fractions of the working-ball radius R: bridges span
@@ -515,9 +515,7 @@ def split_vertex(surface: SurfaceModel, network: GeodesicNetwork, vertex: Vertex
     if d < 3:
         return surface, network, []
     R = default_ball_radius(surface, network, vertex)
-    ang = np.asarray(vertex.strand_angles)
-    gaps = np.abs(ang[:, None] - ang[None, :])[np.triu_indices(d, 1)] % np.pi
-    delta = float(np.min(np.minimum(gaps, np.pi - gaps)))
+    delta = smallest_strand_angle(vertex.strand_angles)
     t = OFFSET_FRAC * R * min(1.0, 2.0 * np.tan(delta))
     detours = [
         build_detour(surface, network, vertex, j, t * ((d - 2 - j) / (d - 2)) ** 2, ball_radius=R)

@@ -208,7 +208,7 @@ class SurfaceModel:
         name = self.name
         p = self.builtin_params
         if name == "mk":
-            return 2.0 * max(1.0, p["k"] ** (1.0 / (2.0 * p["mu"])))
+            return 2.0 * max(1.0, mk_height(self))
         if name == "ellipsoid":
             return 2.0 / np.sqrt(min(p["a1"], p["a2"], p["a3"]))
         return 2.0
@@ -260,6 +260,12 @@ def make_mk(k: float, mu: float = 1.0) -> SurfaceModel:
         level_coeffs=(1.0, 1.0, 1.0 / k),
         level_powers=(1.0, 1.0, float(mu)),
     )
+
+
+def mk_height(surface: SurfaceModel) -> float:
+    """Pole height k^(1/(2 mu)) of an mk surface: its largest |x3|."""
+    p = surface.builtin_params
+    return p["k"] ** (1.0 / (2.0 * p["mu"]))
 
 
 def make_ellipsoid(a1: float, a2: float, a3: float) -> SurfaceModel:

@@ -28,7 +28,7 @@ from .geodesics import (
 )
 from .jacobi import cover_spectra, degeneracy_criterion_mk, jacobi_spectrum
 from .networks import detect_vertices
-from .surfaces import SurfaceModel, make_ellipsoid, make_mk
+from .surfaces import SurfaceModel, make_ellipsoid, make_mk, mk_height
 
 N_SAMPLES = 4096  # samples per shot curve in both experiments
 P_TABLE = 5  # levels of the mk width table
@@ -76,8 +76,7 @@ def level_circle_sweepout(surface: SurfaceModel, samples: int = 512) -> OneSweep
     """
     if surface.name not in ("mk", "sphere"):
         raise ValueError("level-circle sweepout needs an mk surface or the sphere")
-    p = surface.builtin_params
-    zmax = p["k"] ** (1.0 / (2.0 * p["mu"])) if surface.name == "mk" else 1.0
+    zmax = mk_height(surface) if surface.name == "mk" else 1.0
     n = samples if samples % 2 == 1 else samples + 1
     t = np.linspace(0.0, 1.0, n)
     heights = -zmax * np.cos(np.pi * t)

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geolab
+from geolab import cli
 from geolab.cli import (
+    COMMANDS,
+    DEFAULTS,
     GRID_PER_PERIOD,
     MAX_GRID,
     MAX_N_SEEDS,
@@ -147,6 +150,71 @@ def test_index_needs_surface_of_revolution(tmp_path, argv, config):
     err = json.loads((out / "error.json").read_text())
     assert "surface of revolution" in err["message"]
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["mk-experiment", "--a", "0.96,1.0,1.04"], None, "mk-experiment runs on mk surfaces"),
+        (["mk-experiment"], {"surface": {"type": "sphere"}}, "mk-experiment runs on mk surfaces"),
+        (["ellipsoid-experiment", "--k", "4"], None,
+         "ellipsoid-experiment runs on ellipsoid surfaces"),
+        (["find-geodesics", "--a", "0.96,1.0,1.04"], None, "find-geodesics runs on mk surfaces"),
+    ],
+)
+def test_command_of_one_surface_type_rejects_others(tmp_path, argv, config, message):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err == {"error": "ConfigInvalid", "message": message}
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+def test_mu_flag_edits_the_command_default_surface(tmp_path, monkeypatch):
+    # mk-experiment's own surface is mk at k = 100: --mu changes mu only
+    seen = {}
+
+    def fake(**kwargs):
+        seen.update(kwargs)
+        return {"width_bounds": [], "properties": {}}
+
+    monkeypatch.setattr(cli, "mk_multiplicity_experiment", fake)
+    out = tmp_path / "o"
+    assert run(["mk-experiment", "--mu", "2", "--out", str(out)]) == 0
+    assert (seen["k"], seen["mu"], seen["n_seeds"]) == (100.0, 2.0, 200)
+    assert read_report(out)["config"]["surface"] == {"type": "mk", "k": 100.0, "mu": 2.0}
+
+
+@pytest.mark.parametrize("surface", ["x", None, [4.0]])
+def test_k_flag_on_surface_spec_not_a_dict_exit_1(tmp_path, surface):
+    # --k edits a config surface in place only when it is a dict
+    (tmp_path / "cfg.json").write_text(json.dumps({"surface": surface}))
+    out = tmp_path / "o"
+    assert run(["index", "--k", "4", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigInvalid" and "surface spec" in err["message"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_load_config_without_flags_runs_on_defaults(command):
+    # the defaults pass their own bounds, caps and surface type; the handler
+    # runs on DEFAULTS[command] plus seed, and the report echoes seed only
+    cfg = load_config(build_parser().parse_args([command]))
+    assert cfg == {"seed": 0}
+    assert set(DEFAULTS[command]).isdisjoint(cfg)
+
+
+def test_mu2_equator_below_tolerance_floor_exit_0(tmp_path):
+    # the shot equator lies at |x3| <= 1e-4, where max|K| < 1e-8: index 0
+    out = tmp_path / "o"
+    argv = ["mk-experiment", "--k", "9", "--mu", "2", "--n-seeds", "16", "--seed", "2"]
+    assert run(argv + ["--out", str(out)]) == 0
+    found = read_report(out)["result"]["found"]
+    assert (found[0]["index"], found[0]["nullity"]) == (0, 1)
+    assert [(r["index"], r["nullity"]) for r in found[1:]] == [(2, 1)] * 3
 
 
 def _strict_json(path):

@@ -336,6 +336,14 @@ class TestSpectrum:
         with pytest.raises(GridTooCoarse):
             jacobi_spectrum(eq, grid_size=512)
 
+    def test_curvature_below_tolerance_floor_has_index_zero(self):
+        # mu = 2, |x3| = 1e-4: max|K| is about 6.6e-9, below the 1e-8 floor,
+        # so every eigenvalue lies above -zero_tolerance on any grid
+        curve = sample_level_circle(make_mk(9.0, 2.0), 1e-4)
+        rep = jacobi_spectrum(curve)
+        assert 0 < np.max(np.abs(curvature_along(curve))) < rep.zero_tolerance == 1e-8
+        assert (rep.index, rep.nullity) == (0, 1)
+
     def test_index_lower_semicontinuity_smoke(self):
         for k in (4.0, 9.0, 25.0):
             eq = sample_level_circle(make_mk(k, 1.0), 0.0)

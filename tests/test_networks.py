@@ -11,6 +11,7 @@ from geolab.networks import (
     detect_vertices,
     edge_count,
     is_g_plus,
+    smallest_strand_angle,
     weighted_vertex_count,
 )
 from geolab.surfaces import make_flat_chart
@@ -330,3 +331,16 @@ class TestAppendixBounds:
         assert "edge_bound_skipped" in rep
         assert rep["length_bound_hypothesis_ok"] is False
         assert "length_bound_skipped" in rep
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=8))
+def test_smallest_strand_angle_matches_pairwise_loop(angles):
+    # the pairwise loop once written out in detect_vertices, split_vertex and
+    # extend_normal_field: same arithmetic, so bit-identical
+    loop = np.pi / 2
+    for a in range(len(angles)):
+        for b in range(a + 1, len(angles)):
+            d = abs(angles[a] - angles[b]) % np.pi
+            loop = min(loop, d, np.pi - d)
+    assert smallest_strand_angle(angles) == loop

@@ -2,11 +2,19 @@
 
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
-Runs the README's ten CLI configurations and the reductions of order 3, 4
-and 8 of concurrent lines in a curved chart (``sphere_exp_chart(1.2)``) and
-in the CLI's flat chart (``make_flat_chart(2.6, 2.6)``), each reduced by
+Runs, in each checkout, the README's ten CLI configurations; each of the
+eight commands with no flags (its defaults); three invalid inputs that exit
+1 with an ``error.json`` (``index --cover 0``, ``mk-experiment --k 0.5``,
+``sweepout-bound --p 1001``); three runs where a flag meets a command's
+surface type or its default surface (``mk-experiment --a 0.96,1.0,1.04``,
+``ellipsoid-experiment --k 4``, ``mk-experiment --mu 2``); one run whose
+equator curvature lies below the spectral zero-tolerance floor
+(``mk-experiment --k 9 --mu 2 --n-seeds 16 --seed 2``); and the reductions
+of order 3, 4 and 8 of concurrent lines in a curved chart
+(``sphere_exp_chart(1.2)``) and in the CLI's flat chart
+(``make_flat_chart(2.6, 2.6)``), each reduced by
 ``reduce_vertex_fully`` and written with its final vertex records to
-``reduction.json``, in each checkout.  Order 8 is beyond the nested
+``reduction.json``.  Order 8 is beyond the nested
 one-strand-per-ball reduction, which stops with ``AmbiguousCluster``; a
 checkout that still has it reads ``exit code 1`` there.
 Every run is a fresh process with ``PYTHONPATH`` set to that checkout's
@@ -49,6 +57,21 @@ CLI_CONFIGS = [
     ["index", "--k", "4"],
     ["sweepout-bound", "--k", "100", "--p", "5"],
 ]
+DEFAULT_CONFIGS = [[command] for command in (
+    "find-geodesics", "index", "network", "split-vertex", "extend-field",
+    "sweepout-bound", "mk-experiment", "ellipsoid-experiment",
+)]
+ERROR_CONFIGS = [
+    ["index", "--cover", "0"],
+    ["mk-experiment", "--k", "0.5"],
+    ["sweepout-bound", "--p", "1001"],
+]
+SURFACE_CONFIGS = [
+    ["mk-experiment", "--a", "0.96,1.0,1.04"],
+    ["ellipsoid-experiment", "--k", "4"],
+    ["mk-experiment", "--mu", "2"],
+    ["mk-experiment", "--k", "9", "--mu", "2", "--n-seeds", "16", "--seed", "2"],
+]
 CHART_ORDERS = (3, 4, 8)
 CHARTS = ("chart", "flat")  # sphere_exp_chart(1.2), make_flat_chart(2.6, 2.6)
 
@@ -80,7 +103,7 @@ out.mkdir(parents=True, exist_ok=True)
 
 def configurations():
     """(name, interpreter arguments); each run appends its output directory."""
-    for argv in CLI_CONFIGS:
+    for argv in CLI_CONFIGS + DEFAULT_CONFIGS + ERROR_CONFIGS + SURFACE_CONFIGS:
         yield " ".join(argv), ["-m", "geolab.cli", *argv, "--out"]
     for chart in CHARTS:
         for order in CHART_ORDERS:
