@@ -33,17 +33,17 @@ from .widths import (
 )
 
 MK4 = {"type": "mk", "k": 4.0, "mu": 1.0}
-# each command's defaults: what it runs with where neither the config nor a
-# flag gives a key
+# each command's keys and their defaults, what it runs with where neither the
+# config nor a flag gives the key; any other key exits 1
 DEFAULTS = {
-    "find-geodesics": {"surface": MK4, "n_seeds": 40, "cap": None},
+    "find-geodesics": {"surface": MK4, "n_seeds": 40, "cap": None, "seed": 0},
     "index": {"surface": MK4, "cover": 1, "grid": None},  # grid None: 512 points per period
     "network": {"builtin": "two-circles", "order": 3, "p": None, "K0": 1.0, "omega1": 2 * np.pi},
     "split-vertex": {"order": 3},
     "extend-field": {"builtin": "two-circles", "delta": 2.0, "flow_step": 0.005},
     "sweepout-bound": {"surface": MK4, "p": 5},
     "mk-experiment": {
-        "surface": {"type": "mk", "k": 100.0, "mu": 1.0}, "n_seeds": 200, "cap": None,
+        "surface": {"type": "mk", "k": 100.0, "mu": 1.0}, "n_seeds": 200, "cap": None, "seed": 0,
     },
     "ellipsoid-experiment": {"surface": {"type": "ellipsoid", "a": [0.96, 1.0, 1.04]}},
 }
@@ -100,16 +100,17 @@ MAX_SPLIT_ORDER = 32  # split-vertex --order 32 (30 detours in one ball) peaks a
 
 def _cover_grid(cfg) -> int:
     """Grid points on the whole cover: ``grid``, or 512 per period."""
-    return GRID_PER_PERIOD * cfg["cover"] if cfg.get("grid") is None else cfg["grid"]
+    return GRID_PER_PERIOD * cfg["cover"] if cfg["grid"] is None else cfg["grid"]
 
 
 def load_config(args) -> dict:
-    """The config file's keys with the flags over them, plus ``seed``.
+    """The config file's keys with the flags over them, plus ``seed`` where
+    the command reads it.  A key outside its DEFAULTS row exits 1.
 
     Types are checked on these keys; bounds, caps and the surface type on
     what the command runs with, its DEFAULTS with these keys over them.
     """
-    cfg = {}
+    cfg, row = {}, DEFAULTS[args.command]
     if args.config is not None:
         try:
             cfg = json.loads(Path(args.config).read_text())
@@ -121,7 +122,7 @@ def load_config(args) -> dict:
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
     if args.k is not None or args.mu is not None:  # edit the command's own mk surface
-        own = DEFAULTS[args.command].get("surface", MK4)
+        own = row.get("surface", MK4)
         surface = cfg.setdefault("surface", dict(own if own["type"] == "mk" else MK4))
         if isinstance(surface, dict):  # any other spec fails surface_from_config below
             if args.k is not None:
@@ -133,6 +134,9 @@ def load_config(args) -> dict:
         if len(a) != 3:
             raise ConfigInvalid(f"--a needs three coefficients a1,a2,a3, got {len(a)}")
         cfg["surface"] = {"type": "ellipsoid", "a": a}
+    unread = sorted(set(cfg) - set(row))  # --k, --mu and --a give surface
+    if unread:
+        raise ConfigInvalid(f"{args.command} does not read {unread[0]!r}; its keys: {', '.join(row)}")
     for key, (kind, _) in _KEYS.items():
         if kind is str or key not in cfg or (key == "cap" and cfg[key] is None):  # null cap: no cap
             continue
@@ -142,14 +146,14 @@ def load_config(args) -> dict:
         if not (integral if kind is int else number and math.isfinite(val)):
             what = "an integer" if kind is int else "a finite number"
             raise ConfigInvalid(f"{key} must be {what}, got {val!r}")
-    runs = {**DEFAULTS[args.command], **cfg}
+    runs = {**row, **cfg}
     for key in ("cap", "delta", "flow_step"):
         if runs.get(key) is not None and runs[key] <= 0:
             raise ConfigInvalid(f"{key} must be positive")
     for key, low in (("n_seeds", 1), ("p", 1), ("cover", 1), ("order", 2)):
         if runs.get(key) is not None and runs[key] < low:
             raise ConfigInvalid(f"{key} must be at least {low}")
-    grid = _cover_grid(runs) if "grid" in runs or "cover" in runs else None
+    grid = _cover_grid(runs) if "cover" in runs else None
     order_cap = MAX_SPLIT_ORDER if args.command == "split-vertex" else MAX_ORDER
     for key, val, cap in (("grid" if "grid" in cfg else "512 * cover", grid, MAX_GRID),
                           ("n_seeds", runs.get("n_seeds"), MAX_N_SEEDS),
@@ -161,7 +165,8 @@ def load_config(args) -> dict:
         wanted = SURFACE_TYPES.get(args.command)
         if wanted is not None and cfg["surface"]["type"] != wanted:
             raise ConfigInvalid(f"{args.command} runs on {wanted} surfaces")
-    cfg["seed"] = int(cfg.get("seed", 0))
+    if "seed" in row:  # the shooting commands echo the seed they draw from
+        cfg["seed"] = int(runs["seed"])
     return cfg
 
 
@@ -386,7 +391,6 @@ def cmd_split_vertex(cfg, out: Path):
 
 
 def cmd_extend_field(cfg, out: Path):
-    # order is not an extend-field key: only order-2 crossings extend
     net = _synthetic_network(cfg["builtin"], DEFAULTS["network"]["order"])
     phis = [1.0] * len(net.curves)
     X = extend_normal_field(net, phis, delta=float(cfg["delta"]))

@@ -60,7 +60,8 @@ class OriginMismatch(GeolabError):
 
 
 class NotGPlus(GeolabError):
-    """Network has a vertex that is not a transverse order-2 crossing."""
+    """Network is not closed curves on a level-set surface meeting only at
+    transverse order-2 crossings."""
 
 
 class EtaTooLarge(GeolabError):

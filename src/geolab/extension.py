@@ -32,7 +32,6 @@ from .geodesics import (
     curve_length,
     dop853_integrate,
     periodic_derivative,
-    require_geodesic,
 )
 from .jacobi import second_variation
 from .networks import GeodesicNetwork, is_g_plus, smallest_strand_angle
@@ -241,11 +240,14 @@ def extend_normal_field(
     bounds the total curve length where tangential parts and normal
     derivatives may live; ``eta`` (crossing-ball radius) defaults to a value
     realizing that bound and must stay below half the minimum inter-vertex
-    distance.
+    distance.  Raises NotGPlus unless the curves are closed on a level-set
+    surface and meet only at transverse order-2 crossings.
     """
     if not is_g_plus(network):
         raise NotGPlus("extension requires transverse order-2 crossings only")
     surface = network.ambient_surface
+    if surface.kind != "levelset" or not all(c.closed for c in network.curves):
+        raise NotGPlus("extension needs closed curves on a level-set surface")
     curves = network.curves
     frames = [_CurveFrame(c, surface) for c in curves]
     phis = [_profile_samples(c, spec) for c, spec in zip(curves, normal_fields)]
@@ -426,7 +428,6 @@ def verify_second_variation_match(
     """
     Q_form = 0.0
     for c, spec in zip(network.curves, normal_fields):
-        require_geodesic(c, network.ambient_surface)
         phi = _profile_samples(c, spec)
         Q_form += second_variation(c, phi, phi, network.ambient_surface)
 

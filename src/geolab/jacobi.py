@@ -87,10 +87,12 @@ def second_variation(
     """Polarized second variation  integral phi' psi' - K phi psi ds.
 
     ``phi`` and ``psi`` are scalar samples on the curve's own grid.  The
-    curve must pass the geodesic test.
+    curve must pass the geodesic test and be closed.
     """
     surface = surface or curve.surface
     require_geodesic(curve, surface)
+    if not curve.closed:
+        raise ValueError("second variation needs a closed curve")
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
     if phi.shape != (curve.n,) or psi.shape != (curve.n,):
@@ -149,11 +151,14 @@ def cover_spectra(
     10 h^2 max|K| reaches max|K| > 0 (no index is then countable; a finer
     grid would help) or an eigenvalue falls too close to the classification
     boundary to trust.  When max|K| is below the 1e-8 floor every eigenvalue
-    lies above -zero_tolerance and the index is 0.
+    lies above -zero_tolerance and the index is 0.  Raises ValueError on an
+    open curve, which has no periodic spectrum.
     """
     surface = surface or curve.surface
     n = int(points_per_period)
     covers = [int(m) for m in covers]
+    if not curve.closed:
+        raise ValueError("periodic spectrum needs a closed curve")
     for m in covers:
         if m < 1:
             raise ValueError("cover_multiplicity must be >= 1")

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -15,12 +16,14 @@ from geolab.cli import (
     COMMANDS,
     DEFAULTS,
     GRID_PER_PERIOD,
+    HANDLERS,
     MAX_GRID,
     MAX_N_SEEDS,
     MAX_ORDER,
     MAX_SPLIT_ORDER,
     _FLOAT_KEYS,
     _INT_KEYS,
+    _KEYS,
     build_parser,
     load_config,
     run,
@@ -201,10 +204,73 @@ def test_k_flag_on_surface_spec_not_a_dict_exit_1(tmp_path, surface):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_load_config_without_flags_runs_on_defaults(command):
     # the defaults pass their own bounds, caps and surface type; the handler
-    # runs on DEFAULTS[command] plus seed, and the report echoes seed only
+    # runs on DEFAULTS[command], and the report echoes seed where it is read
     cfg = load_config(build_parser().parse_args([command]))
-    assert cfg == {"seed": 0}
-    assert set(DEFAULTS[command]).isdisjoint(cfg)
+    assert cfg == ({"seed": 0} if "seed" in DEFAULTS[command] else {})
+
+
+# a value each key accepts, to show that a key is refused for not being read
+_VALID = {
+    "seed": "3", "grid": "512", "p": "2", "n_seeds": "8", "cap": "10", "cover": "2", "order": "3",
+    "delta": "1", "flow_step": "0.01", "builtin": "two-circles", "K0": "1", "omega1": "6",
+}
+
+
+@pytest.mark.parametrize(
+    "command, argv, config, key",
+    [(c, ["--" + k.replace("_", "-"), _VALID[k]], None, k)
+     for c in COMMANDS for k in _KEYS if k not in DEFAULTS[c]]
+    + [(c, flag, None, "surface") for c in COMMANDS if "surface" not in DEFAULTS[c]
+       for flag in (["--k", "4"], ["--mu", "2"], ["--a", "0.96,1.0,1.04"])]
+    + [(c, [], {"n_seed": 5000}, "n_seed") for c in COMMANDS],
+)
+def test_key_outside_defaults_row_exit_1(tmp_path, command, argv, config, key):
+    # a command reads exactly its DEFAULTS row; any other key is refused by name
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "o"
+    assert run([command, *argv, "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err == {
+        "error": "ConfigInvalid",
+        "message": f"{command} does not read {key!r}; its keys: {', '.join(DEFAULTS[command])}",
+    }
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+def _is_cfg(node):
+    return isinstance(node, ast.Name) and node.id == "cfg"
+
+
+def _cfg_keys(fn, functions):
+    """Keys ``fn`` reads from its ``cfg``: cfg[key], cfg.get(key), and the keys
+    of each module function it hands ``cfg`` to; any other use of cfg fails."""
+    keys, uses = set(), 0
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Subscript) and _is_cfg(node.value):
+            keys.add(node.slice.value)
+            uses += 1
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if _is_cfg(node.func.value) and node.func.attr == "get":
+                keys.add(node.args[0].value)
+                uses += 1
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
+            node.func.id in functions and any(map(_is_cfg, node.args))
+        ):
+            keys |= _cfg_keys(functions[node.func.id], functions)
+            uses += sum(map(_is_cfg, node.args))
+    assert uses == sum(map(_is_cfg, ast.walk(fn))), f"{fn.name} uses cfg other than by key"
+    return keys
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_handler_reads_exactly_its_defaults_row(command):
+    # the row is the command's whole input contract: no key a handler reads
+    # can be refused, and no key in the row goes unread
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _cfg_keys(functions[HANDLERS[command].__name__], functions) == set(DEFAULTS[command])
 
 
 def test_mu2_equator_below_tolerance_floor_exit_0(tmp_path):
@@ -236,7 +302,7 @@ class TestCli:
     def test_invalid_config_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"cap": -1}')
-        rc = run(["index", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        rc = run(["find-geodesics", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = json.loads((tmp_path / "o" / "error.json").read_text())
         assert err["error"] == "ConfigInvalid"
@@ -339,7 +405,7 @@ class TestCli:
         for name in ("a", "b"):
             out = tmp_path / name
             rc = run(
-                ["sweepout-bound", "--k", "100", "--p", "3", "--seed", "5", "--out", str(out)]
+                ["sweepout-bound", "--k", "100", "--p", "3", "--out", str(out)]
             )
             assert rc == 0
             outs.append((out / "report.json").read_bytes())

@@ -192,6 +192,25 @@ class TestExtendNormalField:
         with pytest.raises(NotGPlus):
             extend_normal_field(net, [1.0, 1.0, 1.0], delta=1.0)
 
+    @pytest.mark.parametrize("case", ["crossing segments in a chart", "loop in a chart", "arc on the sphere"])
+    def test_needs_closed_curves_on_level_set(self, sphere, case):
+        # each network passes is_g_plus: no vertex, or one transverse crossing
+        t = np.linspace(-1, 1, 4000)
+        if case == "crossing segments in a chart":
+            chart = make_flat_chart(2.6, 2.6)
+            net = GeodesicNetwork.build(chart, [
+                curve_from_samples(chart, np.outer(t, d), closed=False) for d in ([1, 0], [0, 1])
+            ], clustering_radius=0.01)
+        elif case == "loop in a chart":
+            chart = make_flat_chart(2.6, 2.6)
+            loop = 0.5 * np.column_stack([np.cos(np.pi * t), np.sin(np.pi * t)])[:-1]
+            net = GeodesicNetwork.build(chart, [curve_from_samples(chart, loop)])
+        else:
+            arc = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
+            net = GeodesicNetwork.build(sphere, [curve_from_samples(sphere, arc, closed=False)])
+        with pytest.raises(NotGPlus, match="closed curves on a level-set surface"):
+            extend_normal_field(net, [1.0] * len(net.curves), delta=0.05)
+
     def test_eta_too_large(self, two_circles_network):
         with pytest.raises(EtaTooLarge):
             extend_normal_field(two_circles_network, [1.0, 1.0], delta=2.0, eta=1.5)

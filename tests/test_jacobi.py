@@ -25,7 +25,7 @@ from geolab.jacobi import (
     width_consistency_assertions,
 )
 from geolab.networks import GeodesicNetwork
-from geolab.surfaces import make_cylinder, make_ellipsoid, make_mk
+from geolab.surfaces import make_cylinder, make_ellipsoid, make_flat_chart, make_mk
 from geolab.widths import plane_ellipse_circumference
 
 
@@ -379,6 +379,34 @@ class TestNetworkIndex:
             network_index(two_circles_network, multiplicities=[1])
         with pytest.raises(ValueError):
             network_index(two_circles_network, multiplicities=[1, 0])
+
+
+@pytest.fixture(scope="module")
+def crossing_segments():
+    """Two straight segments crossing once in a flat chart."""
+    chart = make_flat_chart(2.6, 2.6)
+    t = np.linspace(-1.0, 1.0, 6000)
+    segments = [curve_from_samples(chart, np.outer(t, d), closed=False) for d in ([1, 0], [0, 1])]
+    return GeodesicNetwork.build(chart, segments, clustering_radius=0.01)
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        lambda net: jacobi_spectrum(net.curves[0]),
+        lambda net: cover_spectra(net.curves[0], covers=(1, 2)),
+        lambda net: second_variation(net.curves[0], *[np.ones(net.curves[0].n)] * 2),
+        lambda net: network_index(net),
+        lambda net: width_consistency_assertions(net, 2),
+    ],
+    ids=["jacobi_spectrum", "cover_spectra", "second_variation", "network_index",
+         "width_consistency_assertions"],
+)
+def test_open_curve_has_no_periodic_spectrum(crossing_segments, spectrum):
+    # the periodic spectrum of a segment is that of a loop that does not
+    # exist: index 0, nullity 1 for a straight segment
+    with pytest.raises(ValueError, match="closed curve"):
+        spectrum(crossing_segments)
 
 
 class TestDegeneracyCriterion:

@@ -3,9 +3,11 @@
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
 Runs, in each checkout, the README's ten CLI configurations; each of the
-eight commands with no flags (its defaults); three invalid inputs that exit
+eight commands with no flags (its defaults); seven invalid inputs that exit
 1 with an ``error.json`` (``index --cover 0``, ``mk-experiment --k 0.5``,
-``sweepout-bound --p 1001``); three runs where a flag meets a command's
+``sweepout-bound --p 1001``, and four keys the command does not read:
+``extend-field --order 2``, ``sweepout-bound --cover 17``, ``network --k 4``,
+``index --n-seeds 0``); three runs where a flag meets a command's
 surface type or its default surface (``mk-experiment --a 0.96,1.0,1.04``,
 ``ellipsoid-experiment --k 4``, ``mk-experiment --mu 2``); one run whose
 equator curvature lies below the spectral zero-tolerance floor
@@ -14,9 +16,7 @@ of order 3, 4 and 8 of concurrent lines in a curved chart
 (``sphere_exp_chart(1.2)``) and in the CLI's flat chart
 (``make_flat_chart(2.6, 2.6)``), each reduced by
 ``reduce_vertex_fully`` and written with its final vertex records to
-``reduction.json``.  Order 8 is beyond the nested
-one-strand-per-ball reduction, which stops with ``AmbiguousCluster``; a
-checkout that still has it reads ``exit code 1`` there.
+``reduction.json``.
 Every run is a fresh process with ``PYTHONPATH`` set to that checkout's
 ``src`` and ``OPENBLAS_NUM_THREADS=1``, writing into its own output
 directory under a temporary directory that is removed afterwards.  Per
@@ -65,6 +65,10 @@ ERROR_CONFIGS = [
     ["index", "--cover", "0"],
     ["mk-experiment", "--k", "0.5"],
     ["sweepout-bound", "--p", "1001"],
+    ["extend-field", "--order", "2"],
+    ["sweepout-bound", "--cover", "17"],
+    ["network", "--k", "4"],
+    ["index", "--n-seeds", "0"],
 ]
 SURFACE_CONFIGS = [
     ["mk-experiment", "--a", "0.96,1.0,1.04"],
