@@ -18,7 +18,6 @@ from .surfaces import (
     make_cylinder,
     make_ellipsoid,
     make_flat_chart,
-    make_flat_torus,
     make_mk,
     make_sphere,
     make_sphere_polar_chart,

@@ -57,7 +57,7 @@ SURFACE_TYPES = {
 # config key -> (type, help); each key is also a flag, --n-seeds for n_seeds
 _KEYS = {
     "seed": (int, "seed of the shooting directions"),
-    "grid": (int, "index: grid points on the whole cover"),
+    "grid": (int, "grid points on the whole cover"),
     "p": (int, "width level / bound level"),
     "n_seeds": (int, "number of shooting seeds"),
     "cap": (float, "length cap"),
@@ -69,23 +69,34 @@ _KEYS = {
     "K0": (float, "curvature lower bound of the appendix bounds"),
     "omega1": (float, "first width of the appendix bounds"),
 }
-_INT_KEYS = tuple(key for key, (kind, _) in _KEYS.items() if kind is int)
-_FLOAT_KEYS = tuple(key for key, (kind, _) in _KEYS.items() if kind is float)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 with an error.json; exit 2 means a failed check
+        raise ConfigInvalid(message)
+
+
+# --out alone, read first so that a command line that does not parse has its error.json
+_OUT = _Parser(add_help=False)
+_OUT.add_argument("--out", type=Path, default=Path("geolab-out"), help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    def read_by(key):  # the commands whose DEFAULTS row holds the key
+        return "; read by " + ", ".join(c for c in COMMANDS if key in DEFAULTS[c])
+
+    ap = _Parser(
         prog="geolab",
         description="closed geodesics, Jacobi spectra, networks, and width bounds",
+        parents=[_OUT],
     )
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--config", type=Path, help="JSON config file (flags override)")
-    ap.add_argument("--out", type=Path, default=Path("geolab-out"), help="output directory")
-    ap.add_argument("--k", type=float, help="mk surface k")
-    ap.add_argument("--mu", type=float, help="mk surface mu")
-    ap.add_argument("--a", help="ellipsoid coefficients a1,a2,a3")
+    for flag, kind, text in (("--k", float, "mk surface k"), ("--mu", float, "mk surface mu"),
+                             ("--a", str, "ellipsoid coefficients a1,a2,a3")):
+        ap.add_argument(flag, type=kind, help=text + read_by("surface"))
     for key, (kind, text) in _KEYS.items():
-        ap.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+        ap.add_argument("--" + key.replace("_", "-"), type=kind, help=text + read_by(key))
     return ap
 
 
@@ -165,6 +176,9 @@ def load_config(args) -> dict:
         wanted = SURFACE_TYPES.get(args.command)
         if wanted is not None and cfg["surface"]["type"] != wanted:
             raise ConfigInvalid(f"{args.command} runs on {wanted} surfaces")
+    if args.command == "extend-field" and runs["builtin"] not in ("two-circles", "three-circles"):
+        raise ConfigInvalid(  # the concurrent lines are open curves in a chart
+            f"extend-field extends two-circles and three-circles, got {runs['builtin']!r}")
     if "seed" in row:  # the shooting commands echo the seed they draw from
         cfg["seed"] = int(runs["seed"])
     return cfg
@@ -451,9 +465,10 @@ HANDLERS = {
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out = Path(args.out)
+    out = Path("geolab-out")
     try:
+        out = _OUT.parse_known_args(argv)[0].out
+        args = build_parser().parse_args(argv)
         cfg = load_config(args)
         payload, checks = HANDLERS[args.command]({**DEFAULTS[args.command], **cfg}, out)
         report = {

@@ -131,19 +131,13 @@ def curve_speeds(samples: np.ndarray, surface: SurfaceModel, closed: bool = True
     return sp, dtheta
 
 
-def curve_length(curve_or_samples, surface: Optional[SurfaceModel] = None, closed=True):
-    """Length by composite quadrature of |gamma'|.
+def curve_length(samples: np.ndarray, surface: SurfaceModel, closed: bool = True) -> float:
+    """Length of sampled points by composite quadrature of |gamma'|.
 
     Periodic curves use the trapezoid rule on the uniformly sampled speed
     (spectrally accurate for smooth closed curves, so better than the
     required 4th order); open curves use Simpson.
     """
-    if isinstance(curve_or_samples, GeodesicCurve):
-        samples = curve_or_samples.samples
-        surface = surface or curve_or_samples.surface
-        closed = curve_or_samples.closed
-    else:
-        samples = np.asarray(curve_or_samples, dtype=float)
     return _length_from_speeds(*curve_speeds(samples, surface, closed), closed)
 
 
@@ -639,16 +633,12 @@ def curves_from_shots(surface, shots) -> list:
     ]
 
 
-def close_geodesic(
-    surface: SurfaceModel,
-    seed,
-    n_samples: int = DEFAULT_STEPS,
-    max_iter: int = 30,
-) -> GeodesicCurve:
+def close_geodesic(surface: SurfaceModel, seed, max_iter: int = 30) -> GeodesicCurve:
     """Close a geodesic by Newton shooting from ``seed = (point, direction,
     period_guess)``.
 
-    Returns a constant-speed GeodesicCurve with closure residual <= 1e-10.
+    Returns a constant-speed GeodesicCurve on DEFAULT_STEPS samples with
+    closure residual <= 1e-10.
     Raises NoConvergence or DegenerateJacobian on failure.
     """
     p, v, T = seed
@@ -658,7 +648,6 @@ def close_geodesic(
         np.asarray(v, float)[None],
         np.array([float(T)]),
         max_iter=max_iter,
-        n_steps=n_samples,
     )
     if not out["ok"][0]:
         if out["degenerate"][0]:
@@ -676,19 +665,16 @@ def close_geodesic(
 # ---------------------------------------------------------------------------
 
 
-def geodesic_curvature_profile(curve, surface: Optional[SurfaceModel] = None):
-    """Signed geodesic curvature kappa(s) per sample.
+def geodesic_curvature_profile(curve: GeodesicCurve, surface: Optional[SurfaceModel] = None):
+    """Signed geodesic curvature kappa(s) per sample of ``curve``.
 
     Sign convention: kappa = <-grad_T T, n> with n the right-of-travel
     normal (ambient: n = T x N_surface; charts: the metric-unit normal with
     det[T, n] < 0).  A counterclockwise circle of radius r in a flat chart
     has kappa = +1/r.
     """
-    if isinstance(curve, GeodesicCurve):
-        samples, closed = curve.samples, curve.closed
-        surface = surface or curve.surface
-    else:
-        samples, closed = np.asarray(curve, dtype=float), True
+    samples, closed = curve.samples, curve.closed
+    surface = surface or curve.surface
     n_pts = samples.shape[0]
     dtheta = 2 * np.pi / n_pts if closed else 2 * np.pi / (n_pts - 1)
     derivative = periodic_derivative if closed else open_derivative
@@ -728,11 +714,11 @@ def metric_right_normals(g, d1):
     return w / np.sqrt(np.einsum("ni,nij,nj->n", w, g, w))[:, None]
 
 
-def require_geodesic(curve, surface=None, tol: float = GEODESIC_KAPPA_TOL):
+def require_geodesic(curve, surface=None):
     kap = geodesic_curvature_profile(curve, surface)
     worst = float(np.max(np.abs(kap)))
-    if worst > tol:
-        raise NotAGeodesic(f"max |kappa| = {worst:.3e} exceeds {tol:.1e}")
+    if worst > GEODESIC_KAPPA_TOL:
+        raise NotAGeodesic(f"max |kappa| = {worst:.3e} exceeds {GEODESIC_KAPPA_TOL:.1e}")
     return worst
 
 

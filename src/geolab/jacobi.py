@@ -284,13 +284,13 @@ def degeneracy_criterion_mk(k: float, m: int) -> bool:
     return bool(abs(ratio - round(ratio)) < 1e-9)
 
 
-def width_consistency_assertions(network, p: int, grid_size: int = 512) -> dict:
+def width_consistency_assertions(network, p: int) -> dict:
     """Consistency checks for networks produced at target width level p.
 
     Asserts index(Gamma) <= p and #Vert(Gamma) <= p (checked, not proven).
     Returns a report dict with pass/fail flags.
     """
-    idx, desc = network_index(network, grid_size=grid_size)
+    idx, desc = network_index(network)
     n_vert = len(network.vertices)
     return {
         "p": int(p),

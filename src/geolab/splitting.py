@@ -400,7 +400,7 @@ def build_detour(
     curve_index = vertex.strands[strand_id][0]
     sP, sp, sq, sQ = -OUTER_FRAC * R, -INNER_FRAC * R, INNER_FRAC * R, OUTER_FRAC * R
 
-    flat = surface.name in ("flat_chart", "flat_torus")
+    flat = surface.name == "flat_chart"
     if flat:
         # the chord p_t -> q is a straight segment: linear graph offsets
         slope = -offset_t / (sq - sp)

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ChartUnavailable, PointOffSurface
 
 ON_SURFACE_TOL = 1e-10
+SPD_TOL = 1e-12  # symmetry and smallest-eigenvalue tolerance of MetricTensor.is_spd
 
 # step for finite differences of chart metric coefficients
 _FD_H = 1e-5
@@ -48,12 +49,12 @@ class MetricTensor:
         g = self.components
         return float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
 
-    def is_spd(self, tol: float = 1e-12) -> bool:
+    def is_spd(self) -> bool:
         g = self.components
-        if abs(g[0, 1] - g[1, 0]) > tol:
+        if abs(g[0, 1] - g[1, 0]) > SPD_TOL:
             return False
         ev = np.linalg.eigvalsh(0.5 * (g + g.T))
-        return bool(ev.min() > tol)
+        return bool(ev.min() > SPD_TOL)
 
 
 @dataclass(frozen=True)
@@ -290,33 +291,13 @@ def make_cylinder() -> SurfaceModel:
     return SurfaceModel(kind="levelset", name="cylinder", level_coeffs=(1.0, 1.0, 0.0))
 
 
-def make_flat_chart(
-    width: float = 2.0, height: float = 2.0, periodic=(False, False)
-) -> SurfaceModel:
+def make_flat_chart(width: float = 2.0, height: float = 2.0) -> SurfaceModel:
     """Flat chart [-w/2, w/2] x [-h/2, h/2] with E = G = 1, F = 0."""
     return SurfaceModel(
         kind="chart",
         name="flat_chart",
         chart_metric_fn=lambda uv: np.zeros(uv.shape + (2,)) + np.eye(2),
         chart_domain=(-width / 2, width / 2, -height / 2, height / 2),
-        chart_periodic=tuple(periodic),
-    )
-
-
-def make_flat_torus(side: float = 1.0) -> SurfaceModel:
-    """Flat square torus of side length ``side`` (both axes periodic).
-
-    Pointwise machinery (metric, curvature, Christoffels, integration of
-    short arcs) is fully supported; curve-level operations assume samples
-    do not wrap around the fundamental domain, so synthetic networks of
-    full torus lines should use open segments in a flat chart instead.
-    """
-    s = make_flat_chart(side, side, periodic=(True, True))
-    return replace(
-        s,
-        name="flat_torus",
-        chart_domain=(0.0, side, 0.0, side),
-        builtin_params={"side": float(side)},
     )
 
 
@@ -369,7 +350,7 @@ def surface_from_config(spec: dict) -> SurfaceModel:
 
     Recognized forms: {"type": "mk", "k": 4, "mu": 1},
     {"type": "ellipsoid", "a": [a1, a2, a3]}, {"type": "sphere"},
-    {"type": "cylinder"}, {"type": "flat_torus", "side": 1.0}.
+    {"type": "cylinder"}.
     """
     from .errors import ConfigInvalid
 
@@ -386,8 +367,6 @@ def surface_from_config(spec: dict) -> SurfaceModel:
             return make_sphere()
         if t == "cylinder":
             return make_cylinder()
-        if t == "flat_torus":
-            return make_flat_torus(float(spec.get("side", 1.0)))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad surface spec {spec!r}: {exc}") from exc
     raise ConfigInvalid(f"unknown surface type {t!r}")
@@ -420,10 +399,9 @@ def gauss_curvature(surface: SurfaceModel, points: np.ndarray):
     """Gauss curvature of the (possibly conformally rescaled) metric.
 
     Level sets use K = (g1^2 h2 h3 + g2^2 h1 h3 + g3^2 h1 h2)/|g|^4 with
-    g = grad F and h = diag(Hess F).  Flat
-    charts use K = -exp(-2 f) Lap f for their conformal factor f; other
-    charts use the Brioschi formula with finite-difference coefficient
-    derivatives (the conformal factor is already folded into the metric).
+    g = grad F and h = diag(Hess F).  Charts use the Brioschi formula with
+    finite-difference coefficient derivatives (the conformal factors are
+    folded into the metric).
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
@@ -434,20 +412,7 @@ def gauss_curvature(surface: SurfaceModel, points: np.ndarray):
     else:
         if not surface.in_chart_domain(pts2):
             raise PointOffSurface("chart point outside parameter rectangle")
-        if surface.name in ("flat_chart", "flat_torus"):
-            # conformally flat: K = -exp(-2 f) Lap f (vectorized FD)
-            if not surface.conformal_factors:
-                K = np.zeros(pts2.shape[0])
-            else:
-                h = 1e-5
-                f = surface.factor_value(pts2[:, None] + h * _STENCIL[:5])
-                # second differences along u, then v
-                lap = sum(
-                    (f[:, i] - 2.0 * f[:, 0] + f[:, i + 1]) / h**2 for i in (1, 3)
-                )
-                K = -np.exp(-2.0 * f[:, 0]) * lap
-        else:
-            K = _brioschi(surface, pts2)
+        K = _brioschi(surface, pts2)
     return float(K[0]) if single else K
 
 
@@ -459,9 +424,10 @@ def _levelset_curvature(surface: SurfaceModel, pts: np.ndarray) -> np.ndarray:
     return num / np.sum(g2, axis=-1) ** 2
 
 
-def _brioschi(surface: SurfaceModel, pts: np.ndarray, h: float = 1e-4):
+def _brioschi(surface: SurfaceModel, pts: np.ndarray):
     """Gauss curvature of a chart metric via the Brioschi formula, at a
     batch of points (n, 2), from one metric evaluation on a 9-point stencil."""
+    h = 1e-4  # wider than _FD_H: second differences divide by h^2
     g = surface.chart_metric(pts[:, None, :] + h * _STENCIL)
     E, F, G = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
     E0, F0, G0 = E[:, 0], F[:, 0], G[:, 0]

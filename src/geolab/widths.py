@@ -18,7 +18,6 @@ from scipy.spatial import cKDTree
 
 from .errors import SeedBudgetExhausted
 from .geodesics import (
-    GeodesicCurve,
     curves_from_shots,
     hausdorff_distance,
     level_circle_radius2,
@@ -27,7 +26,7 @@ from .geodesics import (
     shoot_closed_batch,
 )
 from .jacobi import cover_spectra, degeneracy_criterion_mk, jacobi_spectrum
-from .networks import detect_vertices
+from .networks import GeodesicNetwork
 from .surfaces import SurfaceModel, make_ellipsoid, make_mk, mk_height
 
 N_SAMPLES = 4096  # samples per shot curve in both experiments
@@ -136,12 +135,6 @@ def round_sphere_width(p: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _count_self_vertices(curve: GeodesicCurve, radius: float) -> int:
-    spacing = curve.length / curve.n
-    r = max(radius, 5.0 * spacing)
-    return len(detect_vertices([curve], r, surface=curve.surface))
-
-
 def mk_multiplicity_experiment(
     k: float,
     mu: float = 1.0,
@@ -224,7 +217,7 @@ def mk_multiplicity_experiment(
             "intersects_equator": bool(crosses),
             "min_abs_x3": min_x3,
             "is_gamma0": bool(is_g0),
-            "self_vertices": _count_self_vertices(cur, equator_tol),
+            "self_vertices": len(GeodesicNetwork.build(surface, [cur]).vertices),
         }
         if spectra:
             rep = jacobi_spectrum(cur, surface)

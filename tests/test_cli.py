@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from geolab.cli import (
     MAX_N_SEEDS,
     MAX_ORDER,
     MAX_SPLIT_ORDER,
-    _FLOAT_KEYS,
-    _INT_KEYS,
     _KEYS,
     build_parser,
     load_config,
@@ -84,6 +83,46 @@ def test_invalid_input_exit_1_with_error_json(tmp_path, argv):
     assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["index", "--k", "abc"], "argument --k: invalid float value: 'abc'"),
+        (["index", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["nonsense"], "argument command: invalid choice: 'nonsense'"),
+        (["index", "--cover", "1.5"], "argument --cover: invalid int value: '1.5'"),
+    ],
+    ids=["float", "unknown-flag", "command", "int"],
+)
+def test_parse_error_exit_1_with_error_json(tmp_path, monkeypatch, argv, message):
+    # argparse's own exit 2 would read as a failed property check
+    monkeypatch.chdir(tmp_path)
+    for args, out in ((argv + ["--out", "o"], tmp_path / "o"), (argv, tmp_path / "geolab-out")):
+        assert run(args) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigInvalid" and err["message"].startswith(message)
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+def test_help_names_the_commands_that_read_each_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    (seed,) = (action for action in build_parser()._actions if action.dest == "seed")
+    assert seed.help.split("; read by ")[1].split(", ") == ["find-geodesics", "mk-experiment"]
+
+
+@pytest.mark.parametrize("builtin", ["concurrent-lines", "nonsense"])
+def test_extend_field_names_the_builtins_it_extends(tmp_path, builtin):
+    # the open lines of a flat chart can never be extended
+    out = tmp_path / "o"
+    assert run(["extend-field", "--builtin", builtin, "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err == {
+        "error": "ConfigInvalid",
+        "message": f"extend-field extends two-circles and three-circles, got {builtin!r}",
+    }
+
+
 def test_size_caps_in_load_config():
     # split-vertex has its own order cap (its detours and their factors
     # grow with the order); the caps are checked without running
@@ -141,7 +180,7 @@ def test_index_grid_not_multiple_of_cover_exit_1(tmp_path, argv):
     "argv, config",
     [
         (["index", "--a", "0.96,1.0,1.04"], None),
-        (["index"], {"surface": {"type": "flat_torus", "side": 1.0}}),
+        (["index"], {"surface": {"type": "ellipsoid", "a": [0.9, 1.0, 1.1]}}),
     ],
 )
 def test_index_needs_surface_of_revolution(tmp_path, argv, config):
@@ -499,23 +538,22 @@ _json_values = _json_scalars | st.recursive(
 )
 # surface specs reach the parameter checks only with a known type
 _surface_specs = st.fixed_dictionaries(
-    {"type": st.sampled_from(["mk", "ellipsoid", "sphere", "cylinder", "flat_torus"])},
-    optional={key: _json_values for key in ("k", "mu", "a", "side")},
+    {"type": st.sampled_from(["mk", "ellipsoid", "sphere", "cylinder"])},
+    optional={key: _json_values for key in ("k", "mu", "a")},
 )
+# commands that take seconds run a stub handler: their config checks are fuzzed
+_STUBBED = {c: (lambda cfg, out: ({}, {})) for c in COMMANDS if c not in ("index", "sweepout-bound")}
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    key=st.sampled_from(_INT_KEYS + _FLOAT_KEYS + ("surface",)),
-    value=_json_values | _surface_specs,
-    command=st.sampled_from([["sweepout-bound"], ["index", "--grid", "256"]]),
-)
-def test_cli_contract_on_fuzzed_config(key, value, command):
-    # any JSON value under any config key: exit 0, 2, or 1 with error.json
-    with tempfile.TemporaryDirectory() as tmp:
+@given(command=st.sampled_from(COMMANDS), value=_json_values | _surface_specs, data=st.data())
+def test_cli_contract_on_fuzzed_config(command, value, data):
+    # any JSON value under any key the command reads: exit 0, 2, or 1 with error.json
+    key = data.draw(st.sampled_from(list(DEFAULTS[command])), label="key")
+    with tempfile.TemporaryDirectory() as tmp, patch.dict(HANDLERS, _STUBBED):
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "o"
         cfg.write_text(json.dumps({key: value}))
-        rc = run(command + ["--config", str(cfg), "--out", str(out)])
+        rc = run([command, "--config", str(cfg), "--out", str(out)])
         assert rc in (0, 1, 2)
         assert (out / "error.json").exists() == (rc == 1)
         if rc == 1:

@@ -7,7 +7,7 @@ from scipy.integrate import quad, simpson, solve_ivp
 from scipy.spatial import cKDTree
 from scipy.special import ellipe
 
-from geolab.errors import LeftChartDomain, NoConvergence
+from geolab.errors import DegenerateJacobian, LeftChartDomain, NoConvergence
 from geolab.geodesics import (
     SAMPLES_PER_STEP,
     _DOP_A,
@@ -313,6 +313,11 @@ class TestCloseGeodesic:
                 (np.array([0.4, 0.5, 1.5]), np.array([0.1, -0.5, 0.6]), 7.0),
                 max_iter=1,
             )
+
+    def test_degenerate_jacobian(self, mk4):
+        # a meridian seed of the k = 4 rotation family: the differential is singular
+        with pytest.raises(DegenerateJacobian, match="singular shooting differential"):
+            close_geodesic(mk4, (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]), 9.0), max_iter=1)
 
 
 def _fourier_loop(coeffs, theta):

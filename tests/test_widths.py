@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import ellipe
 
+from geolab import widths
 from geolab.errors import SeedBudgetExhausted
+from geolab.geodesics import shoot_closed_batch
 from geolab.surfaces import make_mk, make_sphere
 from geolab.widths import (
     WidthBound,
@@ -109,6 +111,20 @@ class TestEllipsoidExperiment:
             ellipsoid_experiment(1.04, 1.0, 0.96)
         with pytest.raises(ValueError):
             ellipsoid_experiment(0.5, 1.0, 1.04)
+
+    def test_seed_budget_exhausted(self, monkeypatch):
+        # every attempt shoots, none closes: the first missing ellipse is named
+        calls = []
+
+        def closes_nothing(*args, **kwargs):
+            out = shoot_closed_batch(*args, **kwargs)
+            calls.append(len(out["ok"]))
+            return {**out, "ok": np.zeros_like(out["ok"])}
+
+        monkeypatch.setattr(widths, "shoot_closed_batch", closes_nothing)
+        with pytest.raises(SeedBudgetExhausted, match="x_1=0 not found in 6 attempts"):
+            ellipsoid_experiment(0.96, 1.0, 1.04)
+        assert calls == [3] * widths.SEED_BUDGET
 
 
 class TestAttributionChecker:

@@ -3,11 +3,13 @@
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
 Runs, in each checkout, the README's ten CLI configurations; each of the
-eight commands with no flags (its defaults); seven invalid inputs that exit
+eight commands with no flags (its defaults); ten invalid inputs that exit
 1 with an ``error.json`` (``index --cover 0``, ``mk-experiment --k 0.5``,
-``sweepout-bound --p 1001``, and four keys the command does not read:
+``sweepout-bound --p 1001``, four keys the command does not read:
 ``extend-field --order 2``, ``sweepout-bound --cover 17``, ``network --k 4``,
-``index --n-seeds 0``); three runs where a flag meets a command's
+``index --n-seeds 0``, two command lines argparse rejects: ``index --k abc``,
+``nonsense``, and a network extend-field cannot extend: ``extend-field
+--builtin concurrent-lines``); three runs where a flag meets a command's
 surface type or its default surface (``mk-experiment --a 0.96,1.0,1.04``,
 ``ellipsoid-experiment --k 4``, ``mk-experiment --mu 2``); one run whose
 equator curvature lies below the spectral zero-tolerance floor
@@ -69,6 +71,9 @@ ERROR_CONFIGS = [
     ["sweepout-bound", "--cover", "17"],
     ["network", "--k", "4"],
     ["index", "--n-seeds", "0"],
+    ["index", "--k", "abc"],
+    ["nonsense"],
+    ["extend-field", "--builtin", "concurrent-lines"],
 ]
 SURFACE_CONFIGS = [
     ["mk-experiment", "--a", "0.96,1.0,1.04"],
