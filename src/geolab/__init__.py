@@ -32,7 +32,6 @@ from .geodesics import (
     curve_length,
     geodesic_curvature_profile,
     hausdorff_distance,
-    integrate_geodesic,
     sample_great_circle,
     sample_level_circle,
 )

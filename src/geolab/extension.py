@@ -64,13 +64,20 @@ def cross_extension(u_axis1: Callable, u_axis2: Callable) -> Callable:
     return U
 
 
-def _profile_samples(curve: GeodesicCurve, spec) -> np.ndarray:
-    """Per-sample values of a scalar profile along ``curve``: a constant, an
-    array on the curve's sample grid, or a callable of arclength."""
-    if callable(spec):
-        s = np.arange(curve.n) * (curve.length / curve.n)
-        return np.asarray(spec(s), dtype=float)
-    return np.broadcast_to(np.asarray(spec, dtype=float), (curve.n,)).copy()
+def _profile_samples(curves: Sequence[GeodesicCurve], specs: Sequence) -> List[np.ndarray]:
+    """Per-sample values of one scalar profile per curve: a constant, an
+    array on the curve's sample grid, or a callable of arclength.  Raises
+    ValueError unless there is exactly one profile per curve."""
+    if len(specs) != len(curves):
+        raise ValueError("one normal profile per curve")
+    out = []
+    for curve, spec in zip(curves, specs):
+        if callable(spec):
+            s = np.arange(curve.n) * (curve.length / curve.n)
+            out.append(np.asarray(spec(s), dtype=float))
+        else:
+            out.append(np.broadcast_to(np.asarray(spec, dtype=float), (curve.n,)).copy())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +168,8 @@ class AmbientField:
     def evaluation(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         surface = self.network.ambient_surface
-        out = np.zeros_like(pts)
         Nx = surface.unit_normal(pts)
-        Z = np.zeros_like(pts)
+        out = np.zeros_like(pts)
         for fr, phi in zip(self.frames, self.phis):
             live, s, foot, cut = fr.tube(pts, self.tube_radius)
             if not live.any():
@@ -179,8 +185,7 @@ class AmbientField:
             transported[far] = (
                 np.sign(side[far])[:, None] * tang[far] / norm[far][:, None]
             )
-            Z[live] += (cut * phi_s)[:, None] * transported
-        out = Z
+            out[live] += (cut * phi_s)[:, None] * transported
         for data in self.crossing_data:
             r = np.linalg.norm(pts - data["position"], axis=1)
             psi = plateau(r, 5.0 * self.eta / 8.0, 7.0 * self.eta / 8.0)
@@ -241,7 +246,8 @@ def extend_normal_field(
     derivatives may live; ``eta`` (crossing-ball radius) defaults to a value
     realizing that bound and must stay below half the minimum inter-vertex
     distance.  Raises NotGPlus unless the curves are closed on a level-set
-    surface and meet only at transverse order-2 crossings.
+    surface and meet only at transverse order-2 crossings, and ValueError
+    unless there is one profile per curve.
     """
     if not is_g_plus(network):
         raise NotGPlus("extension requires transverse order-2 crossings only")
@@ -250,7 +256,7 @@ def extend_normal_field(
         raise NotGPlus("extension needs closed curves on a level-set surface")
     curves = network.curves
     frames = [_CurveFrame(c, surface) for c in curves]
-    phis = [_profile_samples(c, spec) for c, spec in zip(curves, normal_fields)]
+    phis = _profile_samples(curves, normal_fields)
 
     verts = network.vertices
     if verts:
@@ -351,9 +357,7 @@ class TangentialField:
     def __init__(self, network: GeodesicNetwork, profiles):
         self.surface = network.ambient_surface
         self.frames = [_CurveFrame(c, self.surface) for c in network.curves]
-        self.profiles = [
-            _profile_samples(c, spec) for c, spec in zip(network.curves, profiles)
-        ]
+        self.profiles = _profile_samples(network.curves, profiles)
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -424,11 +428,11 @@ def verify_second_variation_match(
     variation; the flow value is the centered second difference of total
     network length under the ambient flow over +-flow_step
     (``flow_network_length``).  Returns both
-    with their relative error.
+    with their relative error.  Raises ValueError unless ``normal_fields``
+    holds one profile per curve.
     """
     Q_form = 0.0
-    for c, spec in zip(network.curves, normal_fields):
-        phi = _profile_samples(c, spec)
+    for c, phi in zip(network.curves, _profile_samples(network.curves, normal_fields)):
         Q_form += second_variation(c, phi, phi, network.ambient_surface)
 
     h = flow_step

@@ -6,7 +6,9 @@ with lambda = -sum_i h_i gamma'_i^2 / |grad F|^2, h the diagonal of the
 x''^c = -Gamma^c_{ab} x'^a x'^b.  Both flows, and the ambient-field flow of
 ``extension``, are a right-hand side plus a step-end hook on one
 fixed-step DOP853 stepper (Hairer, Norsett & Wanner, Solving ODEs I,
-II.5-II.6), with path samples from its 7th-order continuous extension.  The
+II.5-II.6).  A flow samples whole steps: its sample count is a multiple of
+SAMPLES_PER_STEP, each step ends on a sample (the hook's state) and the
+samples inside a step come from its 7th-order continuous extension.  The
 level-set hook re-projects the point onto the surface and renormalizes the
 tangential speed, which keeps the constraint and energy drift at roundoff
 level; the chart hook checks the chart domain.  The flows are batched over
@@ -24,7 +26,6 @@ kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -274,13 +275,16 @@ def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols
     side there is the next step's first stage (FSAL).  Stage sums run along
     the stage axis, so each row is bit-identical to its own 1-row call.
 
-    Returns (y, path).  With ``n_samples`` > 0, path holds the leading
-    ``path_cols`` columns at n_samples + 1 uniform times, shape (rows,
-    n_samples + 1, path_cols).  Samples at step ends are the states
-    ``after_step`` returned; the others come from the step's 7th-order
-    continuous extension and are left to the caller.  Otherwise path is
-    None.
+    Returns (y, path).  With ``n_samples`` > 0, a multiple of ``n_steps``,
+    path holds the leading ``path_cols`` columns at n_samples + 1 uniform
+    times, shape (rows, n_samples + 1, path_cols), n_samples / n_steps per
+    step.  A step's last sample is the state ``after_step`` returned; the
+    others come from its 7th-order continuous extension and are left to the
+    caller.  Otherwise path is None.  Raises ValueError when n_samples is
+    not a multiple of n_steps.
     """
+    if n_samples % n_steps:
+        raise ValueError("n_samples must be a multiple of n_steps")
     y = np.asarray(y, dtype=float)
     # each row's step, spelt out to the state's shape so that scaling a
     # stage multiplies arrays of one shape
@@ -290,21 +294,11 @@ def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols
     def stage(s):  # y + sum_t a_st h K_t
         return y + np.add.reduce(_A[s, :s] * hK[:s], 0)
 
-    c = path_cols
+    c, per = path_cols, n_samples // n_steps
     path = np.empty((y.shape[0], n_samples + 1, c)) if n_samples else None
     if n_samples:
         path[:, 0] = y[:, :c]
-        # sample j sits j n_steps / n_samples steps in; step i holds the
-        # samples lo[i]..hi[i]-1 inside it, and sample hi[i] at its end if whole
-        steps = np.arange(n_steps + 1)
-        lo = steps[:-1] * n_samples // n_steps + 1
-        hi = -(-steps[1:] * n_samples // n_steps)
-        at_end = steps[1:] * n_samples % n_steps == 0
-        # sample j of step i lies (j n_steps - i n_samples) / n_samples into
-        # it; the numerators are multiples of d, n_steps / d apart within a
-        # step, so the weights are computed once per multiple
-        d = math.gcd(n_steps, n_samples)
-        a, b = _dense_weights(np.arange(n_samples // d) * d / n_samples)
+        a, b = _dense_weights(np.arange(1, per) / per)  # a step's inner samples
     np.multiply(rhs(y), h, out=hK[0])
     for i in range(n_steps):
         for s in range(1, 12):
@@ -313,23 +307,26 @@ def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols
         if n_samples or i + 1 < n_steps:
             np.multiply(rhs(y1), h, out=hK[12])
         if n_samples:
-            if at_end[i]:
-                path[:, hi[i]] = y1[:, :c]
             for s in range(13, 16):
                 np.multiply(rhs(stage(s)), h, out=hK[s])
             # one reduction over the stages, with the (row, column) pairs
             # as the contiguous inner axis
-            n_in, k0 = hi[i] - lo[i], (lo[i] * n_steps - i * n_samples) // d
-            j = slice(lo[i], hi[i])
-            k = slice(k0, k0 + n_in * (n_steps // d), n_steps // d)
             hKc = hK[_DENSE_STAGES, :, :c].reshape(b.shape[0], 1, -1)
-            dense = np.add.reduce(b[:, k, None] * hKc, 0)
-            dense = dense.reshape(n_in, y.shape[0], c).swapaxes(0, 1)
-            y0 = y[:, None, :c]
-            path[:, j] = y0 + (y1[:, None, :c] - y0) * a[k, None] + dense
+            dense = np.add.reduce(b[:, :, None] * hKc, 0)
+            dense = dense.reshape(per - 1, y.shape[0], c).swapaxes(0, 1)
+            y0, j = y[:, None, :c], i * per
+            path[:, j + 1 : j + per] = y0 + (y1[:, None, :c] - y0) * a[:, None] + dense
+            path[:, j + per] = y1[:, :c]
         hK[0] = hK[12]
         y = y1
     return y, path
+
+
+def _flow_steps(n_steps: int) -> int:
+    """DOP853 steps of a geodesic flow over ``n_steps`` sample intervals."""
+    if n_steps <= 0 or n_steps % SAMPLES_PER_STEP:
+        raise ValueError(f"n_steps must be a positive multiple of {SAMPLES_PER_STEP}")
+    return n_steps // SAMPLES_PER_STEP
 
 
 def _newton_onto(surface: SurfaceModel, P):
@@ -349,15 +346,17 @@ def flow_levelset(
 ):
     """Batched geodesic flow for arclength T (per seed).  Unit-speed state.
 
-    ``n_steps`` is the number of sample intervals.  The flow takes one
-    fixed DOP853 step per SAMPLES_PER_STEP samples, rounded up, and
-    projects the state onto F = 0 after every step.  Path samples come from
-    each step's continuous extension and are projected the same way.
+    ``n_steps`` is the number of sample intervals, a positive multiple of
+    SAMPLES_PER_STEP.  The flow takes one fixed DOP853 step per
+    SAMPLES_PER_STEP samples and projects the state onto F = 0 after every
+    step.  The samples inside a step come from its continuous extension and
+    are projected the same way.
 
     Returns (P1, V1) or (P1, V1, path) with path of shape (m, n_steps+1, 3).
+    Raises ValueError for any other ``n_steps``.
     """
     y = np.hstack([np.atleast_2d(np.asarray(a, dtype=float)) for a in (P0, V0)])
-    n_int = -(-n_steps // SAMPLES_PER_STEP)
+    n_int = _flow_steps(n_steps)
 
     def rhs(y):  # gamma'' = lambda grad F, lambda = -sum_i h_i v_i^2 / |g|^2
         P, V = y[:, :3], y[:, 3:]
@@ -375,7 +374,7 @@ def flow_levelset(
     y, path = dop853_integrate(rhs, y, T, n_int, reproject, store_path and n_steps, 3)
     if not store_path:
         return y[:, :3], y[:, 3:]
-    inner = np.flatnonzero(np.arange(n_steps + 1) * n_int % n_steps)  # not step ends
+    inner = np.flatnonzero(np.arange(n_steps + 1) % SAMPLES_PER_STEP)  # not step ends
     for row in path:  # a row at a time keeps the temporaries one row in size
         row[inner] = _newton_onto(surface, row[inner])[0]
     return y[:, :3], y[:, 3:], path
@@ -392,16 +391,18 @@ def flow_chart(
     """Batched chart geodesic flow x''^c = -Gamma^c_{ab} x'^a x'^b for
     parameter length T (per row).
 
-    ``n_steps`` is the number of sample intervals, one DOP853 step per
-    SAMPLES_PER_STEP samples as in ``flow_levelset``.  The symbols of all
-    rows come from one ``christoffel_batch`` call per stage.
+    ``n_steps`` is the number of sample intervals, a positive multiple of
+    SAMPLES_PER_STEP, one DOP853 step per SAMPLES_PER_STEP samples as in
+    ``flow_levelset``.  The symbols of all rows come from one
+    ``christoffel_batch`` call per stage.
 
     Returns (x1, v1) or (x1, v1, path) with path of shape (m, n_steps+1, 2).
     Raises LeftChartDomain when any row leaves the chart domain at a step
-    end or at a stored path sample.
+    end or at a stored path sample, and ValueError for an ``n_steps`` that
+    is not a positive multiple of SAMPLES_PER_STEP.
     """
     y = np.hstack([np.atleast_2d(np.asarray(a, dtype=float)) for a in (x0, v0)])
-    n_int = -(-n_steps // SAMPLES_PER_STEP)
+    n_int = _flow_steps(n_steps)
 
     def rhs(y):
         x, v = y[:, :2], y[:, 2:]
@@ -419,35 +420,6 @@ def flow_chart(
     if not surface.in_chart_domain(path.reshape(-1, 2)):
         raise LeftChartDomain("left chart domain between step ends")
     return y[:, :2], y[:, 2:], path
-
-
-def integrate_geodesic(
-    surface: SurfaceModel,
-    p0: np.ndarray,
-    v0: np.ndarray,
-    arc_length: float,
-    step: Optional[float] = None,
-):
-    """Integrate the geodesic equation for the given arclength.
-
-    On a level set ``v0`` must be unit and tangent.  Returns the path
-    samples, shape (n_steps+1, d).
-    """
-    if step is None:
-        step = arc_length / DEFAULT_STEPS
-    if step <= 0:
-        raise ValueError("step must be positive")
-    n_steps = max(8, int(np.ceil(arc_length / step)))
-    p0 = np.asarray(p0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    flow = flow_chart
-    if surface.kind == "levelset":
-        surface.check_on_surface(p0)
-        n = surface.unit_normal(p0)
-        if abs(v0 @ n) > 1e-8 or abs(np.linalg.norm(v0) - 1.0) > 1e-8:
-            raise ValueError("v0 must be a unit tangent vector")
-        flow = flow_levelset
-    return flow(surface, p0, v0, np.array([arc_length]), n_steps, store_path=True)[2][0]
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +442,6 @@ def shoot_closed_batch(
     seeds_v: np.ndarray,
     periods: np.ndarray,
     max_iter: int = 30,
-    n_steps: int = DEFAULT_STEPS,
 ):
     """Gauss-Newton closure of a batch of shooting seeds.
 
@@ -480,12 +451,12 @@ def shoot_closed_batch(
     geodesics, e.g. meridians of a surface of revolution) still converge to
     a member of the family; such seeds are flagged ``degenerate``.
 
-    Runs a coarse-grid Newton phase first and polishes on the fine grid
-    until the residual stalls at the finite-difference noise floor.
-    Returns a dict with the per-seed arrays ok, residual and degenerate,
-    and ``shots``: the rows where ok, in seed order, as arrays p0, v0,
-    period and the shot's final flow on the fine grid, its end velocity v1
-    and its path of shape (n_ok, n_steps+1, 3).
+    Runs a Newton phase on COARSE_STEPS samples first and polishes on
+    DEFAULT_STEPS samples until the residual stalls at the finite-difference
+    noise floor.  Returns a dict with the per-seed arrays ok, residual and
+    degenerate, and ``shots``: the rows where ok, in seed order, as arrays
+    p0, v0, period and the shot's final flow on DEFAULT_STEPS samples, its
+    end velocity v1 and its path of shape (n_ok, DEFAULT_STEPS + 1, 3).
     """
     P_seed = np.atleast_2d(np.asarray(seeds_p, dtype=float))
     V_seed = np.atleast_2d(np.asarray(seeds_v, dtype=float))
@@ -522,7 +493,7 @@ def shoot_closed_batch(
     active = np.ones(m, dtype=bool)
     for phase_steps, phase_iters, phase_tol in (
         (COARSE_STEPS, max_iter, 1e-9),
-        (n_steps, 8, 1e-13),
+        (DEFAULT_STEPS, 8, 1e-13),
     ):
         prev_rn = np.full(m, np.inf)
         for _ in range(phase_iters):
@@ -566,7 +537,7 @@ def shoot_closed_batch(
 
     # the final flow keeps paths, so it runs only on the seeds that can pass
     rows = np.flatnonzero(resid <= 1e-10)
-    r_final, P0, V0, T, (_, V1, path) = residual(x[rows], rows, n_steps, True)
+    r_final, P0, V0, T, (_, V1, path) = residual(x[rows], rows, DEFAULT_STEPS, True)
     resid[rows] = np.linalg.norm(r_final, axis=1)
     good = (resid[rows] <= 1e-10) & (np.abs(surface.level(P0)) < 1e-11)
     ok = np.zeros(m, dtype=bool)

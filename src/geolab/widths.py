@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 
 from .errors import SeedBudgetExhausted
 from .geodesics import (
+    DEFAULT_STEPS,
     curves_from_shots,
     hausdorff_distance,
     level_circle_radius2,
@@ -29,7 +30,6 @@ from .jacobi import cover_spectra, degeneracy_criterion_mk, jacobi_spectrum
 from .networks import GeodesicNetwork
 from .surfaces import SurfaceModel, make_ellipsoid, make_mk, mk_height
 
-N_SAMPLES = 4096  # samples per shot curve in both experiments
 P_TABLE = 5  # levels of the mk width table
 SEED_BUDGET = 6  # ellipsoid shooting attempts, each with a 1% longer period
 MAX_COVER = 3  # covers whose spectra the ellipsoid experiment checks
@@ -162,14 +162,14 @@ def mk_multiplicity_experiment(
     diam = surface.diameter()
     # same-image curves sampled at different phases differ by half the
     # sample spacing in Hausdorff distance; the tolerance must cover that
-    dedup_tol = max(1e-5 * diam, 0.75 * cap / N_SAMPLES)
+    dedup_tol = max(1e-5 * diam, 0.75 * cap / DEFAULT_STEPS)
     equator_tol = 1e-4 * diam
 
     # both period guesses in one batch, rows ordered (guess, seed)
     pts, dirs = mk_seed_directions(surface, n_seeds, seed)
     pts, dirs = np.tile(pts, (2, 1)), np.tile(dirs, (2, 1))
     guesses = np.repeat([2.0 * np.pi, min(cap, 4.0 * np.pi) * 0.999], n_seeds)
-    out = shoot_closed_batch(surface, pts, dirs, guesses, n_steps=N_SAMPLES)
+    out = shoot_closed_batch(surface, pts, dirs, guesses)
     keep = out["shots"]["period"] <= cap + 1e-6
     rows = np.flatnonzero(out["ok"])[keep]
     # popped, so the unfiltered shot paths (0.1 MB each) are freed before the spectra
@@ -246,7 +246,7 @@ def mk_multiplicity_experiment(
             "length_cap": cap,
             "n_seeds": int(n_seeds),
             "seed": int(seed),
-            "n_samples": N_SAMPLES,
+            "n_samples": DEFAULT_STEPS,
             "dedup_tolerance": dedup_tol,
             "equator_tolerance": equator_tol,
         },
@@ -311,7 +311,7 @@ def ellipsoid_experiment(a1: float, a2: float, a3: float) -> dict:
         if not todo.size:
             break
         periods = oracles[todo] * (1.0 + 0.01 * attempt)
-        out = shoot_closed_batch(surface, p0[todo], v0[todo], periods, n_steps=N_SAMPLES)
+        out = shoot_closed_batch(surface, p0[todo], v0[todo], periods)
         residuals[todo] = out["residual"]
         for i, cur in zip(todo[out["ok"]], curves_from_shots(surface, out["shots"])):
             curves[i] = cur
@@ -348,7 +348,7 @@ def ellipsoid_experiment(a1: float, a2: float, a3: float) -> dict:
             "surface": {"type": "ellipsoid", "a": [a1, a2, a3]},
             "seed_budget": SEED_BUDGET,
             "max_cover": MAX_COVER,
-            "n_samples": N_SAMPLES,
+            "n_samples": DEFAULT_STEPS,
         },
         "geodesics": details,
         "attribution": attribution,

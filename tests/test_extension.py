@@ -215,6 +215,15 @@ class TestExtendNormalField:
         with pytest.raises(EtaTooLarge):
             extend_normal_field(two_circles_network, [1.0, 1.0], delta=2.0, eta=1.5)
 
+    @pytest.mark.parametrize("profiles", [[1.0], [1.0, 1.0, 1.0]], ids=["too-few", "too-many"])
+    def test_one_profile_per_curve(self, two_circles_network, profiles):
+        net = two_circles_network
+        with pytest.raises(ValueError, match="one normal profile per curve"):
+            extend_normal_field(net, profiles, delta=2.0)
+        X = extend_normal_field(net, [1.0, 1.0], delta=2.0)
+        with pytest.raises(ValueError, match="one normal profile per curve"):
+            verify_second_variation_match(net, profiles, X, flow_step=0.01)
+
 
 class TestVerify:
     def test_round_great_circle(self, sphere, great_circle):

@@ -23,7 +23,6 @@ from geolab.geodesics import (
     flow_levelset,
     geodesic_curvature_profile,
     hausdorff_distance,
-    integrate_geodesic,
     low_discrepancy_seeds,
     mk_seed_directions,
     require_geodesic,
@@ -41,39 +40,36 @@ from geolab.surfaces import (
 )
 
 
+def _equator_path(surface):
+    """The unit-speed geodesic from (1, 0, 0) along (0, 1, 0) over 2 pi."""
+    p0, v0 = np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
+    return flow_levelset(surface, p0, v0, np.array([2 * np.pi]), store_path=True)[2][0]
+
+
 class TestIntegrate:
     def test_great_circle_returns(self, sphere):
-        path = integrate_geodesic(
-            sphere, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), 2 * np.pi
-        )
+        path = _equator_path(sphere)
         assert np.linalg.norm(path[-1] - path[0]) < 1e-8
 
     def test_mk_equator_is_gamma0(self, mk4):
-        path = integrate_geodesic(
-            mk4, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), 2 * np.pi
-        )
+        path = _equator_path(mk4)
         s = np.linspace(0, 2 * np.pi, path.shape[0])
         expected = np.stack([np.cos(s), np.sin(s), np.zeros_like(s)], axis=1)
         assert np.max(np.linalg.norm(path - expected, axis=1)) < 1e-8
 
     def test_flat_chart_straight_line(self):
         chart = make_flat_chart(4.0, 4.0)
-        path = integrate_geodesic(
-            chart, np.array([0.0, 0.0]), np.array([0.6, 0.8]), 1.5, step=1.5 / 256
-        )
+        x0, v0 = np.array([0.0, 0.0]), np.array([0.6, 0.8])
+        path = flow_chart(chart, x0, v0, np.array([1.5]), 256, store_path=True)[2][0]
         assert np.allclose(path[-1], [0.9, 1.2], atol=1e-10)
 
     def test_left_chart_domain(self):
         chart = make_flat_chart(1.0, 1.0)
         with pytest.raises(LeftChartDomain):
-            integrate_geodesic(
-                chart, np.array([0.0, 0.0]), np.array([1.0, 0.0]), 3.0, step=0.01
-            )
+            flow_chart(chart, np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([3.0]))
 
     def test_speed_stays_constant(self, mk4):
-        path = integrate_geodesic(
-            mk4, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), 2 * np.pi
-        )
+        path = _equator_path(mk4)
         cur = curve_from_samples(mk4, path[:-1])
         assert np.max(np.abs(cur.speeds - cur.length / (2 * np.pi))) < 1e-8 * cur.length
 
@@ -101,7 +97,7 @@ class TestIntegrate:
         assert np.max(np.abs(path[0] @ normal)) < 1e-13
         assert np.max(np.abs(np.linalg.norm(path[0], axis=1) - 1.0)) < 1e-13
 
-    @pytest.mark.parametrize("n_steps", [1000, 4096])
+    @pytest.mark.parametrize("n_steps", [1008, 4096])
     def test_batch_rows_equal_single_rows(self, mk4, n_steps):
         rng = np.random.default_rng(3)
         p0 = mk4.project(rng.normal(size=(3, 3)))
@@ -144,11 +140,26 @@ class TestIntegrate:
         surface = _ORACLES[name][0]
         p0, v0 = _tangent_seeds(surface, 3, seed=3)
         T = np.array([3.0, 9.7, 12.5])
-        batch = flow_levelset(surface, p0, v0, T, 1000, store_path=True)
+        batch = flow_levelset(surface, p0, v0, T, 1008, store_path=True)
         for i in range(3):
-            alone = flow_levelset(surface, p0[i], v0[i], T[i : i + 1], 1000, True)
+            alone = flow_levelset(surface, p0[i], v0[i], T[i : i + 1], 1008, True)
             for b, a in zip(batch, alone):
                 assert np.array_equal(b[i], a[0])
+
+    @pytest.mark.parametrize("n_steps", [8, 1000])
+    @pytest.mark.parametrize("flow", ["levelset", "chart"])
+    def test_flows_sample_whole_steps(self, sphere, flow, n_steps):
+        # a flow takes one DOP853 step per SAMPLES_PER_STEP samples, so any
+        # other sample count is refused, with or without a stored path
+        if flow == "levelset":
+            args = (sphere, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([1.0]))
+            run = flow_levelset
+        else:
+            args = (sphere_exp_chart(1.2), np.zeros(2), np.array([1.0, 0.0]), np.array([0.5]))
+            run = flow_chart
+        for store_path in (False, True):
+            with pytest.raises(ValueError, match="multiple of 16"):
+                run(*args, n_steps, store_path)
 
 
 def _tangent_seeds(surface, n, seed):
@@ -201,8 +212,8 @@ def _cos_sin(t):
 
 
 class TestDop853:
-    n_samples = 1000
-    n_steps = -(-1000 // SAMPLES_PER_STEP)
+    n_samples = 1008
+    n_steps = 1008 // SAMPLES_PER_STEP
 
     def test_harmonic_oscillator_to_roundoff(self):
         ends = []
@@ -218,7 +229,7 @@ class TestDop853:
         t_end = 2 * np.pi * np.arange(1, self.n_steps + 1) / self.n_steps
         assert np.max(np.abs(np.array(ends) - _cos_sin(t_end))) < 1e-12
         assert np.array_equal(y1[0], ends[-1])
-        # 1000 samples on 63 steps: all but the two ends are from the
+        # 1008 samples on 63 steps: all but every 16th are from the
         # continuous extension
         t = np.linspace(0.0, 2 * np.pi, self.n_samples + 1)
         assert np.max(np.abs(path[0] - _cos_sin(t))) < 1e-12
@@ -240,6 +251,13 @@ class TestDop853:
             assert np.array_equal(yi[0], y1[i])
             assert np.array_equal(pi[0], path[i])
         assert dop853_integrate(_harmonic, y0, T, self.n_steps, keep)[1] is None
+
+    def test_samples_must_fill_whole_steps(self):
+        with pytest.raises(ValueError, match="multiple of n_steps"):
+            dop853_integrate(
+                _harmonic, np.array([[1.0, 0.0]]), 1.0, self.n_steps, lambda i, y: y,
+                self.n_samples - 8, 2,
+            )
 
     def test_tableau_matches_scipy(self):
         coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
