@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from .bumps import plateau
 from .errors import EtaTooLarge, FlowLeftSurface, NotGPlus, OriginMismatch
@@ -89,6 +87,8 @@ class _CurveFrame:
     """Nearest-point queries plus tangent/normal frames along one curve."""
 
     def __init__(self, curve: GeodesicCurve, surface: SurfaceModel):
+        from scipy.spatial import cKDTree
+
         self.curve = curve
         self.surface = surface
         n = curve.n
@@ -261,6 +261,8 @@ def extend_normal_field(
     verts = network.vertices
     if verts:
         if len(verts) > 1:
+            from scipy.spatial.distance import pdist
+
             dmin = pdist(np.array([v.position for v in verts])).min()
         else:
             dmin = min(c.length for c in curves) / 4.0

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateJacobian,
@@ -755,6 +754,8 @@ def hausdorff_distance(a, b, bound: float = np.inf, tree_a=None, tree_b=None) ->
     nearest-neighbour queries stop early.  ``tree_a`` and ``tree_b``, cKDTrees
     of ``a`` and ``b``, let a caller comparing one cloud often build it once.
     """
+    from scipy.spatial import cKDTree
+
     bound = np.nextafter(bound, np.inf)  # cKDTree keeps distances < bound only
     tree_b = cKDTree(b) if tree_b is None else tree_b
     d_ab = tree_b.query(a, distance_upper_bound=bound)[0].max()

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigvals_banded
 
 from .errors import GridTooCoarse
 from .geodesics import (
@@ -46,6 +45,14 @@ from .geodesics import (
 from .surfaces import SurfaceModel, gauss_curvature
 
 REPORTED_EIGS = 12  # lowest eigenvalues written to a report
+
+
+def eigvals_banded(*args, **kwargs):
+    """``scipy.linalg.eigvals_banded``, imported on the first call so that
+    commands without a spectrum never load ``scipy.linalg``."""
+    from scipy.linalg import eigvals_banded
+
+    return eigvals_banded(*args, **kwargs)
 
 
 @dataclass

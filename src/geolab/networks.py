@@ -23,9 +23,6 @@ from math import comb
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .errors import AmbiguousCluster
 from .geodesics import GeodesicCurve, hausdorff_distance
@@ -159,6 +156,8 @@ def _hits(A, B, seg_len, cids, arc, totals, closed, tol):
     the two segments, the closest points' segment parameters and their
     midpoints.  Same-curve pairs count only when they are far apart along
     the curve."""
+    from scipy.spatial import cKDTree
+
     mids = 0.5 * (A + B)
     # two segments can only intersect if their midpoints are this close
     search = float(seg_len.max() + tol)
@@ -229,6 +228,9 @@ def detect_vertices(
     # one graph: segments are nodes and hits are edges, so each component
     # holding hits is one crossing (a tangential near-miss chains along its
     # whole overlap)
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n_seg = A.shape[0]
     graph = coo_matrix((np.ones(i.size), (i, j)), shape=(n_seg, n_seg))
     labels = connected_components(graph, directed=False)[1][i]
@@ -264,6 +266,8 @@ def detect_vertices(
         )
         centroids.append(centroid)
     if len(centroids) > 1:
+        from scipy.spatial import cKDTree
+
         cd = cKDTree(np.array(centroids))
         close = cd.query_pairs(2.0 * clustering_radius)
         if close:

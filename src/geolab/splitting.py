@@ -34,7 +34,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.spatial import cKDTree
 
 from .bumps import plateau
 from .errors import (
@@ -245,6 +244,8 @@ class ConformalFactorField:
         # normal, |w| <= lambda_min(g)^(-1/2)), and c(s) is within one probe
         # spacing of a bridge probe.  That spacing also covers the change of
         # lambda_min between probes, which moves d0 |w| by far less.
+        from scipy.spatial import cKDTree
+
         det = self.base_curve
         probes = det.bridge_points()
         spacing = np.linalg.norm(np.diff(probes.reshape(2, -1, 2), axis=1), axis=2)
@@ -479,6 +480,8 @@ def conformal_factor_for(
     """
     bridges = detour.bridge_points()
     if other_strand_points is not None and other_strand_points.size:
+        from scipy.spatial import cKDTree
+
         dmin = float(cKDTree(other_strand_points).query(bridges)[0].min())
     else:
         dmin = INNER_FRAC * detour.ball_radius

@@ -14,7 +14,6 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import SeedBudgetExhausted
 from .geodesics import (
@@ -177,6 +176,8 @@ def mk_multiplicity_experiment(
     found = [(int(row % n_seeds), cur) for row, cur in zip(rows, curves)]
 
     # deduplicate by Hausdorff distance between primitive images, one KD-tree per curve
+    from scipy.spatial import cKDTree
+
     classes, trees = [], []
     for seed_idx, cur in found:
         tree = cKDTree(cur.samples)

@@ -574,3 +574,53 @@ def test_cli_import_leaves_out_scipy_integrate_and_optimize():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _fresh_process(code, *args):
+    """stdout of ``python -c code args`` with this checkout's geolab on the path."""
+    src = str(Path(geolab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout
+
+
+_SCIPY_AFTER = (
+    "import json, sys, geolab.cli\n"
+    "rc = geolab.cli.run(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, subpackages",
+    [
+        ([], set()),
+        (["sweepout-bound"], set()),
+        (["index"], {"scipy.linalg"}),
+        (["ellipsoid-experiment"], {"scipy.linalg"}),
+        (["network"], {"scipy.linalg", "scipy.sparse", "scipy.spatial"}),
+    ],
+    ids=["import", "sweepout-bound", "index", "ellipsoid-experiment", "network"],
+)
+def test_cli_loads_scipy_subpackages_a_command_calls(argv, subpackages, tmp_path):
+    # one fresh process per case: a command loads a scipy subpackage only when
+    # it reaches code that calls it, so start-up is numpy plus geolab
+    argv = argv and [*argv, "--out", str(tmp_path)]
+    rc, modules = json.loads(_fresh_process(_SCIPY_AFTER, *argv).splitlines()[-1])
+    assert rc == 0
+    if not subpackages:
+        assert modules == []
+    loaded = {".".join(m.split(".")[:2]) for m in modules}
+    assert loaded & {"scipy.linalg", "scipy.sparse", "scipy.spatial"} == subpackages
+
+
+def test_cli_import_loads_every_geolab_module():
+    # geolab's own modules stay eagerly imported: the perfbench tracer wraps
+    # only functions of modules already in sys.modules when it installs, and a
+    # lazily imported package read 0 in every per-layer counter of a traced run
+    code = "import sys, geolab.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = set(_fresh_process(code).split())
+    for name in ("surfaces", "geodesics", "jacobi", "networks", "splitting", "extension", "widths"):
+        assert f"geolab.{name}" in loaded

@@ -21,15 +21,19 @@ of order 3, 4 and 8 of concurrent lines in a curved chart
 ``reduction.json``.
 Every run is a fresh process with ``PYTHONPATH`` set to that checkout's
 ``src`` and ``OPENBLAS_NUM_THREADS=1``, writing into its own output
-directory under a temporary directory that is removed afterwards.  Per
-configuration it prints ``identical`` or the files that differ or exist on
-one side only, and each side's wall time in seconds, import included; it
-exits 1 on any difference.  For a JSON file that differs it also prints the
-largest absolute difference over the numeric leaves found at the same path
-on both sides, then each moved numeric leaf with its own largest change,
-runs of consecutive integer keys (list indices) under one parent folded
-into a range (``/result/eigenvalues/0-11``), and lists the paths whose values differ
-otherwise (not both numbers) or exist on one side only.
+directory under a temporary directory that is removed afterwards.  The
+parent runs first in even configurations and the change first in odd ones,
+as ``tools/bench_pairs.py`` alternates its pairs, so neither side always
+meets the other's warm caches.  Per configuration it prints ``identical``
+or the files that differ or exist on one side only, and each side's wall
+time in seconds, import included; it exits 1 on any difference.  A last
+line gives the median change/parent wall-time ratio over the configurations
+of each exit code (the change's).  For a JSON file that differs it also
+prints the largest absolute difference over the numeric leaves found at the
+same path on both sides, then each moved numeric leaf with its own largest
+change, runs of consecutive integer keys (list indices) under one parent
+folded into a range (``/result/eigenvalues/0-11``), and lists the paths
+whose values differ otherwise (not both numbers) or exist on one side only.
 JSON files that a strict parser rejects (NaN or Infinity) are listed per
 side and count as a difference too.
 """
@@ -41,6 +45,7 @@ import filecmp
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -237,11 +242,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     checkouts = (args.parent.resolve(), args.change.resolve())
     differ = False
+    ratios = {}  # the change's exit code -> change/parent wall-time ratios
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         work = Path(tmp)
         for i, (name, argv_) in enumerate(configurations()):
             outs = [work / side / f"{i:02d}" for side in ("parent", "change")]
-            codes, walls = zip(*(run_one(c, argv_, o) for c, o in zip(checkouts, outs)))
+            order = (0, 1) if i % 2 == 0 else (1, 0)
+            runs = {side: run_one(checkouts[side], argv_, outs[side]) for side in order}
+            codes, walls = zip(runs[0], runs[1])
+            ratios.setdefault(codes[1], []).append(walls[1] / walls[0])
             files = [describe(*outs, f) for f in differing_files(*outs)]
             if codes[0] != codes[1]:
                 files.insert(0, f"exit code {codes[0]} -> {codes[1]}")
@@ -251,6 +260,9 @@ def main(argv=None) -> int:
             print(f"{name}: {'identical' if not files else ', '.join(files)}"
                   f" (exit {codes[1]}; parent {walls[0]:.2f} s -> change {walls[1]:.2f} s)",
                   flush=True)
+    print("median change/parent wall time: " + ", ".join(
+        f"exit {code} {statistics.median(r):.3f} over {len(r)} configurations"
+        for code, r in sorted(ratios.items())))
     return 1 if differ else 0
 
 
