@@ -12,7 +12,6 @@ from .surfaces import (
     MetricTensor,
     SurfaceModel,
     ConformalFactor,
-    christoffel,
     conformal_geodesic_curvature,
     gauss_curvature,
     make_cylinder,

@@ -394,17 +394,23 @@ def flow_network_length(
     surface = network.ambient_surface
     max_drift = DRIFT_TOL * max(1.0, surface.diameter())
 
-    def reproject(i, pts):
+    def field(y):  # the stepper's state holds the points as columns
+        return ambient_field(y.T).T
+
+    def reproject(i, y):
+        # points as rows in memory: surface.level sums through einsum, whose
+        # order on a transposed view moves the flowed lengths at roundoff
+        pts = np.ascontiguousarray(y.T)
         drift = np.max(np.abs(surface.level(pts)))
         if drift > max_drift:
             raise FlowLeftSurface(f"|F| = {drift:.2e} before reprojection")
-        return surface.project(pts)
+        return surface.project(pts).T
 
     total = 0.0
     for c in network.curves:
         pts = c.samples
         if t != 0.0:
-            pts = dop853_integrate(ambient_field, pts, t, FLOW_SUBSTEPS, reproject)[0]
+            pts = dop853_integrate(field, pts.T, t, FLOW_SUBSTEPS, reproject)[0].T
         total += curve_length(pts, surface, closed=c.closed)
     return total
 

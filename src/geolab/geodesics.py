@@ -6,13 +6,17 @@ with lambda = -sum_i h_i gamma'_i^2 / |grad F|^2, h the diagonal of the
 x''^c = -Gamma^c_{ab} x'^a x'^b.  Both flows, and the ambient-field flow of
 ``extension``, are a right-hand side plus a step-end hook on one
 fixed-step DOP853 stepper (Hairer, Norsett & Wanner, Solving ODEs I,
-II.5-II.6).  A flow samples whole steps: its sample count is a multiple of
+II.5-II.6), which holds the state column-major, (columns, rows), also in
+the right-hand side and the hook: each coordinate of all rows is one
+contiguous vector, so every ufunc runs one loop over the rows, not a 3-wide
+loop per row.  The flows take and return points as rows, transposing once
+per call.  A flow samples whole steps: its sample count is a multiple of
 SAMPLES_PER_STEP, each step ends on a sample (the hook's state) and the
 samples inside a step come from its 7th-order continuous extension.  The
 level-set hook re-projects the point onto the surface and renormalizes the
 tangential speed, which keeps the constraint and energy drift at roundoff
 level; the chart hook checks the chart domain.  The flows are batched over
-a leading row axis with one length per row and fixed steps, so each row is
+rows with one length per row and fixed steps, so each row is
 a smooth function of its own inputs and finite-difference shooting stays in
 one flow call.
 
@@ -243,7 +247,7 @@ _DOP_D = _tableau(4, {
     (3, 12): -0.43533456590011143754432175058e+2, (3, 13): 0.96324553959188282948394950600e+2,
     (3, 14): -0.39177261675615439165231486172e+2, (3, 15): -0.14972683625798562581422125276e+3,
 })
-_A = _DOP_A[:, :, None, None]  # stage weights, broadcast over (rows, columns)
+_A = _DOP_A[:, :, None, None]  # stage weights, broadcast over (columns, rows)
 # stage terms of the continuous extension: K_0, -(K_0 + K_12) and the four
 # D rows; stages 1-4 carry no weight in any of them
 _DENSE_TERMS = np.stack([np.eye(16)[0], -np.eye(16)[0] - np.eye(16)[12], *_DOP_D])
@@ -266,13 +270,19 @@ def _dense_weights(x):
 
 
 def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols=0):
-    """Fixed-step DOP853 for y' = rhs(y), y of shape (rows, columns).
+    """Fixed-step DOP853 for y' = rhs(y), y of shape (columns, rows).
 
-    Takes ``n_steps`` steps of T / n_steps, with ``T`` a scalar or one span
-    per row.  ``after_step(i, y)`` runs at the end of step i and returns the
+    The state is column-major: y[k] is coordinate k of every row, one
+    contiguous vector, so the ufuncs of ``rhs`` and ``after_step`` run one
+    inner loop over the rows rather than a short loop over the coordinates
+    of each row.  Both take and return (columns, rows) arrays.  Takes
+    ``n_steps`` steps of T / n_steps, with ``T`` a scalar or one span per
+    row.  ``after_step(i, y)`` runs at the end of step i and returns the
     state to continue from (a projection, a domain check); the right-hand
     side there is the next step's first stage (FSAL).  Stage sums run along
-    the stage axis, so each row is bit-identical to its own 1-row call.
+    the stage axis, so each row is bit-identical to its own 1-row call as
+    long as ``rhs`` and ``after_step`` sum over the columns in a fixed order
+    (``np.add.reduce`` over axis 0; einsum on a transposed view is not).
 
     Returns (y, path).  With ``n_samples`` > 0, a multiple of ``n_steps``,
     path holds the leading ``path_cols`` columns at n_samples + 1 uniform
@@ -287,16 +297,16 @@ def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols
     y = np.asarray(y, dtype=float)
     # each row's step, spelt out to the state's shape so that scaling a
     # stage multiplies arrays of one shape
-    h = np.asarray(T, dtype=float).reshape(-1, 1) / n_steps * np.ones_like(y)
+    h = np.asarray(T, dtype=float).reshape(-1) / n_steps * np.ones_like(y)
     hK = np.empty((16,) + y.shape)  # stage derivatives times the step
 
     def stage(s):  # y + sum_t a_st h K_t
         return y + np.add.reduce(_A[s, :s] * hK[:s], 0)
 
-    c, per = path_cols, n_samples // n_steps
-    path = np.empty((y.shape[0], n_samples + 1, c)) if n_samples else None
+    c, per, rows = path_cols, n_samples // n_steps, y.shape[1]
+    path = np.empty((rows, n_samples + 1, c)) if n_samples else None
     if n_samples:
-        path[:, 0] = y[:, :c]
+        path[:, 0] = y[:c].T
         a, b = _dense_weights(np.arange(1, per) / per)  # a step's inner samples
     np.multiply(rhs(y), h, out=hK[0])
     for i in range(n_steps):
@@ -308,14 +318,14 @@ def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols
         if n_samples:
             for s in range(13, 16):
                 np.multiply(rhs(stage(s)), h, out=hK[s])
-            # one reduction over the stages, with the (row, column) pairs
+            # one reduction over the stages, with the (column, row) pairs
             # as the contiguous inner axis
-            hKc = hK[_DENSE_STAGES, :, :c].reshape(b.shape[0], 1, -1)
+            hKc = hK[_DENSE_STAGES, :c].reshape(b.shape[0], 1, -1)
             dense = np.add.reduce(b[:, :, None] * hKc, 0)
-            dense = dense.reshape(per - 1, y.shape[0], c).swapaxes(0, 1)
-            y0, j = y[:, None, :c], i * per
-            path[:, j + 1 : j + per] = y0 + (y1[:, None, :c] - y0) * a[:, None] + dense
-            path[:, j + per] = y1[:, :c]
+            dense = dense.reshape(per - 1, c, rows).transpose(2, 0, 1)
+            y0, j = y[:c].T[:, None], i * per
+            path[:, j + 1 : j + per] = y0 + (y1[:c].T[:, None] - y0) * a[:, None] + dense
+            path[:, j + per] = y1[:c].T
         hK[0] = hK[12]
         y = y1
     return y, path
@@ -329,10 +339,9 @@ def _flow_steps(n_steps: int) -> int:
 
 
 def _newton_onto(surface: SurfaceModel, P):
-    """One Newton step towards F = 0, with grad F and |grad F|^2 at P."""
+    """One Newton step towards F = 0 from the points P of shape (..., 3)."""
     g = surface.grad(P)
-    gg = np.einsum("...i,...i->...", g, g)
-    return P - (surface.level(P) / gg)[..., None] * g, g, gg
+    return P - (surface.level(P) / np.einsum("...i,...i->...", g, g))[..., None] * g
 
 
 def flow_levelset(
@@ -354,29 +363,51 @@ def flow_levelset(
     Returns (P1, V1) or (P1, V1, path) with path of shape (m, n_steps+1, 3).
     Raises ValueError for any other ``n_steps``.
     """
-    y = np.hstack([np.atleast_2d(np.asarray(a, dtype=float)) for a in (P0, V0)])
+    y = np.vstack([np.atleast_2d(np.asarray(a, dtype=float)).T for a in (P0, V0)])
     n_int = _flow_steps(n_steps)
+    # F, grad F and diag(Hess F) on points as columns, from the constants of
+    # the factorization SurfaceModel documents: its methods take points as
+    # rows, and each would cost a call per stage
+    c, gc = surface._c[:, None], surface._grad_c[:, None]
+    expo = None if surface._expo is None else surface._expo[:, None]
+    # weights of P_i^2 and V_i^2 in |grad F|^2 and in -sum_i h_i V_i^2
+    w = np.concatenate((surface._grad_c**2, -surface._hess_c))[:, None]
+
+    def grad(P, PP):  # grad F and (x_i^2)^(mu_i - 1), None on a quadric
+        q = None if expo is None else PP**expo
+        return (gc * P if q is None else gc * P * q), q
 
     def rhs(y):  # gamma'' = lambda grad F, lambda = -sum_i h_i v_i^2 / |g|^2
-        P, V = y[:, :3], y[:, 3:]
-        g = surface.grad(P)
-        lam = np.vecdot(V * surface.hess_diag(P), V) / np.vecdot(g, g)
-        return np.concatenate((V, g * -lam[:, None]), axis=1)
+        W = y * y
+        g, q = grad(y[:3], W[:3])
+        if q is not None:
+            W *= np.concatenate((q * q, q))
+        W *= w
+        gg, minus_hvv = np.add.reduce(W.reshape(2, 3, -1), 1)
+        return np.concatenate((y[3:], g * (minus_hvv / gg)))
 
     def reproject(i, y):
         # one Newton projection onto F = 0 squares the step's |F|; the
         # velocity is made tangent with the same gradient and unit again
-        P, g, gg = _newton_onto(surface, y[:, :3])
-        V = y[:, 3:] - (np.vecdot(y[:, 3:], g) / gg)[:, None] * g
-        return np.concatenate((P, V / np.sqrt(np.vecdot(V, V))[:, None]), axis=1)
+        P, V = y[:3], y[3:]
+        PP = P * P
+        g, q = grad(P, PP)
+        F = np.add.reduce(c * PP if q is None else c * PP * q, 0) - 1.0
+        gg = np.add.reduce(g * g, 0)
+        V = V - np.add.reduce(V * g, 0) / gg * g
+        return np.concatenate((P - F / gg * g, V / np.sqrt(np.add.reduce(V * V, 0))))
 
     y, path = dop853_integrate(rhs, y, T, n_int, reproject, store_path and n_steps, 3)
+    P1, V1 = y[:3].T, y[3:].T
     if not store_path:
-        return y[:, :3], y[:, 3:]
-    inner = np.flatnonzero(np.arange(n_steps + 1) % SAMPLES_PER_STEP)  # not step ends
-    for row in path:  # a row at a time keeps the temporaries one row in size
-        row[inner] = _newton_onto(surface, row[inner])[0]
-    return y[:, :3], y[:, 3:], path
+        return P1, V1
+    # the samples inside the steps, a row at a time so that the temporaries
+    # stay one row in size; the path holds points as rows
+    steps = path[:, 1:].reshape(path.shape[0], n_int, SAMPLES_PER_STEP, 3)
+    for row in steps:
+        inner = row[:, :-1]
+        inner[...] = _newton_onto(surface, inner)
+    return P1, V1, path
 
 
 def flow_chart(
@@ -400,25 +431,25 @@ def flow_chart(
     end or at a stored path sample, and ValueError for an ``n_steps`` that
     is not a positive multiple of SAMPLES_PER_STEP.
     """
-    y = np.hstack([np.atleast_2d(np.asarray(a, dtype=float)) for a in (x0, v0)])
+    y = np.vstack([np.atleast_2d(np.asarray(a, dtype=float)).T for a in (x0, v0)])
     n_int = _flow_steps(n_steps)
 
     def rhs(y):
-        x, v = y[:, :2], y[:, 2:]
-        gam = christoffel_batch(surface, x)
-        return np.hstack([v, -np.einsum("ncab,na,nb->nc", gam, v, v)])
+        x, v = y[:2], y[2:]
+        gam = christoffel_batch(surface, x.T)
+        return np.concatenate((v, -np.einsum("ncab,an,bn->cn", gam, v, v)))
 
     def in_domain(i, y):
-        if not surface.in_chart_domain(y[:, :2]):
+        if not surface.in_chart_domain(y[:2].T):
             raise LeftChartDomain(f"left chart domain at step {i}")
         return y
 
     y, path = dop853_integrate(rhs, y, T, n_int, in_domain, store_path and n_steps, 2)
     if not store_path:
-        return y[:, :2], y[:, 2:]
+        return y[:2].T, y[2:].T
     if not surface.in_chart_domain(path.reshape(-1, 2)):
         raise LeftChartDomain("left chart domain between step ends")
-    return y[:, :2], y[:, 2:], path
+    return y[:2].T, y[2:].T, path
 
 
 # ---------------------------------------------------------------------------

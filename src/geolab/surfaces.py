@@ -473,14 +473,6 @@ def christoffel_batch(surface: SurfaceModel, pts: np.ndarray, h: float = _FD_H):
     return 0.5 * np.einsum("ncd,ndab->ncab", ginv, bracket)
 
 
-def christoffel(surface: SurfaceModel, uv: np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma^c_{ab} of the chart metric, shape (2,2,2).
-
-    Raises ChartUnavailable for level-set-only surfaces.
-    """
-    return christoffel_batch(surface, np.asarray(uv, dtype=float)[None])[0]
-
-
 def chart_euclidean_deviation(surface: SurfaceModel, pts: np.ndarray) -> float:
     """sup |g - identity| over the sampled chart points.
 

@@ -40,6 +40,11 @@ from geolab.surfaces import (
 )
 
 
+# rows of the wide row-identity batches: past numpy's unrolled and SIMD
+# inner-loop widths and not a multiple of 8, so a remainder loop runs too
+WIDE_ROWS = 37
+
+
 def _equator_path(surface):
     """The unit-speed geodesic from (1, 0, 0) along (0, 1, 0) over 2 pi."""
     p0, v0 = np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
@@ -146,6 +151,18 @@ class TestIntegrate:
             for b, a in zip(batch, alone):
                 assert np.array_equal(b[i], a[0])
 
+    @pytest.mark.parametrize("name", ["mk4", "mk-mu2", "ellipsoid"])
+    def test_wide_batch_rows_equal_single_rows(self, mk4, name):
+        surface = mk4 if name == "mk4" else _ORACLES[name][0]
+        p0, v0 = _tangent_seeds(surface, WIDE_ROWS, seed=11)
+        T = np.linspace(3.0, 12.5, WIDE_ROWS)
+        batch = flow_levelset(surface, p0, v0, T, 1008, store_path=True)
+        assert batch[2].shape == (WIDE_ROWS, 1009, 3)
+        for i in range(WIDE_ROWS):
+            alone = flow_levelset(surface, p0[i], v0[i], T[i : i + 1], 1008, True)
+            for b, a in zip(batch, alone):
+                assert np.array_equal(b[i], a[0])
+
     @pytest.mark.parametrize("n_steps", [8, 1000])
     @pytest.mark.parametrize("flow", ["levelset", "chart"])
     def test_flows_sample_whole_steps(self, sphere, flow, n_steps):
@@ -203,8 +220,8 @@ def _solve_ivp_geodesic(derivatives, p0, v0, T, n):
 
 
 def _harmonic(y):
-    """y'' = -y as a first-order system in (y, y')."""
-    return np.stack([y[:, 1], -y[:, 0]], axis=1)
+    """y'' = -y as a first-order system in (y, y'), one column per row."""
+    return np.stack([y[1], -y[0]])
 
 
 def _cos_sin(t):
@@ -219,16 +236,16 @@ class TestDop853:
         ends = []
 
         def record(i, y):
-            ends.append(y[0].copy())
+            ends.append(y[:, 0].copy())
             return y
 
         y1, path = dop853_integrate(
-            _harmonic, np.array([[1.0, 0.0]]), 2 * np.pi, self.n_steps, record,
+            _harmonic, np.array([[1.0], [0.0]]), 2 * np.pi, self.n_steps, record,
             self.n_samples, 2,
         )
         t_end = 2 * np.pi * np.arange(1, self.n_steps + 1) / self.n_steps
         assert np.max(np.abs(np.array(ends) - _cos_sin(t_end))) < 1e-12
-        assert np.array_equal(y1[0], ends[-1])
+        assert np.array_equal(y1[:, 0], ends[-1])
         # 1008 samples on 63 steps: all but every 16th are from the
         # continuous extension
         t = np.linspace(0.0, 2 * np.pi, self.n_samples + 1)
@@ -236,7 +253,7 @@ class TestDop853:
 
     def test_batch_rows_equal_single_rows(self):
         phase = np.array([0.0, 0.7, 2.9])
-        y0 = _cos_sin(phase)
+        y0 = _cos_sin(phase).T
         T = np.array([2 * np.pi, 3.0, 5.5])
 
         def keep(i, y):
@@ -246,16 +263,31 @@ class TestDop853:
         assert path.shape == (3, self.n_samples + 1, 2)
         for i in range(3):
             yi, pi = dop853_integrate(
-                _harmonic, y0[i : i + 1], T[i], self.n_steps, keep, self.n_samples, 2
+                _harmonic, y0[:, i : i + 1], T[i], self.n_steps, keep, self.n_samples, 2
             )
-            assert np.array_equal(yi[0], y1[i])
+            assert np.array_equal(yi[:, 0], y1[:, i])
             assert np.array_equal(pi[0], path[i])
         assert dop853_integrate(_harmonic, y0, T, self.n_steps, keep)[1] is None
+
+    def test_wide_batch_rows_equal_single_rows(self):
+        y0 = _cos_sin(np.linspace(0.0, 6.0, WIDE_ROWS)).T
+        T = np.linspace(1.0, 2 * np.pi, WIDE_ROWS)
+
+        def keep(i, y):
+            return y
+
+        y1, path = dop853_integrate(_harmonic, y0, T, self.n_steps, keep, self.n_samples, 2)
+        for i in range(WIDE_ROWS):
+            yi, pi = dop853_integrate(
+                _harmonic, y0[:, i : i + 1], T[i], self.n_steps, keep, self.n_samples, 2
+            )
+            assert np.array_equal(yi[:, 0], y1[:, i])
+            assert np.array_equal(pi[0], path[i])
 
     def test_samples_must_fill_whole_steps(self):
         with pytest.raises(ValueError, match="multiple of n_steps"):
             dop853_integrate(
-                _harmonic, np.array([[1.0, 0.0]]), 1.0, self.n_steps, lambda i, y: y,
+                _harmonic, np.array([[1.0], [0.0]]), 1.0, self.n_steps, lambda i, y: y,
                 self.n_samples - 8, 2,
             )
 
@@ -484,6 +516,20 @@ class TestHelpers:
         for i in range(3):
             xi, vi, pi = flow_chart(chart, x0[i], v0[i], T[i], 256, store_path=True)
             # bit for bit: every row sees the same arithmetic as alone
+            assert np.array_equal(xi[0], x1[i])
+            assert np.array_equal(vi[0], v1[i])
+            assert np.array_equal(pi[0], path[i])
+
+    def test_chart_flow_wide_batch_equals_single_rows(self):
+        chart = sphere_exp_chart(1.2)
+        rng = np.random.default_rng(5)
+        x0 = rng.uniform(-0.4, 0.4, size=(WIDE_ROWS, 2))
+        ang = rng.uniform(-np.pi, np.pi, WIDE_ROWS)
+        v0 = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        T = rng.uniform(0.2, 0.5, WIDE_ROWS)
+        x1, v1, path = flow_chart(chart, x0, v0, T, 256, store_path=True)
+        for i in range(WIDE_ROWS):
+            xi, vi, pi = flow_chart(chart, x0[i], v0[i], T[i], 256, store_path=True)
             assert np.array_equal(xi[0], x1[i])
             assert np.array_equal(vi[0], v1[i])
             assert np.array_equal(pi[0], path[i])

@@ -4,7 +4,7 @@ import pytest
 from geolab.errors import ChartUnavailable, PointOffSurface, ConfigInvalid
 from geolab.surfaces import (
     ConformalFactor,
-    christoffel,
+    christoffel_batch,
     conformal_geodesic_curvature,
     gauss_curvature,
     make_cylinder,
@@ -158,7 +158,7 @@ class TestChartCurvature:
 class TestChristoffel:
     def test_flat_chart_zero(self):
         chart = make_flat_chart()
-        gam = christoffel(chart, np.array([0.3, 0.4]))
+        gam = christoffel_batch(chart, np.array([0.3, 0.4])[None])[0]
         assert np.max(np.abs(gam)) < 1e-9
 
     def test_sphere_polar_chart_symbol(self):
@@ -171,7 +171,7 @@ class TestChristoffel:
         expected = sp.simplify(-(sp.Rational(1, 2)) * sp.diff(G, phi))
         val = float(expected.subs(phi, sp.pi / 4))
         chart = make_sphere_polar_chart()
-        gam = christoffel(chart, np.array([np.pi / 4, 0.7]))
+        gam = christoffel_batch(chart, np.array([np.pi / 4, 0.7])[None])[0]
         assert abs(gam[0, 1, 1] - val) < 1e-8
         assert abs(val - (-0.5)) < 1e-15
 
@@ -183,12 +183,12 @@ class TestChristoffel:
             radius=1e9,
         )
         rescaled = chart.with_conformal_factor(factor)
-        gam = christoffel(rescaled, np.array([0.2, -0.1]))
+        gam = christoffel_batch(rescaled, np.array([0.2, -0.1])[None])[0]
         assert np.max(np.abs(gam)) < 1e-9
 
     def test_levelset_raises(self, mk4):
         with pytest.raises(ChartUnavailable):
-            christoffel(mk4, np.array([0.0, 0.0]))
+            christoffel_batch(mk4, np.array([0.0, 0.0])[None])[0]
 
 
 def _ball_factor():
