@@ -62,7 +62,6 @@ class GeodesicCurve:
     """
 
     samples: np.ndarray
-    speeds: np.ndarray
     length: float
     closure_residual: Optional[float]  # None for open curves
     surface: SurfaceModel
@@ -616,7 +615,6 @@ def curves_from_shots(surface, shots) -> list:
     m.
     """
     P0, V0, paths = shots["p0"], shots["v0"], shots["path"]
-    n_samples = paths.shape[1] - 1
     residuals = np.linalg.norm(paths[:, -1] - P0, axis=1) + np.linalg.norm(
         shots["v1"] - V0, axis=1
     )
@@ -624,7 +622,6 @@ def curves_from_shots(surface, shots) -> list:
     return [
         GeodesicCurve(
             samples=loop,
-            speeds=np.full(n_samples, period / m / (2 * np.pi)),
             length=float(period / m),
             closure_residual=float(residual),
             surface=surface,
@@ -736,7 +733,6 @@ def curve_from_samples(surface, samples, closed=True) -> GeodesicCurve:
     res = 0.0 if closed else None
     return GeodesicCurve(
         samples=samples,
-        speeds=sp,
         length=length,
         closure_residual=res,
         surface=surface,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -246,29 +246,20 @@ def jacobi_spectrum(
     return cover_spectra(curve, surface, (m,), grid_size // m)[m]
 
 
-def network_index(
-    network,
-    multiplicities: Optional[Sequence[int]] = None,
-    grid_size: int = 512,
-):
+def network_index(network, grid_size: int = 512):
     """Morse index of a geodesic network: sum of per-curve indices.
 
     The weighted form Q_V = sum m_gamma Q_gamma has the same negative
     subspace dimension as Q_Gamma since every m_gamma > 0, so the index does
-    not depend on the multiplicities; they are echoed in the descriptor.
+    not depend on the multiplicities.
     Returns (index, descriptor) where the descriptor holds per-curve
     spectra.
     """
     curves = network.curves if hasattr(network, "curves") else list(network)
-    if multiplicities is None:
-        multiplicities = [1] * len(curves)
-    if len(multiplicities) != len(curves) or any(m < 1 for m in multiplicities):
-        raise ValueError("multiplicities must be positive, one per curve")
     reports = [jacobi_spectrum(cur, grid_size=grid_size) for cur in curves]
     total = int(sum(r.index for r in reports))
     descriptor = {
         "per_curve": [r.to_json_dict() for r in reports],
-        "multiplicities": [int(m) for m in multiplicities],
         "index": total,
         "nullity_total": int(sum(r.nullity for r in reports)),
         "weighted_form": "Q_V(X,Y) = sum_gamma m_gamma Q_gamma(X_gamma, Y_gamma)",

@@ -20,11 +20,11 @@ The chord and the strand outside the window are geodesics, so kappa is
 taken as 0 there and the factor vanishes in the tube around the chord.
 
 Vertices are worked on in a chart centered at the vertex in which all
-strands are straight lines through the origin (synthetic flat charts
-directly; the unit sphere via its analytic normal-coordinate chart).  In a
-curved chart the chord is one chart flow aimed at the strand; it need not
-end on the strand, because the closing bridge starts where the chord ends,
-matching its offset, slope and curvature there.
+strands are straight lines through the origin (a flat chart, or the unit
+sphere's analytic normal-coordinate chart).  On every chart the chord is
+one chart flow aimed at the strand; it need not end on the strand, because
+the closing bridge starts where the chord ends, matching its offset, slope
+and curvature there.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .surfaces import SurfaceModel, chart_euclidean_deviation, gauss_curvature
 OUTER_FRAC = 0.8
 INNER_FRAC = 0.4
 FERMI_NEWTON_ITERS = 4  # Newton steps for the Fermi foot point
-MIN_DISTANCE_PROBES = 2001  # detour samples for its distance to the vertex
 BRIDGE_PROBES = 400  # samples per bridge for the clearance and support tube
 SUP_NORM_GRID = 160  # tube rows per bridge for the sup norm of the factor
 CURVATURE_PROBES = 401  # window points of the curvature checks
@@ -88,20 +87,14 @@ def _quintic(s0, s1, y0, dy0, ddy0, y1, dy1, ddy1):
     return _piece(np.linalg.solve(A, b), s0, h)
 
 
-def _right_normals(d1):
-    """Euclidean unit right-of-travel normals to chart tangents (..., 2)."""
-    tangent = d1 / np.linalg.norm(d1, axis=-1, keepdims=True)
-    return np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
-
-
 @dataclass
 class DetourCurve:
     """Piecewise-analytic detour around a vertex, graphical over a strand.
 
     The strand is the line {V + s e_hat}; offsets u(s) are measured along
-    the left normal n_left = rot90(e_hat).  The signed curvature convention
-    (right-of-travel normal) gives kappa(s) = u''(s)/(1 + u'(s)^2)^(3/2)
-    in a flat chart.
+    the left normal n_left = rot90(e_hat).  Curvature is signed against
+    the right-of-travel normal, so in a Euclidean chart metric
+    kappa(s) = u''(s)/(1 + u'(s)^2)^(3/2).
     """
 
     surface: SurfaceModel
@@ -115,7 +108,6 @@ class DetourCurve:
     bridge_in: tuple  # _piece on [s_P, s_p)
     chord: tuple  # _piece on [s_p, s_q): the chord's graph offsets
     bridge_out: tuple  # _piece on [s_q, s_Q)
-    flat: bool = True
 
     # -- graph offsets ----------------------------------------------------
 
@@ -153,17 +145,13 @@ class DetourCurve:
         """Signed geodesic curvature wrt the right-of-travel normal.
 
         Zero off the bridges: the chord and the strand are geodesics by
-        construction.  Flat charts use the graph formula, curved charts
-        ``chart_curvature`` of the jet.
+        construction.  On the bridges it is ``chart_curvature`` of the jet.
         """
         s = np.asarray(s, dtype=float)
         sP, sp, sq, sQ = self.s_window
         on = ((s >= sP) & (s < sp)) | ((s >= sq) & (s < sQ))
         k = np.zeros_like(s)
-        if self.flat:
-            du, ddu = self.offset(s[on], 1), self.offset(s[on], 2)
-            k[on] = ddu / (1.0 + du * du) ** 1.5
-        elif on.any():
+        if on.any():
             k[on] = chart_curvature(self.surface, *self.jet(s[on]))
         return k
 
@@ -172,10 +160,10 @@ class DetourCurve:
     def fermi(self, points):
         """Exact foot point and signed normal distance (s, t) per point.
 
-        t is measured along the right-of-travel normal, the same normal
-        that signs ``kappa``.  In a curved chart t is scaled so that its
-        derivative along the metric-unit normal is 1 on the curve, which
-        makes df/dn = -kappa hold in the chart metric.
+        t = (x - c(s)) . n / (w . n), with n a Euclidean right-of-travel
+        normal (the side that signs ``kappa``) and w the metric-unit right
+        normal at c(s): the derivative of t along w is 1 on the curve, so
+        df/dn = -kappa holds in the chart metric.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         s = (pts - self.vertex_position) @ self.e_hat
@@ -186,12 +174,9 @@ class DetourCurve:
             g2 = np.sum(d1 * d1, axis=1) - np.sum(r * d2, axis=1)
             s = s - g1 / g2
         c, d1, _ = self.jet(s)
-        n_right = _right_normals(d1)
-        t = np.sum((pts - c) * n_right, axis=1)
-        if not self.flat:
-            w = metric_right_normals(self.surface.chart_metric(c), d1)
-            t = t / np.sum(w * n_right, axis=1)
-        return s, t
+        n = np.stack([d1[:, 1], -d1[:, 0]], axis=1)  # |n| cancels in t
+        w = metric_right_normals(self.surface.chart_metric(c), d1)
+        return s, np.sum((pts - c) * n, axis=1) / np.sum(w * n, axis=1)
 
     def replace_in_samples(self, samples: np.ndarray) -> np.ndarray:
         """Map the strand's samples in the window onto the detour: those in
@@ -210,12 +195,6 @@ class DetourCurve:
             )
         out[m] = self.position(s[m])
         return out
-
-    def min_distance_to_vertex(self) -> float:
-        sP, _, _, sQ = self.s_window
-        s = np.linspace(sP, sQ, MIN_DISTANCE_PROBES)
-        d = np.linalg.norm(self.position(s) - self.vertex_position, axis=1)
-        return float(d.min())
 
     def bridge_points(self) -> np.ndarray:
         sP, sp, sq, sQ = self.s_window
@@ -239,9 +218,9 @@ class ConformalFactorField:
 
     def __post_init__(self):
         # f != 0 needs a Fermi foot point c(s) on a bridge and |t| < d0, so
-        # the point is |t| |w . n_right| < d0 |w| from c(s) (in a curved
-        # chart t is the Euclidean offset over w . n_right, w the metric-unit
-        # normal, |w| <= lambda_min(g)^(-1/2)), and c(s) is within one probe
+        # the point is |t| |w . n_right| < d0 |w| from c(s) (t is the
+        # Euclidean offset over w . n_right, w the metric-unit normal,
+        # |w| <= lambda_min(g)^(-1/2)), and c(s) is within one probe
         # spacing of a bridge probe.  That spacing also covers the change of
         # lambda_min between probes, which moves d0 |w| by far less.
         from scipy.spatial import cKDTree
@@ -249,7 +228,7 @@ class ConformalFactorField:
         det = self.base_curve
         probes = det.bridge_points()
         spacing = np.linalg.norm(np.diff(probes.reshape(2, -1, 2), axis=1), axis=2)
-        lam = 1.0 if det.flat else np.linalg.eigvalsh(det.surface.chart_metric(probes))
+        lam = np.linalg.eigvalsh(det.surface.chart_metric(probes))
         reach = self.fermi_half_width * np.min(lam) ** -0.5 + spacing.max()
         self._tube = (cKDTree(probes), reach)
 
@@ -273,16 +252,19 @@ class ConformalFactorField:
         return -chi * t * self.base_curve.kappa(s)
 
     def sup_norm(self) -> float:
-        """max |f| over a dense grid of the support tube."""
+        """max |f| over a grid of the support tube in Fermi coordinates.
+
+        f = -chi(t) t kappa(s) is a product, so its max over the grid is
+        max_t |chi(t) t| times max_s |kappa(s)|.
+        """
         det = self.base_curve
         sP, sp, sq, sQ = det.s_window
         s = np.concatenate(
             [np.linspace(sP, sp, SUP_NORM_GRID), np.linspace(sq, sQ, SUP_NORM_GRID)]
         )
-        t = np.linspace(-self.fermi_half_width, self.fermi_half_width, 41)
-        pos, d1, _ = det.jet(s)
-        pts = pos[:, None, :] + np.einsum("j,ni->nji", t, _right_normals(d1))
-        return float(np.abs(self._tube_value(pts.reshape(-1, 2))).max())
+        d0 = self.fermi_half_width
+        t = np.linspace(-d0, d0, 41)
+        return float(np.abs(plateau(t, d0 / 2.0, d0) * t).max() * np.abs(det.kappa(s)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +358,12 @@ def build_detour(
 
     The curve agrees with the strand outside the working ball and is
     composed of a quintic bridge (C^2-matched to the strand and to the
-    chord), the geodesic chord from the offset point, and a closing bridge
-    from where the chord crosses s_q back to the strand, again C^2-matched
-    at both ends.  ``offset_t = 0`` degenerates to the identity.  Raises
-    OffsetTooLarge when the offset is not small relative to the ball,
-    VertexNotOnStrand for a bad strand id, and ChartUnavailable when a
-    curved chart's chord ends before s_q.
+    chord), the geodesic chord from the offset point (``_chord``, on every
+    chart), and a closing bridge from where the chord crosses s_q back to
+    the strand, again C^2-matched at both ends.  ``offset_t = 0``
+    degenerates to the identity.  Raises OffsetTooLarge when the offset is
+    not small relative to the ball, VertexNotOnStrand for a bad strand id,
+    and ChartUnavailable when the chord ends before s_q.
     """
     if surface.kind != "chart":
         raise ChartUnavailable(
@@ -400,19 +382,9 @@ def build_detour(
     n_left = np.array([-e_hat[1], e_hat[0]])
     curve_index = vertex.strands[strand_id][0]
     sP, sp, sq, sQ = -OUTER_FRAC * R, -INNER_FRAC * R, INNER_FRAC * R, OUTER_FRAC * R
-
-    flat = surface.name == "flat_chart"
-    if flat:
-        # the chord p_t -> q is a straight segment: linear graph offsets
-        slope = -offset_t / (sq - sp)
-        chord_coeffs = np.array([offset_t, slope * (sq - sp), 0, 0, 0, 0], dtype=float)
-        chord = _piece(chord_coeffs, sp, sq - sp)
-        dv_p, ddv_p = slope, 0.0
-        v_q, dv_q, ddv_q = 0.0, slope, 0.0
-    else:
-        chord, dv_p, ddv_p, v_q, dv_q, ddv_q = _curved_chord(
-            surface, vertex.position, e_hat, n_left, sp, sq, offset_t
-        )
+    chord, dv_p, ddv_p, v_q, dv_q, ddv_q = _chord(
+        surface, vertex.position, e_hat, n_left, sp, sq, offset_t
+    )
     bridge_in = _quintic(sP, sp, 0.0, 0.0, 0.0, offset_t, dv_p, ddv_p)
     bridge_out = _quintic(sq, sQ, v_q, dv_q, ddv_q, 0.0, 0.0, 0.0)
     return DetourCurve(
@@ -427,20 +399,20 @@ def build_detour(
         bridge_in=bridge_in,
         chord=chord,
         bridge_out=bridge_out,
-        flat=flat,
     )
 
 
-def _curved_chord(surface, V, e_hat, n_left, sp, sq, t):
-    """Geodesic chord out of p_t in a curved chart, as a graph-offset piece
-    plus the offsets' first and second derivative at s_p and the offset and
-    its first and second derivative at s_q.
+def _chord(surface, V, e_hat, n_left, sp, sq, t):
+    """Geodesic chord out of p_t, as a graph-offset piece plus the offsets'
+    first and second derivative at s_p and the offset and its first and
+    second derivative at s_q.
 
-    One chart flow: the geodesic leaves p_t heading for q at unit speed in
-    the metric at p_t and runs 1.02 times the metric length of q - p_t, which
-    carries it past s_q.  It need not end on the strand, since the closing
-    bridge starts wherever the chord crosses s_q.  The offsets are fitted to
-    the path.  Raises ChartUnavailable when the path ends before s_q.
+    One chart flow on every chart: the geodesic leaves p_t heading for q at
+    unit speed in the metric at p_t and runs 1.02 times the metric length of
+    q - p_t, which carries it past s_q.  It need not end on the strand,
+    since the closing bridge starts wherever the chord crosses s_q.  The
+    offsets are fitted to the path (a straight chord to roundoff).  Raises
+    ChartUnavailable when the path ends before s_q.
     """
     p_t = V + sp * e_hat + t * n_left
     d = V + sq * e_hat - p_t

@@ -44,11 +44,6 @@ class MetricTensor:
 
     components: np.ndarray
 
-    @property
-    def det(self) -> float:
-        g = self.components
-        return float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
-
     def is_spd(self) -> bool:
         g = self.components
         if abs(g[0, 1] - g[1, 0]) > SPD_TOL:

@@ -18,6 +18,7 @@ from geolab.geodesics import (
     curve_from_samples,
     curves_from_shots,
     curve_length,
+    curve_speeds,
     dop853_integrate,
     flow_chart,
     flow_levelset,
@@ -76,7 +77,8 @@ class TestIntegrate:
     def test_speed_stays_constant(self, mk4):
         path = _equator_path(mk4)
         cur = curve_from_samples(mk4, path[:-1])
-        assert np.max(np.abs(cur.speeds - cur.length / (2 * np.pi))) < 1e-8 * cur.length
+        speeds = curve_speeds(path[:-1], mk4)[0]
+        assert np.max(np.abs(speeds - cur.length / (2 * np.pi))) < 1e-8 * cur.length
 
     def test_reversibility(self, mk4):
         p0 = np.array([[1.0, 0.0, 0.0]])

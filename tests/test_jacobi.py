@@ -353,10 +353,8 @@ class TestSpectrum:
 class TestNetworkIndex:
     def test_equator_multiplicity_invariant(self, mk4, equator_mk4):
         net = GeodesicNetwork.build(mk4, [equator_mk4], clustering_radius=0.01)
-        idx3, desc3 = network_index(net, multiplicities=[3])
-        idx1, _ = network_index(net, multiplicities=[1])
-        assert idx3 == idx1 == 1
-        assert desc3["multiplicities"] == [3]
+        idx, _ = network_index(net)
+        assert idx == 1
 
     def test_two_orthogonal_circles(self, two_circles_network):
         idx, desc = network_index(two_circles_network)
@@ -373,12 +371,6 @@ class TestNetworkIndex:
         rep = width_consistency_assertions(two_circles_network, p=2)
         assert rep["index_le_p"] and rep["vertices_le_p"]
         assert rep["index"] == 2 and rep["n_vertices"] == 2
-
-    def test_bad_multiplicities(self, two_circles_network):
-        with pytest.raises(ValueError):
-            network_index(two_circles_network, multiplicities=[1])
-        with pytest.raises(ValueError):
-            network_index(two_circles_network, multiplicities=[1, 0])
 
 
 @pytest.fixture(scope="module")

@@ -54,7 +54,9 @@ class TestDetour:
     def test_detour_misses_vertex(self, chart, three_lines):
         t = 0.05 * 0.4  # offset relative to the ball fractions
         det = build_detour(chart, three_lines, three_lines.vertices[0], 0, t, 0.5)
-        d = det.min_distance_to_vertex()
+        sP, _, _, sQ = det.s_window
+        pts = det.position(np.linspace(sP, sQ, 2001))
+        d = np.linalg.norm(pts - det.vertex_position, axis=1).min()
         # the geodesic chord passes the vertex at roughly half the offset
         assert d >= 0.4 * t
         assert d <= 0.6 * t
@@ -139,6 +141,52 @@ class TestDetour:
             side = pts[:, 0] * d[1] - pts[:, 1] * d[0]
             crossings = np.sum(np.diff(np.sign(side[inner])) != 0)
             assert crossings == 1, ang
+
+
+def _euclidean_right_normals(d1):
+    tangent = d1 / np.linalg.norm(d1, axis=1, keepdims=True)
+    return np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+
+
+class TestFlatChartOracle:
+    """A flat chart takes the same chart-flow chord, chart curvature and
+    Fermi product as any other chart; the closed forms of the straight
+    chord, the graph curvature and the sup over a Euclidean-normal grid are
+    the reference."""
+
+    @pytest.mark.parametrize("t", [0.02, 0.005])
+    @pytest.mark.parametrize("order", [3, 4, 8])
+    def test_chord_kappa_and_sup_norm(self, chart, order, t):
+        net = concurrent_lines(chart, np.pi * np.arange(order) / order)
+        vertex = net.vertices[0]
+        for j in range(order - 2):
+            det = build_detour(chart, net, vertex, j, t, ball_radius=0.2)
+            sP, sp, sq, sQ = det.s_window
+            # the chord p_t -> q is a straight segment: linear graph offsets
+            s = np.linspace(sp, sq, 401)[:-1]
+            straight = t - t * (s - sp) / (sq - sp)
+            assert np.max(np.abs(det.offset(s) - straight)) <= 1e-14
+            # kappa on the bridges from the graph formula
+            s = np.concatenate([
+                np.linspace(sP, sp, 400, endpoint=False),
+                np.linspace(sq, sQ, 400, endpoint=False),
+            ])
+            du, ddu = det.offset(s, 1), det.offset(s, 2)
+            graph = ddu / (1.0 + du * du) ** 1.5
+            assert np.max(np.abs(det.kappa(s) - graph)) <= 1e-13 * np.max(np.abs(graph))
+            # max |f| over the tube grid jet(s) + t' n_right, evaluated
+            # through the field (Fermi foot points included)
+            ci = vertex.strands[j][0]
+            others = np.vstack([c.samples for k, c in enumerate(net.curves) if k != ci])
+            field = conformal_factor_for(det, chart, other_strand_points=others)
+            d0 = field.fermi_half_width
+            s = np.concatenate([np.linspace(sP, sp, 160), np.linspace(sq, sQ, 160)])
+            pos, d1, _ = det.jet(s)
+            normals = _euclidean_right_normals(d1)
+            pts = pos[:, None, :] + np.linspace(-d0, d0, 41)[:, None] * normals[:, None, :]
+            grid_max = np.max(np.abs(field(pts)))
+            assert grid_max > 0
+            assert abs(field.sup_norm() - grid_max) <= 1e-13 * grid_max
 
 
 class TestConformalFactor:

@@ -10,6 +10,8 @@ configurations (``compare_outputs.CLI_CONFIGS``), every script in
 (default 0).  Then it prints each function and method defined in
 ``src/geolab`` that none of them called, as ``path:line qualname``, and
 their count.  Lambdas, comprehensions and class bodies are not counted.
+Its last line is the number of lines in ``src/geolab``, as ``wc -l``
+counts them.
 CHECKOUT defaults to the repository holding this script.
 
 Outputs go to a temporary directory that is removed afterwards; demo
@@ -107,6 +109,9 @@ def main(argv=None) -> int:
     for path, line in unreached:
         print(f"{Path(path).relative_to(checkout)}:{line} {functions[path, line]}")
     print(f"{len(unreached)} of {len(functions)} functions unreached")
+    package = checkout / "src" / "geolab"
+    lines = sum(len(path.read_text().splitlines()) for path in package.rglob("*.py"))
+    print(f"{lines} lines in src/geolab")
     return 0
 
 
