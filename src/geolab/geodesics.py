@@ -9,7 +9,9 @@ fixed-step DOP853 stepper (Hairer, Norsett & Wanner, Solving ODEs I,
 II.5-II.6), which holds the state column-major, (columns, rows), also in
 the right-hand side and the hook: each coordinate of all rows is one
 contiguous vector, so every ufunc runs one loop over the rows, not a 3-wide
-loop per row.  The flows take and return points as rows, transposing once
+loop per row.  Each stage sum, and the continuous extension, is one
+``np.einsum`` over the contiguous stack of stages, with no stages x state
+temporary.  The flows take and return points as rows, transposing once
 per call.  A flow samples whole steps: its sample count is a multiple of
 SAMPLES_PER_STEP, each step ends on a sample (the hook's state) and the
 samples inside a step come from its 7th-order continuous extension.  The
@@ -49,6 +51,7 @@ SAMPLES_PER_STEP = 16  # path samples per DOP853 step of the geodesic flows
 COARSE_STEPS = 512  # flow samples per seed in the coarse Newton phase
 COVER_TOL = 1e-7  # Fourier amplitude that counts as a mode, relative to the loop's extent
 SEED_BAND = 0.6  # mk seeds lie in |x3| <= SEED_BAND * zmax
+PROBE_SAMPLES = 16  # points of a cloud hausdorff_distance tries before all of them
 
 
 @dataclass
@@ -246,7 +249,6 @@ _DOP_D = _tableau(4, {
     (3, 12): -0.43533456590011143754432175058e+2, (3, 13): 0.96324553959188282948394950600e+2,
     (3, 14): -0.39177261675615439165231486172e+2, (3, 15): -0.14972683625798562581422125276e+3,
 })
-_A = _DOP_A[:, :, None, None]  # stage weights, broadcast over (columns, rows)
 # stage terms of the continuous extension: K_0, -(K_0 + K_12) and the four
 # D rows; stages 1-4 carry no weight in any of them
 _DENSE_TERMS = np.stack([np.eye(16)[0], -np.eye(16)[0] - np.eye(16)[12], *_DOP_D])
@@ -278,9 +280,14 @@ def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols
     ``n_steps`` steps of T / n_steps, with ``T`` a scalar or one span per
     row.  ``after_step(i, y)`` runs at the end of step i and returns the
     state to continue from (a projection, a domain check); the right-hand
-    side there is the next step's first stage (FSAL).  Stage sums run along
-    the stage axis, so each row is bit-identical to its own 1-row call as
-    long as ``rhs`` and ``after_step`` sum over the columns in a fixed order
+    side there is the next step's first stage (FSAL).  Each stage sum is one
+    ``np.einsum`` of the tableau row with the contiguous stage stack
+    ``hK[:s]``: it iterates the stages in an outer loop, in tableau order,
+    and adds one product per stage to every (column, row) element, so each
+    row is bit-identical to its own 1-row call.  ``optimize`` stays at its
+    default False: the optimized path can hand the contraction to BLAS
+    ``tensordot``, which sums in its own order.  The same holds for ``rhs``
+    and ``after_step`` only if they sum over the columns in a fixed order
     (``np.add.reduce`` over axis 0; einsum on a transposed view is not).
 
     Returns (y, path).  With ``n_samples`` > 0, a multiple of ``n_steps``,
@@ -300,7 +307,7 @@ def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols
     hK = np.empty((16,) + y.shape)  # stage derivatives times the step
 
     def stage(s):  # y + sum_t a_st h K_t
-        return y + np.add.reduce(_A[s, :s] * hK[:s], 0)
+        return y + np.einsum("t,tcr->cr", _DOP_A[s, :s], hK[:s])
 
     c, per, rows = path_cols, n_samples // n_steps, y.shape[1]
     path = np.empty((rows, n_samples + 1, c)) if n_samples else None
@@ -317,11 +324,8 @@ def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols
         if n_samples:
             for s in range(13, 16):
                 np.multiply(rhs(stage(s)), h, out=hK[s])
-            # one reduction over the stages, with the (column, row) pairs
-            # as the contiguous inner axis
-            hKc = hK[_DENSE_STAGES, :c].reshape(b.shape[0], 1, -1)
-            dense = np.add.reduce(b[:, :, None] * hKc, 0)
-            dense = dense.reshape(per - 1, c, rows).transpose(2, 0, 1)
+            # h sum_t b_t(x) K_t at the inner samples, as (rows, samples, columns)
+            dense = np.einsum("tn,tcr->rnc", b, hK[_DENSE_STAGES, :c])
             y0, j = y[:c].T[:, None], i * per
             path[:, j + 1 : j + per] = y0 + (y1[:c].T[:, None] - y0) * a[:, None] + dense
             path[:, j + per] = y1[:c].T
@@ -778,16 +782,20 @@ def hausdorff_distance(a, b, bound: float = np.inf, tree_a=None, tree_b=None) ->
     """Symmetric Hausdorff distance between two sample clouds.
 
     Exact up to ``bound``; inf once the distance exceeds it, which lets the
-    nearest-neighbour queries stop early.  ``tree_a`` and ``tree_b``, cKDTrees
-    of ``a`` and ``b``, let a caller comparing one cloud often build it once.
+    nearest-neighbour queries stop early: a strided probe of about
+    PROBE_SAMPLES points of ``a`` is queried first, and one of them farther
+    than the bound from ``b`` ends the check.  ``tree_a`` and ``tree_b``,
+    cKDTrees of ``a`` and ``b``, let a caller comparing one cloud often
+    build it once.
     """
     from scipy.spatial import cKDTree
 
     bound = np.nextafter(bound, np.inf)  # cKDTree keeps distances < bound only
     tree_b = cKDTree(b) if tree_b is None else tree_b
-    d_ab = tree_b.query(a, distance_upper_bound=bound)[0].max()
-    if np.isinf(d_ab):
-        return np.inf
+    for probe in (a[:: max(1, len(a) // PROBE_SAMPLES)], a):
+        d_ab = tree_b.query(probe, distance_upper_bound=bound)[0].max()
+        if np.isinf(d_ab):
+            return np.inf
     tree_a = cKDTree(a) if tree_a is None else tree_a
     return float(max(d_ab, tree_a.query(b, distance_upper_bound=bound)[0].max()))
 

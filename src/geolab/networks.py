@@ -64,11 +64,16 @@ class GeodesicNetwork:
         curves: Sequence[GeodesicCurve],
         clustering_radius: Optional[float] = None,
     ) -> "GeodesicNetwork":
+        from scipy.spatial import cKDTree
+
         curves = list(curves)
         radius = _effective_radius(surface, curves, clustering_radius)
+        trees = [cKDTree(c.samples) for c in curves]
         for i in range(len(curves)):
             for j in range(i + 1, len(curves)):
-                d = hausdorff_distance(curves[i].samples, curves[j].samples, radius)
+                d = hausdorff_distance(
+                    curves[i].samples, curves[j].samples, radius, trees[i], trees[j]
+                )
                 if d <= radius:
                     raise ValueError(
                         f"curves {i} and {j} share their image "

@@ -10,8 +10,10 @@ from scipy.special import ellipe
 from geolab.errors import DegenerateJacobian, LeftChartDomain, NoConvergence
 from geolab.geodesics import (
     SAMPLES_PER_STEP,
+    _DENSE_STAGES,
     _DOP_A,
     _DOP_D,
+    _dense_weights,
     _length_from_speeds,
     _primitive_loop,
     close_geodesic,
@@ -230,6 +232,44 @@ def _cos_sin(t):
     return np.stack([np.cos(t), -np.sin(t)], axis=-1)
 
 
+def _rigid_body(y):
+    """Euler's equations of a free rigid body, one column per row."""
+    return np.stack([y[1] * y[2], -y[0] * y[2], -0.5 * y[0] * y[1]])
+
+
+def _unit(i, y):
+    return y / np.sqrt(np.add.reduce(y * y, 0))
+
+
+def _stage_sum(weights, stages):
+    """sum_t w_t S_t, added from zero left to right over t in a Python loop."""
+    acc = np.zeros_like(stages[0])
+    for w, stage in zip(weights, stages):
+        acc = acc + w * stage
+    return acc
+
+
+def _dop853_step_oracle(rhs, y, T, after_step, per, cols):
+    """One DOP853 step of span T with its per - 1 inner samples, every stage
+    sum written out as a loop over the stages in tableau order."""
+    h = np.broadcast_to(T, y.shape)
+    hK = [rhs(y) * h]
+    for s in range(1, 12):
+        hK.append(rhs(y + _stage_sum(_DOP_A[s, :s], hK)) * h)
+    y1 = after_step(0, y + _stage_sum(_DOP_A[12, :12], hK))
+    hK.append(rhs(y1) * h)
+    for s in range(13, 16):
+        hK.append(rhs(y + _stage_sum(_DOP_A[s, :s], hK)) * h)
+    a, b = _dense_weights(np.arange(1, per) / per)
+    dense_stages = [hK[t][:cols] for t in _DENSE_STAGES]
+    path = [y[:cols]]
+    for n in range(per - 1):
+        dense = _stage_sum(b[:, n], dense_stages)
+        path.append(y[:cols] + (y1[:cols] - y[:cols]) * a[n] + dense)
+    path.append(y1[:cols])
+    return y1, np.stack(path).transpose(2, 0, 1)
+
+
 class TestDop853:
     n_samples = 1008
     n_steps = 1008 // SAMPLES_PER_STEP
@@ -297,6 +337,20 @@ class TestDop853:
         coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
         assert np.array_equal(_DOP_A, coefficients.A)
         assert np.array_equal(_DOP_D, coefficients.D)
+
+    @pytest.mark.parametrize("rows", [1, WIDE_ROWS])
+    def test_stage_sums_match_a_left_to_right_loop(self, rows):
+        # the row-identity contract rests on this summation order, not on
+        # how numpy happens to evaluate the stepper's contractions
+        t = np.linspace(0.0, 5.0, rows)
+        y0 = np.stack([np.cos(t), np.sin(t), 0.3 + 0.1 * t]) / np.sqrt(1.09)
+        T = np.linspace(0.3, 0.9, rows)
+        y1, path = dop853_integrate(_rigid_body, y0, T, 1, _unit, SAMPLES_PER_STEP, 2)
+        oracle_y1, oracle_path = _dop853_step_oracle(
+            _rigid_body, y0, T, _unit, SAMPLES_PER_STEP, 2
+        )
+        assert np.array_equal(y1, oracle_y1)
+        assert np.array_equal(path, oracle_path)
 
 
 class TestCloseGeodesic:

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from geolab.errors import AmbiguousCluster
-from geolab.geodesics import curve_from_samples, sample_great_circle
+from geolab.geodesics import curve_from_samples, hausdorff_distance, sample_great_circle
 from geolab.networks import (
     GeodesicNetwork,
     check_appendix_bounds,
@@ -134,6 +134,28 @@ class TestDetect:
         c2 = sample_great_circle(sphere, [0, 1, 0], [-1, 0, 0])  # same image
         with pytest.raises(ValueError):
             GeodesicNetwork.build(sphere, [c1, c2], clustering_radius=0.01)
+
+    @pytest.mark.parametrize("copy_first", [False, True])
+    @pytest.mark.parametrize("shift", [1 - 1e-3, 1 + 1e-3, "bump"])
+    def test_shared_image_exactly_within_the_radius(self, shift, copy_first):
+        chart, radius = make_flat_chart(2.6, 2.6), 0.01
+        line = chart_segment(chart, 0.0)
+        pts = line.samples.copy()
+        if shift == "bump":
+            # one sample between the probe samples of hausdorff_distance
+            # leaves the radius
+            pts[125] += [0.0, 2 * radius]
+        else:
+            pts += [0.0, shift * radius]
+        copy = curve_from_samples(chart, pts, closed=False)
+        curves = [copy, line] if copy_first else [line, copy]
+        shared = hausdorff_distance(line.samples, copy.samples) <= radius
+        assert shared == (shift == 1 - 1e-3)
+        if shared:
+            with pytest.raises(ValueError, match="share their image"):
+                GeodesicNetwork.build(chart, curves, clustering_radius=radius)
+        else:
+            GeodesicNetwork.build(chart, curves, clustering_radius=radius)
 
     def test_non_transverse_crossings_flagged(self):
         chart = make_flat_chart(2.6, 2.6)
