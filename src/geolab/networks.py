@@ -68,12 +68,12 @@ class GeodesicNetwork:
 
         curves = list(curves)
         radius = _effective_radius(surface, curves, clustering_radius)
-        trees = [cKDTree(c.samples) for c in curves]
-        for i in range(len(curves)):
+        for i in range(len(curves) - 1):
+            # the distance is symmetric: each later curve's probe is queried
+            # against one tree of curve i
+            tree = cKDTree(curves[i].samples)
             for j in range(i + 1, len(curves)):
-                d = hausdorff_distance(
-                    curves[i].samples, curves[j].samples, radius, trees[i], trees[j]
-                )
+                d = hausdorff_distance(curves[j].samples, curves[i].samples, radius, tree_b=tree)
                 if d <= radius:
                     raise ValueError(
                         f"curves {i} and {j} share their image "

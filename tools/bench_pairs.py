@@ -35,6 +35,11 @@ SIDES = ("parent", "change")
 MIN_PAIRS = 10  # alternating pairs a benchmark claim rests on
 
 
+def alternating(p: int) -> tuple:
+    """The sides in the order pair ``p`` runs them: the parent first when ``p`` is even."""
+    return SIDES if p % 2 == 0 else SIDES[::-1]
+
+
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py --trace 0`` run; its final JSON line."""
     proc = subprocess.run(
@@ -110,7 +115,7 @@ def main(argv=None) -> int:
         runs = {side: {"seeds": [], "raw": []} for side in SIDES}
         for p in range(args.pairs):
             seed = args.first_seed + p
-            for side in SIDES if p % 2 == 0 else SIDES[::-1]:
+            for side in alternating(p):
                 res = bench_run(checkouts[side], workload, seed, bench["run_seconds"])
                 runs[side]["seeds"].append(seed)
                 runs[side]["raw"].append(res)

@@ -1,6 +1,6 @@
 """Per-call timings of the geodesic flows in two geolab checkouts.
 
-    python3 tools/flow_bench.py PARENT_DIR CHANGE_DIR [--rounds 7] [--repeats 5]
+    python3 tools/flow_bench.py PARENT_DIR CHANGE_DIR
 
 The flow layer of the benchmark, one seed and batched.  The cases are
 ``flow_levelset`` on mk k = 4 from the seeds of ``mk_seed_directions`` (seed
@@ -10,13 +10,14 @@ and 168 rows over 4096 samples and 41 rows over 4096 samples with the path
 stored; and ``flow_chart`` in ``sphere_exp_chart(1.2)`` on 1 and 8 rows over
 512 samples with the path stored.
 
-Each round runs every case in one fresh process per checkout, with
-``PYTHONPATH`` set to that checkout's ``src`` and ``OPENBLAS_NUM_THREADS=1``;
-the parent goes first in even rounds and the change first in odd ones.  A
-process calls each case once untimed, then ``--repeats`` times timed.  Per
-case it prints the median seconds of each side over all timed calls, the
-change/parent ratio and whether the two sides' outputs (end states and
-paths) are bit-identical.  Exits 1 when any case's outputs differ.
+Each of ROUNDS rounds runs every case in one fresh process per checkout,
+with ``PYTHONPATH`` set to that checkout's ``src`` and
+``OPENBLAS_NUM_THREADS=1``; the sides alternate as in ``bench_pairs``, the
+parent first in even rounds.  A process calls each case once untimed, then
+REPEATS times timed.  Per case it prints the median seconds of each side
+over all timed calls, the change/parent ratio and whether the two sides'
+outputs (end states and paths) are bit-identical.  Exits 1 when any case's
+outputs differ.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-SIDES = ("parent", "change")
+from bench_pairs import SIDES, alternating
+
+ROUNDS = 7  # fresh processes per side
+REPEATS = 5  # timed calls of each case per process
 # (name, flow, rows, samples, store_path)
 CASES = [
     *((f"levelset {m}x512", "levelset", m, 512, False) for m in (1, 4, 72, 192, 320)),
@@ -74,11 +78,11 @@ print(json.dumps(out))
 """
 
 
-def worker_run(checkout: Path, repeats: int) -> dict:
+def worker_run(checkout: Path) -> dict:
     """One fresh process in ``checkout``: {case: [digest, seconds...]}."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", WORKER, json.dumps(CASES), str(repeats)],
+        [sys.executable, "-c", WORKER, json.dumps(CASES), str(REPEATS)],
         cwd=checkout, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -90,18 +94,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--rounds", type=int, default=7)
-    ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     times = {side: {case[0]: [] for case in CASES} for side in SIDES}
     digests = {side: {} for side in SIDES}
-    for r in range(args.rounds):
-        for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-            for name, (digest, *seconds) in worker_run(checkouts[side], args.repeats).items():
+    for r in range(ROUNDS):
+        for side in alternating(r):
+            for name, (digest, *seconds) in worker_run(checkouts[side]).items():
                 times[side][name] += seconds
                 digests[side][name] = digest
-        print(f"round {r + 1} of {args.rounds} done", file=sys.stderr, flush=True)
+        print(f"round {r + 1} of {ROUNDS} done", file=sys.stderr, flush=True)
     differ = 0
     print(f"{'case':<24}{'parent ms':>11}{'change ms':>11}{'ratio':>8}  outputs")
     for name, *_ in CASES:
