@@ -19,7 +19,6 @@ from .surfaces import (
     make_flat_chart,
     make_mk,
     make_sphere,
-    make_sphere_polar_chart,
     metric_at,
     sphere_exp_chart,
     surface_from_config,

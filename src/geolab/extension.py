@@ -33,7 +33,7 @@ from .geodesics import (
 )
 from .jacobi import second_variation
 from .networks import GeodesicNetwork, is_g_plus, smallest_strand_angle
-from .surfaces import SurfaceModel
+from .surfaces import SurfaceModel, coord_norm, coord_sum
 
 DRIFT_TOL = 1e-3  # largest |F| at a field-flow step end, times max(1, diameter)
 FLOW_SUBSTEPS = 1  # DOP853 steps of each network-length flow
@@ -95,58 +95,87 @@ class _CurveFrame:
         self.ds = curve.length / n
         dtheta = 2 * np.pi / n
         d1 = periodic_derivative(curve.samples, dtheta)
-        self.T = d1 / np.linalg.norm(d1, axis=1, keepdims=True)
+        self.T = d1 / coord_norm(d1)[:, None]
         N = surface.unit_normal(curve.samples)
         self.normals = np.cross(N, self.T)
         self.tree = cKDTree(curve.samples)
+        self._box = (curve.samples.min(axis=0), curve.samples.max(axis=0))
+        # the two segments at each sample i, one coordinate per row:
+        # segment 0 runs from sample i - 1 to i, segment 1 from i to i + 1
+        P = curve.samples
+        seg = np.roll(P, -1, axis=0) - P
+        self._starts = np.stack([np.roll(P, 1, axis=0).T, P.T], axis=1)  # (3, 2, n)
+        self._segs = np.stack([np.roll(seg, 1, axis=0).T, seg.T], axis=1)
+        self._seg_len2 = coord_sum((self._segs * self._segs).T).T  # (2, n)
 
     def nearest(self, pts: np.ndarray, bound: float = np.inf):
-        """Foot data: (arclength s, distance d, foot point).
+        """Foot data of the points closer than ``bound`` to the curve: their
+        rows in ``pts`` (ascending), foot arclengths s, distances d and foot
+        points.
 
-        Exact for every point closer than ``bound`` to the curve.  A point
-        whose nearest sample is farther than ``bound`` plus one sample
-        spacing (so farther than ``bound`` from the curve) gets d = inf,
-        s = 0 and a zero foot point.
+        Exact for every point closer than ``bound``; the rows are those whose
+        nearest sample lies within ``bound`` plus one sample spacing.  Both
+        segments at the nearest sample i are scored together: the one from
+        i to i + 1 is taken only when strictly closer than the one from
+        i - 1 to i (or when only its distance is finite), and
+        s = ((i - 1) + t) * ds wraps only at the end, so s at sample 0 keeps
+        its bits.  A row with no finite distance (inputs near overflow) gets
+        d = inf or nan.
         """
         pts = np.atleast_2d(pts)
-        n = self.curve.n
-        dist, idx = self.tree.query(pts, distance_upper_bound=bound + self.ds)
-        near = np.flatnonzero(np.isfinite(dist))
-        q, i = pts[near], idx[near]
-        best_d = np.full(pts.shape[0], np.inf)
-        best_s = np.zeros(pts.shape[0])
-        best_foot = np.zeros_like(pts)
-        for off in (-1, 0):
-            a = self.curve.samples[(i + off) % n]
-            b = self.curve.samples[(i + off + 1) % n]
-            ab = b - a
-            denom = np.sum(ab * ab, axis=1)
-            t = np.clip(np.sum((q - a) * ab, axis=1) / denom, 0.0, 1.0)
-            foot = a + t[:, None] * ab
-            d = np.linalg.norm(q - foot, axis=1)
-            better = d < best_d[near]
-            rows = near[better]
-            best_d[rows] = d[better]
-            best_foot[rows] = foot[better]
-            best_s[rows] = ((i + off)[better] + t[better]) * self.ds
-        return best_s % self.curve.length, best_d, best_foot
+        r = bound + self.ds
+        # the tree drops every point r or farther from all samples; most of
+        # those lie outside the samples' bounding box grown by 2 r and skip
+        # the tree (r is at least one sample spacing, so rounding in the box
+        # test cannot drop a point the tree would keep)
+        inside = np.ones(pts.shape[0], dtype=bool)
+        for x, lo, hi in zip(pts.T, self._box[0] - 2.0 * r, self._box[1] + 2.0 * r):
+            inside &= (x >= lo) & (x <= hi)
+        rows = np.flatnonzero(inside)
+        dist, idx = self.tree.query(pts[rows], distance_upper_bound=r)
+        hit = np.isfinite(dist)
+        rows, i = rows[hit], idx[hit]
+        q = np.take(pts.T, rows, axis=1)[:, None]  # (3, 1, m)
+        a = np.take(self._starts, i, axis=2)  # (3, 2, m)
+        ab = np.take(self._segs, i, axis=2)
+        t = coord_sum(((q - a) * ab).T).T / np.take(self._seg_len2, i, axis=1)
+        t = np.clip(t, 0.0, 1.0)  # (2, m)
+        foot = a + t * ab
+        d = coord_norm((q - foot).T).T
+        later = d[1] < np.where(d[0] < np.inf, d[0], np.inf)
+        s = (((i - 1) + later) + np.where(later, t[1], t[0])) * self.ds
+        foot = np.where(later, foot[:, 1], foot[:, 0]).T
+        return rows, s % self.curve.length, np.where(later, d[1], d[0]), foot
 
     def tube(self, pts: np.ndarray, radius: float):
         """Points of the tube of ``radius`` around the curve: the live rows
-        (a mask of ``pts``), their foot arclengths and foot points, and
+        (indices into ``pts``), their foot arclengths and foot points, and
         their cutoffs plateau(d; radius / 2, radius), all positive."""
-        s, d, foot = self.nearest(pts, radius)
+        rows, s, d, foot = self.nearest(pts, radius)
         cut = plateau(d, radius / 2.0, radius)
         live = cut > 0
-        return live, s[live], foot[live], cut[live]
+        return rows[live], s[live], foot[live], cut[live]
+
+    def weights(self, s: np.ndarray):
+        """Periodic linear interpolation weights at arclength s: the samples
+        i0 and i1 = i0 + 1 (mod n) on either side and their weights."""
+        x = (np.asarray(s) % self.curve.length) / self.ds
+        whole = np.floor(x)
+        i0 = whole.astype(int) % self.curve.n
+        lam = x - whole
+        return i0, (i0 + 1) % self.curve.n, 1 - lam, lam
+
+    @staticmethod
+    def lerp(values: np.ndarray, weights) -> np.ndarray:
+        """Per-sample data interpolated with ``weights``."""
+        i0, i1, w0, w1 = weights
+        if values.ndim > 1:
+            w0, w1 = w0[..., None], w1[..., None]
+        return values[i0] * w0 + values[i1] * w1
 
     def interp(self, values: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Periodic linear interpolation of per-sample data at arclength s."""
-        x = (np.asarray(s) % self.curve.length) / self.ds
-        i0 = np.floor(x).astype(int) % self.curve.n
-        lam = (x - np.floor(x))[..., None] if values.ndim > 1 else x - np.floor(x)
-        i1 = (i0 + 1) % self.curve.n
-        return values[i0] * (1 - lam) + values[i1] * lam
+        return self.lerp(values, self.weights(s))
 
 
 @dataclass
@@ -172,35 +201,38 @@ class AmbientField:
         out = np.zeros_like(pts)
         for fr, phi in zip(self.frames, self.phis):
             live, s, foot, cut = fr.tube(pts, self.tube_radius)
-            if not live.any():
+            if not live.size:
                 continue
-            phi_s = fr.interp(phi, s)
-            n_s = fr.interp(fr.normals, s)
+            w = fr.weights(s)
+            phi_s = fr.lerp(phi, w)
+            n_s = fr.lerp(fr.normals, w)
             rel = pts[live] - foot
-            side = np.sum(rel * n_s, axis=1)
-            tang = rel - np.sum(rel * Nx[live], axis=1, keepdims=True) * Nx[live]
-            norm = np.linalg.norm(tang, axis=1)
-            transported = n_s.copy()
-            far = norm > 1e-9
-            transported[far] = (
-                np.sign(side[far])[:, None] * tang[far] / norm[far][:, None]
+            side = coord_sum(rel * n_s)
+            N = Nx[live]
+            tang = rel - coord_sum(rel * N)[:, None] * N
+            norm = coord_norm(tang)
+            # transported normal: the unit tangential offset on the side of
+            # n_s, or n_s itself within 1e-9 of the foot point
+            transported = np.divide(
+                np.sign(side)[:, None] * tang, norm[:, None],
+                out=n_s, where=(norm > 1e-9)[:, None],
             )
             out[live] += (cut * phi_s)[:, None] * transported
         for data in self.crossing_data:
-            r = np.linalg.norm(pts - data["position"], axis=1)
+            r = coord_norm(pts - data["position"])
             psi = plateau(r, 5.0 * self.eta / 8.0, 7.0 * self.eta / 8.0)
-            live = psi > 0
-            if not live.any():
+            live = np.flatnonzero(psi > 0)
+            if not live.size:
                 continue
             Y = self._crossing_field(data, pts[live], Nx[live])
             out[live] = out[live] + psi[live][:, None] * (Y - out[live])
         # the field is tangent along the curves; keep it tangent everywhere
-        out -= np.sum(out * Nx, axis=1, keepdims=True) * Nx
+        out -= coord_sum(out * Nx)[:, None] * Nx
         return out
 
     def _crossing_field(self, data, pts, Nx):
         w = pts - data["position"]
-        w = w - np.sum(w * data["N_vertex"], axis=1, keepdims=True) * data["N_vertex"]
+        w = w - coord_sum(w * data["N_vertex"])[:, None] * data["N_vertex"]
         coords = np.einsum("ij,nj->ni", data["dual"], w)
         U = data["U"]
         return U(coords[:, 0], coords[:, 1])
@@ -217,10 +249,10 @@ def _axis_function(fr: _CurveFrame, phi, t_corr, s_vertex, proj_coord_of_ds, v_c
     coord_grid, ds_grid = proj_coord_of_ds
 
     def corrected(c):
-        s = s_vertex + np.interp(c, coord_grid, ds_grid)
-        phi_s = fr.interp(phi, s)
-        n_s = fr.interp(fr.normals, s)
-        T_s = fr.interp(fr.T, s)
+        w = fr.weights(s_vertex + np.interp(c, coord_grid, ds_grid))
+        phi_s = fr.lerp(phi, w)
+        n_s = fr.lerp(fr.normals, w)
+        T_s = fr.lerp(fr.T, w)
         return phi_s[:, None] * n_s + t_corr * T_s
 
     shift = v_cross - corrected(np.zeros(1))[0]
@@ -304,7 +336,7 @@ def extend_normal_field(
             ds_grid = np.linspace(-2.0 * eta, 2.0 * eta, 129)
             q = fr.interp(fr.curve.samples, s_v + ds_grid)
             wq = q - v.position
-            wq -= np.sum(wq * N_vertex, axis=1, keepdims=True) * N_vertex
+            wq -= coord_sum(wq * N_vertex)[:, None] * N_vertex
             coords = np.einsum("ij,nj->ni", dual, wq)[:, axis]
             order = np.argsort(coords)
             grids.append((coords[order], ds_grid[order]))
@@ -327,7 +359,7 @@ def extend_normal_field(
     for v in verts:
         for ci, _ in v.strands:
             c = curves[ci]
-            inside = np.linalg.norm(c.samples - v.position, axis=1) <= 7 * eta / 8
+            inside = coord_norm(c.samples - v.position) <= 7 * eta / 8
             support += inside.sum() * (c.length / c.n)
 
     return AmbientField(
@@ -367,11 +399,12 @@ class TangentialField:
         Nx = self.surface.unit_normal(pts)
         for fr, prof in zip(self.frames, self.profiles):
             live, s, _, cut = fr.tube(pts, TANGENTIAL_TUBE)
-            if not live.any():
+            if not live.size:
                 continue
-            T_s = fr.interp(fr.T, s)
-            T_s -= np.sum(T_s * Nx[live], axis=1, keepdims=True) * Nx[live]
-            out[live] += (cut * fr.interp(prof, s))[:, None] * T_s
+            w = fr.weights(s)
+            T_s = fr.lerp(fr.T, w)
+            T_s -= coord_sum(T_s * Nx[live])[:, None] * Nx[live]
+            out[live] += (cut * fr.lerp(prof, w))[:, None] * T_s
         return out
 
 

@@ -43,7 +43,7 @@ from .errors import (
     NoConvergence,
     NotAGeodesic,
 )
-from .surfaces import SurfaceModel, christoffel_batch, mk_height
+from .surfaces import SurfaceModel, christoffel_batch, coord_norm, mk_height
 
 DEFAULT_STEPS = 4096
 GEODESIC_KAPPA_TOL = 1e-6
@@ -130,7 +130,7 @@ def curve_speeds(samples: np.ndarray, surface: SurfaceModel, closed: bool = True
     dtheta = 2 * np.pi / n if closed else 2 * np.pi / (n - 1)
     deriv = (periodic_derivative if closed else open_derivative)(samples, dtheta)
     if surface.kind == "levelset":
-        sp = np.linalg.norm(deriv, axis=1)
+        sp = coord_norm(deriv)
     else:
         g = surface.chart_metric(samples)
         sp = np.sqrt(np.einsum("ni,nij,nj->n", deriv, g, deriv))
@@ -683,7 +683,7 @@ def geodesic_curvature_profile(curve: GeodesicCurve, surface: Optional[SurfaceMo
     d1, d2 = derivative(samples, dtheta), derivative(samples, dtheta, 2)
     if surface.kind == "levelset":
         N = surface.unit_normal(samples)
-        sp = np.linalg.norm(d1, axis=1)
+        sp = coord_norm(d1)
         T = d1 / sp[:, None]
         n_curve = np.cross(T, N)
         return -np.einsum("ni,ni->n", d2, n_curve) / sp**2

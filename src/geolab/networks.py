@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AmbiguousCluster
 from .geodesics import GeodesicCurve, hausdorff_distance
-from .surfaces import SurfaceModel, gauss_curvature
+from .surfaces import SurfaceModel, coord_norm, coord_sum, gauss_curvature
 
 ANGLE_THRESHOLD = 1e-2  # strand directions closer than this (mod pi): not transverse
 
@@ -127,7 +127,7 @@ def _segment_arrays(curves):
         starts.append(a)
         ends.append(b)
         curve_ids.append(np.full(a.shape[0], ci))
-        seg_len = np.linalg.norm(b - a, axis=1)
+        seg_len = coord_norm(b - a)
         cumlens.append(np.concatenate([[0.0], np.cumsum(seg_len)]))
     arc = np.concatenate([c[:-1] for c in cumlens])
     return np.vstack(starts), np.vstack(ends), np.concatenate(curve_ids), arc, cumlens
@@ -138,11 +138,11 @@ def _segseg_distance(P1, Q1, P2, Q2):
     d1 = Q1 - P1
     d2 = Q2 - P2
     r = P1 - P2
-    a = np.sum(d1 * d1, axis=-1)
-    e = np.sum(d2 * d2, axis=-1)
-    b = np.sum(d1 * d2, axis=-1)
-    c = np.sum(d1 * r, axis=-1)
-    f = np.sum(d2 * r, axis=-1)
+    a = coord_sum(d1 * d1)
+    e = coord_sum(d2 * d2)
+    b = coord_sum(d1 * d2)
+    c = coord_sum(d1 * r)
+    f = coord_sum(d2 * r)
     denom = a * e - b * b
     s = np.where(denom > 1e-30, (b * f - c * e) / np.where(denom > 1e-30, denom, 1.0), 0.0)
     s = np.clip(s, 0.0, 1.0)
@@ -152,7 +152,7 @@ def _segseg_distance(P1, Q1, P2, Q2):
     s = np.clip(s, 0.0, 1.0)
     c1 = P1 + s[..., None] * d1
     c2 = P2 + t[..., None] * d2
-    dist = np.linalg.norm(c1 - c2, axis=-1)
+    dist = coord_norm(c1 - c2)
     return dist, s, t, c1, c2
 
 
@@ -208,7 +208,7 @@ def detect_vertices(
     curves = list(curves)
     surface = surface or curves[0].surface
     A, B, cids, arc, cumlens = _segment_arrays(curves)
-    seg_len = np.linalg.norm(B - A, axis=1)
+    seg_len = coord_norm(B - A)
     totals = np.array([c[-1] for c in cumlens])
     closed = np.array([c.closed for c in curves])
     tol, piece = clustering_radius / 4.0, clustering_radius / 5.0
@@ -225,7 +225,7 @@ def detect_vertices(
         a, b = A[seg], B[seg]
         A, B = a * (1 - lo) + b * lo, a * (1 - hi) + b * hi
         arc, cids = arc[seg] + lo[:, 0] * seg_len[seg], cids[seg]
-        seg_len = np.linalg.norm(B - A, axis=1)
+        seg_len = coord_norm(B - A)
         i, j, s, t, points = _hits(A, B, seg_len, cids, arc, totals, closed, tol)
     if not i.size:
         return []

@@ -51,7 +51,13 @@ from .geodesics import (
     metric_right_normals,
 )
 from .networks import GeodesicNetwork, VertexRecord, detect_vertices, smallest_strand_angle
-from .surfaces import SurfaceModel, chart_euclidean_deviation, gauss_curvature
+from .surfaces import (
+    SurfaceModel,
+    chart_euclidean_deviation,
+    coord_norm,
+    coord_sum,
+    gauss_curvature,
+)
 
 # geometry fractions of the working-ball radius R: bridges span
 # [P, p] = [-0.8 R, -0.4 R] and [q, Q] = [0.4 R, 0.8 R] along the strand
@@ -170,13 +176,13 @@ class DetourCurve:
         for _ in range(FERMI_NEWTON_ITERS):
             c, d1, d2 = self.jet(s)
             r = pts - c
-            g1 = -np.sum(r * d1, axis=1)
-            g2 = np.sum(d1 * d1, axis=1) - np.sum(r * d2, axis=1)
+            g1 = -coord_sum(r * d1)
+            g2 = coord_sum(d1 * d1) - coord_sum(r * d2)
             s = s - g1 / g2
         c, d1, _ = self.jet(s)
         n = np.stack([d1[:, 1], -d1[:, 0]], axis=1)  # |n| cancels in t
         w = metric_right_normals(self.surface.chart_metric(c), d1)
-        return s, np.sum((pts - c) * n, axis=1) / np.sum(w * n, axis=1)
+        return s, coord_sum((pts - c) * n) / coord_sum(w * n)
 
     def replace_in_samples(self, samples: np.ndarray) -> np.ndarray:
         """Map the strand's samples in the window onto the detour: those in
@@ -187,7 +193,7 @@ class DetourCurve:
         s = rel @ self.e_hat
         out = samples.copy()
         sP, _, _, sQ = self.s_window
-        m = (s >= sP) & (s < sQ) & (np.linalg.norm(rel, axis=1) < self.ball_radius)
+        m = (s >= sP) & (s < sQ) & (coord_norm(rel) < self.ball_radius)
         if not m.any():
             raise NotReducible(
                 f"no sample of curve {self.curve_index} lies in the detour "
@@ -227,7 +233,7 @@ class ConformalFactorField:
 
         det = self.base_curve
         probes = det.bridge_points()
-        spacing = np.linalg.norm(np.diff(probes.reshape(2, -1, 2), axis=1), axis=2)
+        spacing = coord_norm(np.diff(probes.reshape(2, -1, 2), axis=1))
         lam = np.linalg.eigvalsh(det.surface.chart_metric(probes))
         reach = self.fermi_half_width * np.min(lam) ** -0.5 + spacing.max()
         self._tube = (cKDTree(probes), reach)
@@ -237,7 +243,7 @@ class ConformalFactorField:
         flat = pts.reshape(-1, 2)
         out = np.zeros(flat.shape[0])
         center, radius = self.working_ball
-        near = np.linalg.norm(flat - center, axis=1) < radius
+        near = coord_norm(flat - center) < radius
         tree, reach = self._tube  # Fermi runs only where f can be nonzero
         near[near] = np.isfinite(tree.query(flat[near], distance_upper_bound=reach)[0])
         if near.any():
@@ -502,7 +508,7 @@ def split_vertex(surface: SurfaceModel, network: GeodesicNetwork, vertex: Vertex
         samples[det.curve_index] = det.replace_in_samples(samples[det.curve_index])
     owner = np.concatenate([np.full(len(x), k) for k, x in enumerate(samples)])
     points = np.vstack(samples)
-    near = np.linalg.norm(points - vertex.position, axis=1) < 2.0 * R
+    near = coord_norm(points - vertex.position) < 2.0 * R
     fields = [
         conformal_factor_for(
             det, surface, other_strand_points=points[near & (owner != det.curve_index)]

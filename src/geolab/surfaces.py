@@ -157,7 +157,7 @@ class SurfaceModel:
 
     def unit_normal(self, points: np.ndarray) -> np.ndarray:
         g = self.grad(points)
-        return g / np.linalg.norm(g, axis=-1, keepdims=True)
+        return g / coord_norm(g)[..., None]
 
     def check_on_surface(self, points: np.ndarray):
         if self.kind != "levelset":
@@ -181,7 +181,7 @@ class SurfaceModel:
             if it >= iterations and np.all(np.abs(f) < 1e-13):
                 break
             g = self.grad(p)
-            gg = np.sum(g * g, axis=-1)
+            gg = coord_sum(g * g)
             p = p - (f / gg)[..., None] * g
         return p
 
@@ -296,24 +296,6 @@ def make_flat_chart(width: float = 2.0, height: float = 2.0) -> SurfaceModel:
     )
 
 
-def make_sphere_polar_chart() -> SurfaceModel:
-    """Polar chart (phi, theta) of the unit sphere, metric dphi^2 + sin^2(phi) dtheta^2."""
-
-    def metric(uv):
-        g = np.zeros(uv.shape + (2,))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = np.sin(uv[..., 0]) ** 2
-        return g
-
-    return SurfaceModel(
-        kind="chart",
-        name="sphere_polar",
-        chart_metric_fn=metric,
-        chart_domain=(1e-3, np.pi - 1e-3, 0.0, 2 * np.pi),
-        chart_periodic=(False, True),
-    )
-
-
 def sphere_exp_chart(radius: float = 1.2) -> SurfaceModel:
     """Normal-coordinate chart of the unit sphere around a point.
 
@@ -365,6 +347,33 @@ def surface_from_config(spec: dict) -> SurfaceModel:
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad surface spec {spec!r}: {exc}") from exc
     raise ConfigInvalid(f"unknown surface type {t!r}")
+
+
+# ---------------------------------------------------------------------------
+# per-point coordinate sums
+# ---------------------------------------------------------------------------
+
+
+def coord_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, added column by column from left to right.
+
+    numpy's add reduction over a 2- or 3-wide last axis starts from +0.0
+    and adds the columns in order, so this gives the bits of
+    ``np.sum(x, axis=-1)``, signed zeros included, without the reduction's
+    per-row overhead.
+    """
+    x = np.asarray(x)
+    out = 0.0 + x[..., 0]
+    for j in range(1, x.shape[-1]):
+        out += x[..., j]
+    return out
+
+
+def coord_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis: the bits of
+    ``np.linalg.norm(x, axis=-1)`` on a 2- or 3-wide axis."""
+    x = np.asarray(x)
+    return np.sqrt(coord_sum(x * x))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,40 @@ def vec_poly(coeffs):
     return f
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def two_pass_nearest(frame, pts, bound=np.inf):
+    """Oracle for ``_CurveFrame.nearest``: the two-pass foot query it
+    replaced, which scores the two candidate segments at the nearest sample
+    one per pass, each writing the rows it improves into full arrays (d =
+    inf, s = 0 and a zero foot on the other rows)."""
+    pts = np.atleast_2d(pts)
+    samples, n = frame.curve.samples, frame.curve.n
+    dist, idx = frame.tree.query(pts, distance_upper_bound=bound + frame.ds)
+    near = np.flatnonzero(np.isfinite(dist))
+    q, i = pts[near], idx[near]
+    best_d = np.full(pts.shape[0], np.inf)
+    best_s = np.zeros(pts.shape[0])
+    best_foot = np.zeros_like(pts)
+    for off in (-1, 0):
+        a = samples[(i + off) % n]
+        b = samples[(i + off + 1) % n]
+        ab = b - a
+        denom = np.sum(ab * ab, axis=1)
+        t = np.clip(np.sum((q - a) * ab, axis=1) / denom, 0.0, 1.0)
+        foot = a + t[:, None] * ab
+        d = np.linalg.norm(q - foot, axis=1)
+        better = d < best_d[near]
+        rows = near[better]
+        best_d[rows] = d[better]
+        best_foot[rows] = foot[better]
+        best_s[rows] = ((i + off)[better] + t[better]) * frame.ds
+    return best_s % frame.curve.length, best_d, best_foot
+
+
 @pytest.fixture(scope="module")
 def circle_frame(sphere):
     return _CurveFrame(sample_great_circle(sphere, [1, 0, 0], [0, 1, 0], n=512), sphere)
@@ -45,13 +79,43 @@ class TestCurveFrame:
     def test_bounded_nearest_matches_unbounded_inside_bound(
         self, circle_frame, pts, bound
     ):
-        s, d, foot = circle_frame.nearest(pts)
-        s_b, d_b, foot_b = circle_frame.nearest(pts, bound)
-        inside = d < bound
-        assert np.array_equal(s_b[inside], s[inside])
-        assert np.array_equal(d_b[inside], d[inside])
-        assert np.array_equal(foot_b[inside], foot[inside])
-        assert np.all((d_b[~inside] == d[~inside]) | np.isinf(d_b[~inside]))
+        rows, s, d, foot = circle_frame.nearest(pts)
+        assert np.array_equal(rows, np.arange(len(pts)))
+        rows_b, s_b, d_b, foot_b = circle_frame.nearest(pts, bound)
+        inside = np.flatnonzero(d < bound)
+        assert np.isin(inside, rows_b).all()
+        kept = np.searchsorted(rows_b, inside)  # the rows come in ascending order
+        assert np.array_equal(s_b[kept], s[inside])
+        assert np.array_equal(d_b[kept], d[inside])
+        assert np.array_equal(foot_b[kept], foot[inside])
+        assert np.array_equal(d_b, d[rows_b])
+
+    @pytest.mark.parametrize("curve_name", ["great-circle", "mk-level-circle"])
+    def test_nearest_matches_two_pass_oracle(self, circle_frame, mk4, curve_name):
+        frame = circle_frame
+        if curve_name == "mk-level-circle":
+            frame = _CurveFrame(sample_level_circle(mk4, 0.7, n=300), mk4)
+        samples, n = frame.curve.samples, frame.curve.n
+        rng = np.random.default_rng(5)
+        # around random samples and around samples 0 and n - 1, on both sides
+        # of the sample along the curve, and anywhere in a box
+        j = np.concatenate([rng.integers(0, n, 400), np.repeat([0, n - 1], 100)])
+        offsets = rng.standard_normal((j.size, 3)) * frame.ds * rng.uniform(0.05, 3.0, (j.size, 1))
+        # on the rays from the curve's axis through the samples, where both
+        # segments at a sample often lie at exactly the same distance
+        rays = np.vstack([samples * [f, f, 1.0] for f in (0.5, 0.9, 1.01)])
+        pts = np.vstack([samples[j] + offsets, rng.uniform(-1.5, 1.5, (200, 3)), rays])
+        nearest_sample = frame.tree.query(pts)[1]
+        assert {0, n - 1} <= set(nearest_sample.tolist())
+        for bound in (np.inf, 0.5, 2.0 * frame.ds, 1e-3):
+            want_s, want_d, want_foot = two_pass_nearest(frame, pts, bound)
+            rows = np.flatnonzero(np.isfinite(want_d))
+            for layout in (pts, np.asfortranarray(pts)):
+                got = frame.nearest(layout, bound)
+                want = (rows, want_s[rows], want_d[rows], want_foot[rows])
+                assert all(same_bits(g, w) for g, w in zip(got, want)), bound
+            if bound < 1.0:  # some points lie beyond the bound
+                assert len(pts) - len(rows) >= 100
 
 
 class TestCrossExtension:
@@ -223,6 +287,47 @@ class TestExtendNormalField:
         X = extend_normal_field(net, [1.0, 1.0], delta=2.0)
         with pytest.raises(ValueError, match="one normal profile per curve"):
             verify_second_variation_match(net, profiles, X, flow_step=0.01)
+
+
+def _three_circles(sphere):
+    curves = [
+        sample_great_circle(sphere, [1, 0, 0], [0, 1, 0]),
+        sample_great_circle(sphere, [1, 0, 0], [0, 0, 1]),
+        sample_great_circle(sphere, [0, 1, 0], [0, 0, 1]),
+    ]
+    return GeodesicNetwork.build(sphere, curves, clustering_radius=0.01)
+
+
+class TestPointwiseEvaluation:
+    @pytest.mark.parametrize("circles", [2, 3])
+    def test_batch_equals_points_alone(self, sphere, two_circles_network, circles):
+        net = two_circles_network if circles == 2 else _three_circles(sphere)
+        profiles = [lambda s, k=k: 1.0 + 0.3 * np.cos((k + 1) * s) for k in range(circles)]
+        X = extend_normal_field(net, profiles, delta=2.0)
+        rng = np.random.default_rng(9)
+        # tube points: off the samples by less than the tube radius
+        samples = np.vstack([c.samples[::97] for c in net.curves])
+        tube = samples + rng.uniform(-1.0, 1.0, (len(samples), 3)) * X.tube_radius / 2
+        # crossing-ball points: within 7 eta / 8 of a vertex
+        verts = np.repeat([v.position for v in net.vertices], 12, axis=0)
+        ball = verts + rng.uniform(-1.0, 1.0, verts.shape) * 0.5 * X.eta
+        # points away from every curve: the octant centres
+        signs = np.array(np.meshgrid([-1, 1], [-1, 1], [-1, 1])).reshape(3, -1).T
+        away = signs / np.sqrt(3.0)
+        pts = sphere.project(np.vstack([tube, ball, away]))
+        batch = X(pts)
+        alone = np.vstack([X(p) for p in pts])
+        assert same_bits(batch, alone)
+        assert same_bits(X(np.asfortranarray(pts)), batch)  # the flows pass columns
+        # each kind of point is present: inside a tube, inside a ball, outside both
+        in_tube = np.zeros(len(pts), dtype=bool)
+        for fr in X.frames:
+            in_tube[fr.tube(pts, X.tube_radius)[0]] = True
+        position = np.array([v.position for v in net.vertices])
+        in_ball = np.linalg.norm(pts[:, None] - position, axis=2).min(axis=1) < 7 * X.eta / 8
+        assert in_tube[: len(tube)].all() and in_ball[len(tube) : -len(away)].all()
+        assert not (in_tube | in_ball)[-len(away) :].any()
+        assert np.all(batch[-len(away) :] == 0.0)
 
 
 class TestVerify:

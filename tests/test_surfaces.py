@@ -1,22 +1,45 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from geolab.errors import ChartUnavailable, PointOffSurface, ConfigInvalid
 from geolab.surfaces import (
     ConformalFactor,
+    SurfaceModel,
     christoffel_batch,
     conformal_geodesic_curvature,
+    coord_norm,
+    coord_sum,
     gauss_curvature,
     make_cylinder,
     make_ellipsoid,
     make_flat_chart,
     make_mk,
     make_sphere,
-    make_sphere_polar_chart,
     metric_at,
     sphere_exp_chart,
     surface_from_config,
 )
+
+
+def make_sphere_polar_chart() -> SurfaceModel:
+    """Polar chart (phi, theta) of the unit sphere, metric
+    dphi^2 + sin^2(phi) dtheta^2: a Brioschi and Christoffel oracle."""
+
+    def metric(uv):
+        g = np.zeros(uv.shape + (2,))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = np.sin(uv[..., 0]) ** 2
+        return g
+
+    return SurfaceModel(
+        kind="chart",
+        name="sphere_polar",
+        chart_metric_fn=metric,
+        chart_domain=(1e-3, np.pi - 1e-3, 0.0, 2 * np.pi),
+        chart_periodic=(False, True),
+    )
 
 
 def monge_curvature_oracle(surface, point, h=1e-4):
@@ -36,6 +59,63 @@ def monge_curvature_oracle(surface, point, h=1e-4):
     hyy = (h0p + h0m) / h**2
     hxy = (hpp - hpm - hmp + hmm) / (4 * h**2)
     return hxx * hyy - hxy**2
+
+
+# every float, with the edge values drawn often: signed zeros, infinities,
+# nan, subnormals and magnitudes whose squares overflow or underflow
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e200, -1e200]
+    ),
+)
+
+
+class TestCoordSums:
+    """coord_sum / coord_norm reproduce numpy's last-axis reductions bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)  # nan matches nan
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        x=st.integers(2, 3).flatmap(
+            lambda width: arrays(
+                float,
+                array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=6).map(
+                    lambda lead: lead + (width,)
+                ),
+                elements=_EDGE_FLOATS,
+            )
+        ),
+        transpose=st.booleans(),
+    )
+    def test_matches_numpy_reductions(self, x, transpose):
+        if transpose:  # the same values, stored with the last axis slowest
+            x = np.asfortranarray(x)
+        with np.errstate(all="ignore"):
+            self.assert_same_bits(coord_sum(x), np.sum(x, axis=-1))
+            self.assert_same_bits(coord_norm(x), np.linalg.norm(x, axis=-1))
+
+    def test_signed_zeros(self):
+        # numpy's reduction starts from +0.0, so all-negative-zero rows sum to +0.0
+        for width in (2, 3):
+            x = np.full((4, width), -0.0)
+            x[0, 0] = 1.0
+            self.assert_same_bits(coord_sum(x), np.sum(x, axis=-1))
+            assert not np.signbit(coord_sum(x)).any()
+
+    def test_long_batches(self):
+        rng = np.random.default_rng(11)
+        x3 = rng.standard_normal((4096, 3)) * 10.0 ** rng.integers(-8, 8, (4096, 3))
+        x2 = rng.standard_normal((70000, 2))
+        for y in (x3, x3.T.copy().T, x2, x3[::3, 1:]):  # C order, F order, long, strided
+            self.assert_same_bits(coord_sum(y), np.sum(y, axis=-1))
+            self.assert_same_bits(coord_norm(y), np.linalg.norm(y, axis=-1))
 
 
 class TestMetricAt:

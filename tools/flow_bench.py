@@ -7,8 +7,12 @@ The flow layer of the benchmark, one seed and batched.  The cases are
 7), with spans alternating 2 pi and 4 pi near the multiplicity experiment's
 two period guesses, on 1, 4, 72, 192 and 320 rows over 512 samples, 4, 72
 and 168 rows over 4096 samples and 41 rows over 4096 samples with the path
-stored; and ``flow_chart`` in ``sphere_exp_chart(1.2)`` on 1 and 8 rows over
-512 samples with the path stored.
+stored; ``flow_chart`` in ``sphere_exp_chart(1.2)`` on 1 and 8 rows over
+512 samples with the path stored; and the ambient-field flow of
+``extend-field``: ``flow_network_length`` by +0.005 and -0.005 under the
+field of constant profile 1 (delta 2) on two great circles of 4096 samples
+that cross at (+-1, 0, 0), the network ``extend-field --builtin
+two-circles`` builds.
 
 Each of ROUNDS rounds runs every case in one fresh process per checkout,
 with ``PYTHONPATH`` set to that checkout's ``src`` and
@@ -16,8 +20,8 @@ with ``PYTHONPATH`` set to that checkout's ``src`` and
 parent first in even rounds.  A process calls each case once untimed, then
 REPEATS times timed.  Per case it prints the median seconds of each side
 over all timed calls, the change/parent ratio and whether the two sides'
-outputs (end states and paths) are bit-identical.  Exits 1 when any case's
-outputs differ.
+outputs (end states and paths, or the two flowed lengths) are
+bit-identical.  Exits 1 when any case's outputs differ.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ CASES = [
     *((f"levelset {m}x4096", "levelset", m, 4096, False) for m in (4, 72, 168)),
     ("levelset 41x4096 path", "levelset", 41, 4096, True),
     *((f"chart {m}x512 path", "chart", m, 512, True) for m in (1, 8)),
+    ("field 2x4096 +-0.005", "field", 2, 4096, False),
 ]
 
 # run in each checkout; prints one JSON object {case: [digest, seconds...]}
@@ -47,31 +52,40 @@ WORKER = """
 import hashlib, json, sys
 from time import perf_counter
 import numpy as np
-from geolab.geodesics import flow_chart, flow_levelset, mk_seed_directions
-from geolab.surfaces import make_mk, sphere_exp_chart
+from geolab.extension import extend_normal_field, flow_network_length
+from geolab.geodesics import flow_chart, flow_levelset, mk_seed_directions, sample_great_circle
+from geolab.networks import GeodesicNetwork
+from geolab.surfaces import make_mk, make_sphere, sphere_exp_chart
 
 cases, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
-mk, chart = make_mk(4.0), sphere_exp_chart(1.2)
+mk, chart, sphere = make_mk(4.0), sphere_exp_chart(1.2), make_sphere()
 
-def inputs(flow, rows):
+def call(flow, rows, samples, store):  # one case: a function returning its output arrays
     if flow == "levelset":
         p, v = mk_seed_directions(mk, rows, 7)
-        return mk, p, v, np.where(np.arange(rows) % 2, 4 * np.pi, 2 * np.pi), flow_levelset
-    a = np.pi * np.arange(rows) / rows
-    x0 = 0.3 * np.stack([np.cos(3 * a), np.sin(5 * a)], axis=1)
-    v0 = np.stack([np.cos(a), np.sin(a)], axis=1)
-    return chart, x0, v0, np.full(rows, 0.4), flow_chart
+        T = np.where(np.arange(rows) % 2, 4 * np.pi, 2 * np.pi)
+        return lambda: flow_levelset(mk, p, v, T, samples, store_path=store)
+    if flow == "chart":
+        a = np.pi * np.arange(rows) / rows
+        x0 = 0.3 * np.stack([np.cos(3 * a), np.sin(5 * a)], axis=1)
+        v0 = np.stack([np.cos(a), np.sin(a)], axis=1)
+        return lambda: flow_chart(chart, x0, v0, np.full(rows, 0.4), samples, store_path=store)
+    planes = ([0, 1, 0], [0, 0, 1])[:rows]
+    curves = [sample_great_circle(sphere, [1, 0, 0], v, n=samples) for v in planes]
+    net = GeodesicNetwork.build(sphere, curves, clustering_radius=0.01)
+    field = extend_normal_field(net, [1.0] * rows, delta=2.0)
+    return lambda: [np.array([flow_network_length(net, field, h) for h in (0.005, -0.005)])]
 
 out = {}
 for name, flow, rows, samples, store in cases:
-    surface, p, v, T, f = inputs(flow, rows)
+    f = call(flow, rows, samples, store)
     digest = hashlib.sha256()
-    for a in f(surface, p, v, T, samples, store_path=store):
+    for a in f():
         digest.update(np.ascontiguousarray(a).tobytes())
     times = []
     for _ in range(repeats):
         t0 = perf_counter()
-        f(surface, p, v, T, samples, store_path=store)
+        f()
         times.append(perf_counter() - t0)
     out[name] = [digest.hexdigest(), *times]
 print(json.dumps(out))
