@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .surfaces import (
     MetricTensor,
     SurfaceModel,
-    ConformalFactor,
     conformal_geodesic_curvature,
     gauss_curvature,
     make_cylinder,

@@ -51,10 +51,6 @@ class NotReducible(GeolabError):
     detour."""
 
 
-class D0TooLarge(GeolabError):
-    """Conformal-factor support annulus would touch another strand."""
-
-
 class OriginMismatch(GeolabError):
     """Axis fields disagree at the crossing point."""
 
@@ -62,10 +58,6 @@ class OriginMismatch(GeolabError):
 class NotGPlus(GeolabError):
     """Network is not closed curves on a level-set surface meeting only at
     transverse order-2 crossings."""
-
-
-class EtaTooLarge(GeolabError):
-    """Crossing-ball radius exceeds half the minimum inter-vertex distance."""
 
 
 class FlowLeftSurface(GeolabError):

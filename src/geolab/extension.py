@@ -19,12 +19,12 @@ inside the crossing balls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from .bumps import plateau
-from .errors import EtaTooLarge, FlowLeftSurface, NotGPlus, OriginMismatch
+from .errors import FlowLeftSurface, NotGPlus, OriginMismatch
 from .geodesics import (
     GeodesicCurve,
     curve_length,
@@ -268,18 +268,19 @@ def extend_normal_field(
     network: GeodesicNetwork,
     normal_fields: Sequence,
     delta: float,
-    eta: Optional[float] = None,
 ) -> AmbientField:
     """Ambient field whose normal part along each curve is the given profile.
 
     ``normal_fields`` holds one scalar profile per curve: a constant, an
     array on the curve's sample grid, or a callable of arclength.  ``delta``
     bounds the total curve length where tangential parts and normal
-    derivatives may live; ``eta`` (crossing-ball radius) defaults to a value
-    realizing that bound and must stay below half the minimum inter-vertex
-    distance.  Raises NotGPlus unless the curves are closed on a level-set
-    surface and meet only at transverse order-2 crossings, and ValueError
-    unless there is one profile per curve.
+    derivatives may live.  The crossing-ball radius is eta =
+    min(delta / (4 |V|), 0.45 d_min), d_min the minimum inter-vertex
+    distance (a quarter of the shortest curve for a single vertex), so it
+    meets that bound and stays below d_min / 2; with no vertex it is 0.
+    Raises NotGPlus unless the curves are closed on a level-set surface and
+    meet only at transverse order-2 crossings, and ValueError unless there
+    is one profile per curve.
     """
     if not is_g_plus(network):
         raise NotGPlus("extension requires transverse order-2 crossings only")
@@ -291,6 +292,7 @@ def extend_normal_field(
     phis = _profile_samples(curves, normal_fields)
 
     verts = network.vertices
+    eta = 0.0
     if verts:
         if len(verts) > 1:
             from scipy.spatial.distance import pdist
@@ -298,15 +300,7 @@ def extend_normal_field(
             dmin = pdist(np.array([v.position for v in verts])).min()
         else:
             dmin = min(c.length for c in curves) / 4.0
-        if eta is None:
-            eta = min(delta / (4.0 * len(verts)), 0.45 * dmin)
-        if eta >= 0.5 * dmin:
-            raise EtaTooLarge(
-                f"eta = {eta:.3g} >= half the minimum inter-vertex distance "
-                f"{0.5 * dmin:.3g}"
-            )
-    else:
-        eta = eta or 0.0
+        eta = min(delta / (4.0 * len(verts)), 0.45 * dmin)
 
     tube_radius = 0.2 * min(c.length for c in curves)
     if verts:

@@ -43,7 +43,7 @@ from .errors import (
     NoConvergence,
     NotAGeodesic,
 )
-from .surfaces import SurfaceModel, christoffel_batch, coord_norm, mk_height
+from .surfaces import _FD_H, SurfaceModel, christoffel_batch, coord_norm, mk_height
 
 DEFAULT_STEPS = 4096
 GEODESIC_KAPPA_TOL = 1e-6
@@ -690,13 +690,11 @@ def geodesic_curvature_profile(curve: GeodesicCurve, surface: Optional[SurfaceMo
     return chart_curvature(surface, samples, d1, d2)
 
 
-def chart_curvature(surface, samples, d1, d2, fd_h=None):
-    """Signed curvature in a chart metric (vectorized over samples)."""
+def chart_curvature(surface, samples, d1, d2, fd_h=_FD_H):
+    """Signed curvature in a chart metric (vectorized over samples), with
+    Christoffel symbols from central differences of step ``fd_h``."""
     g = surface.chart_metric(samples)
-    if fd_h is None:
-        gam = christoffel_batch(surface, samples)
-    else:
-        gam = christoffel_batch(surface, samples, h=fd_h)
+    gam = christoffel_batch(surface, samples, h=fd_h)
     acc = d2 + np.einsum("ncab,na,nb->nc", gam, d1, d1)
     sp2 = np.einsum("ni,nij,nj->n", d1, g, d1)
     w = metric_right_normals(g, d1)
@@ -731,8 +729,7 @@ def require_geodesic(curve, surface=None):
 
 def curve_from_samples(surface, samples, closed=True) -> GeodesicCurve:
     samples = np.asarray(samples, dtype=float)
-    sp, dtheta = curve_speeds(samples, surface, closed)
-    length = _length_from_speeds(sp, dtheta, closed)
+    length = curve_length(samples, surface, closed)
     # a sampled loop is closed by construction; open curves have no closure
     res = 0.0 if closed else None
     return GeodesicCurve(

@@ -236,8 +236,6 @@ def jacobi_spectrum(
     points.  The report holds the low end of the spectrum (SpectrumReport),
     its index and nullity.
     """
-    if grid_size < 256:
-        raise ValueError("grid_size must be at least 256")
     m = int(cover_multiplicity)
     if m < 1:
         raise ValueError("cover_multiplicity must be >= 1")

@@ -187,7 +187,7 @@ def detect_vertices(
     curves: Sequence[GeodesicCurve],
     clustering_radius: float,
     *,
-    surface: Optional[SurfaceModel] = None,
+    surface: SurfaceModel,
 ) -> List[VertexRecord]:
     """All pairwise and self intersections, as vertex records.
 
@@ -206,7 +206,6 @@ def detect_vertices(
     vertices come closer than twice the clustering radius.
     """
     curves = list(curves)
-    surface = surface or curves[0].surface
     A, B, cids, arc, cumlens = _segment_arrays(curves)
     seg_len = coord_norm(B - A)
     totals = np.array([c[-1] for c in cumlens])

@@ -38,7 +38,6 @@ from numpy.polynomial import polynomial as P
 from .bumps import plateau
 from .errors import (
     ChartUnavailable,
-    D0TooLarge,
     NotReducible,
     OffsetTooLarge,
     VertexNotOnStrand,
@@ -358,7 +357,7 @@ def build_detour(
     vertex: VertexRecord,
     strand_id: int,
     offset_t: float,
-    ball_radius: Optional[float] = None,
+    ball_radius: float,
 ) -> DetourCurve:
     """Detour of one strand around the vertex.
 
@@ -366,10 +365,11 @@ def build_detour(
     composed of a quintic bridge (C^2-matched to the strand and to the
     chord), the geodesic chord from the offset point (``_chord``, on every
     chart), and a closing bridge from where the chord crosses s_q back to
-    the strand, again C^2-matched at both ends.  ``offset_t = 0``
-    degenerates to the identity.  Raises OffsetTooLarge when the offset is
-    not small relative to the ball, VertexNotOnStrand for a bad strand id,
-    and ChartUnavailable when the chord ends before s_q.
+    the strand, again C^2-matched at both ends.  ``ball_radius`` is the
+    working-ball radius R (``split_vertex`` takes ``default_ball_radius``).
+    ``offset_t = 0`` degenerates to the identity.  Raises OffsetTooLarge
+    when the offset is not small relative to the ball, VertexNotOnStrand for
+    a bad strand id, and ChartUnavailable when the chord ends before s_q.
     """
     if surface.kind != "chart":
         raise ChartUnavailable(
@@ -377,7 +377,7 @@ def build_detour(
         )
     if strand_id < 0 or strand_id >= len(vertex.strands):
         raise VertexNotOnStrand(f"strand {strand_id} not present at this vertex")
-    R = float(ball_radius) if ball_radius else default_ball_radius(surface, network, vertex)
+    R = float(ball_radius)
     if abs(offset_t) > 0.3 * INNER_FRAC * R:
         raise OffsetTooLarge(
             f"offset {offset_t} too large for ball radius {R} "
@@ -447,14 +447,14 @@ def _chord(surface, V, e_hat, n_left, sp, sq, t):
 def conformal_factor_for(
     detour: DetourCurve,
     surface: SurfaceModel,
-    d0: Optional[float] = None,
     other_strand_points: Optional[np.ndarray] = None,
 ) -> ConformalFactorField:
     """Conformal factor making the detour a geodesic of exp(2 f) g.
 
-    ``d0`` defaults to half the minimum distance from the bridges to the
-    other strands; an explicit value that would let the support tube touch
-    another strand raises D0TooLarge.
+    The tube half-width is d0 = 0.5 * clearance, the clearance being the
+    minimum distance from the bridges to ``other_strand_points`` (the inner
+    ball radius INNER_FRAC R when there are none), so the support tube
+    stays off every other strand.
     """
     bridges = detour.bridge_points()
     if other_strand_points is not None and other_strand_points.size:
@@ -463,15 +463,9 @@ def conformal_factor_for(
         dmin = float(cKDTree(other_strand_points).query(bridges)[0].min())
     else:
         dmin = INNER_FRAC * detour.ball_radius
-    if d0 is None:
-        d0 = 0.5 * dmin
-    if d0 > 0.5 * dmin + 1e-15:
-        raise D0TooLarge(
-            f"d0 = {d0:.3g} exceeds half the bridge clearance {dmin:.3g}"
-        )
     return ConformalFactorField(
         base_curve=detour,
-        fermi_half_width=float(d0),
+        fermi_half_width=0.5 * dmin,
         working_ball=(detour.vertex_position.copy(), detour.ball_radius),
     )
 

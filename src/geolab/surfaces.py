@@ -8,9 +8,9 @@ Two representations are supported:
   ``K = (g1^2 h2 h3 + g2^2 h1 h3 + g3^2 h1 h2) / |g|^4`` with g = grad F and
   h = diag(Hess F), which has no chart singularities at the poles.
 * charts over a parameter rectangle with one vectorized metric function
-  ``uv -> g(uv)`` of shape (..., 2, 2) and optional periodic identifications
-  per axis.  Christoffel symbols and Brioschi curvature each take their
-  finite differences from one metric evaluation on a stencil.
+  ``uv -> g(uv)`` of shape (..., 2, 2).  Christoffel symbols and Brioschi
+  curvature each take their finite differences from one metric evaluation
+  on a stencil.
 
 Charts can carry a tuple of conformal factors whose sum f gives the effective
 metric ``exp(2 f) g``.  Factors are stored procedurally (callables with an
@@ -53,30 +53,6 @@ class MetricTensor:
 
 
 @dataclass(frozen=True)
-class ConformalFactor:
-    """Procedural conformal factor with exact support control.
-
-    ``value(points)`` returns f at an (n, 2) batch; the metric is
-    multiplied by exp(2 f).  ``center``/``radius`` bound the support: the
-    factor is gated to return exactly 0 outside the ball, so the metric is
-    unchanged there.  Called on points of shape (..., 2), the factor
-    returns shape (...).
-    """
-
-    value: Callable[[np.ndarray], np.ndarray]
-    center: np.ndarray
-    radius: float
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        inside = np.linalg.norm(pts - self.center, axis=-1) < self.radius
-        out = np.zeros(pts.shape[:-1])
-        if inside.any():
-            out[inside] = np.asarray(self.value(pts[inside]), dtype=float)
-        return out[()]
-
-
-@dataclass(frozen=True)
 class SurfaceModel:
     """A surface, either as an ambient level set or as a chart.
 
@@ -87,8 +63,7 @@ class SurfaceModel:
     (shape (..., 3)) and ``hess_diag`` the Hessian diagonal (shape (..., 3),
     or the constant (3,) on a quadric, where every mu_i is 1).
     Chart surfaces provide a vectorized metric ``chart_metric_fn(uv)`` of
-    shape (..., 2, 2) over the rectangle ``chart_domain`` with per-axis
-    ``chart_periodic`` flags.
+    shape (..., 2, 2) over the rectangle ``chart_domain``.
     """
 
     kind: str  # "levelset" | "chart"
@@ -98,7 +73,6 @@ class SurfaceModel:
     level_powers: tuple = (1.0, 1.0, 1.0)
     chart_metric_fn: Optional[Callable] = None
     chart_domain: tuple = (0.0, 1.0, 0.0, 1.0)
-    chart_periodic: tuple = (False, False)
     conformal_factors: tuple = ()
 
     def __post_init__(self):
@@ -224,13 +198,8 @@ class SurfaceModel:
 
     def in_chart_domain(self, uv: np.ndarray) -> bool:
         u0, u1, v0, v1 = self.chart_domain
-        uv = np.atleast_2d(np.asarray(uv, dtype=float))
-        ok = np.ones(uv.shape[0], dtype=bool)
-        if not self.chart_periodic[0]:
-            ok &= (uv[:, 0] >= u0) & (uv[:, 0] <= u1)
-        if not self.chart_periodic[1]:
-            ok &= (uv[:, 1] >= v0) & (uv[:, 1] <= v1)
-        return bool(ok.all())
+        u, v = np.atleast_2d(np.asarray(uv, dtype=float)).T
+        return bool(np.all((u >= u0) & (u <= u1) & (v >= v0) & (v <= v1)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +287,6 @@ def sphere_exp_chart(radius: float = 1.2) -> SurfaceModel:
         name="sphere_exp",
         chart_metric_fn=metric,
         chart_domain=(-radius, radius, -radius, radius),
-        chart_periodic=(False, False),
     )
 
 

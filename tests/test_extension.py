@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from geolab.errors import EtaTooLarge, FlowLeftSurface, NotGPlus, OriginMismatch
+from geolab.errors import FlowLeftSurface, NotGPlus, OriginMismatch
 from geolab.extension import (
     SumField,
     _CurveFrame,
@@ -274,10 +274,6 @@ class TestExtendNormalField:
             net = GeodesicNetwork.build(sphere, [curve_from_samples(sphere, arc, closed=False)])
         with pytest.raises(NotGPlus, match="closed curves on a level-set surface"):
             extend_normal_field(net, [1.0] * len(net.curves), delta=0.05)
-
-    def test_eta_too_large(self, two_circles_network):
-        with pytest.raises(EtaTooLarge):
-            extend_normal_field(two_circles_network, [1.0, 1.0], delta=2.0, eta=1.5)
 
     @pytest.mark.parametrize("profiles", [[1.0], [1.0, 1.0, 1.0]], ids=["too-few", "too-many"])
     def test_one_profile_per_curve(self, two_circles_network, profiles):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -348,6 +350,46 @@ class TestSpectrum:
         for k in (4.0, 9.0, 25.0):
             eq = sample_level_circle(make_mk(k, 1.0), 0.0)
             assert jacobi_spectrum(eq).index == 1
+
+
+COVERS = (1, 2, 3, 4)
+
+
+def relabeled_spectra(curve, samples):
+    """Cover spectra of the curve with its samples relabeled as ``samples``.
+
+    The length is the curve's: summing the same speeds in another order
+    would move it at roundoff, and the relabeling is all that is tested."""
+    return cover_spectra(dataclasses.replace(curve, samples=samples), covers=COVERS)
+
+
+class TestCoverSpectraSymmetries:
+    """Relabeling a closed curve's samples leaves its cover spectra alone: a
+    cyclic shift by whole grid steps only moves the curvature samples along
+    the grid, and a reversal runs the same loop backwards."""
+
+    @pytest.mark.parametrize("steps", [1, 171, 511])
+    @pytest.mark.parametrize("plane", [0, 1, 2])
+    def test_cyclic_shift(self, ellipses_094, plane, steps):
+        curve = ellipses_094[plane]
+        assert curve.n % 512 == 0  # a grid step of 512 points is n / 512 samples
+        base = cover_spectra(curve, covers=COVERS)
+        moved = relabeled_spectra(curve, np.roll(curve.samples, steps * (curve.n // 512), axis=0))
+        for m in COVERS:
+            assert (moved[m].index, moved[m].nullity) == (base[m].index, base[m].nullity)
+            low = slice(0, REPORTED_EIGS)
+            assert np.max(np.abs(moved[m].eigenvalues[low] - base[m].eigenvalues[low])) <= 1e-9
+
+    @pytest.mark.parametrize("plane", [0, 1, 2])
+    def test_reversal(self, ellipses_094, plane):
+        curve = ellipses_094[plane]
+        base = cover_spectra(curve, covers=COVERS)
+        # sample 0 stays first, so the grid meets the same points
+        moved = relabeled_spectra(curve, np.roll(curve.samples[::-1], 1, axis=0))
+        for m in COVERS:
+            assert (moved[m].index, moved[m].nullity) == (base[m].index, base[m].nullity)
+            assert moved[m].zero_tolerance == base[m].zero_tolerance
+            assert np.array_equal(moved[m].eigenvalues, base[m].eigenvalues)
 
 
 class TestNetworkIndex:

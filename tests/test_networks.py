@@ -236,6 +236,27 @@ class TestDetectInvariance:
         assert_same_vertices(base, detect_vertices(other, 0.01, surface=chart))
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_detect_vertices_mirror_symmetry(order):
+    # concurrent lines through an off-origin point, and their mirror images
+    # under u -> -u: the same vertex, mirrored, with each line direction
+    # theta mapped to (pi - theta) mod pi
+    chart = make_flat_chart(2.6, 2.6)
+    through = np.array([0.23, -0.17])
+    angles = 0.1 + np.pi * np.arange(order) / order
+    curves = [chart_segment(chart, a, n=2000, through=through) for a in angles]
+    mirror = np.array([-1.0, 1.0])
+    mirrored = [curve_from_samples(chart, c.samples * mirror, closed=False) for c in curves]
+    (base,) = detect_vertices(curves, 0.01, surface=chart)
+    (other,) = detect_vertices(mirrored, 0.01, surface=chart)
+    assert (other.order, other.transverse) == (base.order, base.transverse) == (order, True)
+    assert np.max(np.abs(other.position - base.position * mirror)) <= 1e-12
+    # strands are listed by curve, and each line is one strand
+    assert [ci for ci, _ in other.strands] == [ci for ci, _ in base.strands]
+    d = np.abs(np.asarray(other.strand_angles) - (np.pi - np.asarray(base.strand_angles))) % np.pi
+    assert np.max(np.minimum(d, np.pi - d)) <= 1e-12
+
+
 def cut_below(samples, piece):
     """Oracle refinement of an open polyline: each segment cut by linear
     interpolation into the fewest equal pieces shorter than ``piece``."""

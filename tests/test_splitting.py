@@ -3,7 +3,6 @@ import pytest
 
 from geolab.errors import (
     ChartUnavailable,
-    D0TooLarge,
     NotReducible,
     OffsetTooLarge,
     VertexNotOnStrand,
@@ -229,13 +228,6 @@ class TestConformalFactor:
             field = conformal_factor_for(det, chart, other_strand_points=others)
             norms.append(field.sup_norm())
         assert norms[0] > norms[1] > norms[2] > 0
-
-    def test_d0_too_large(self, chart, three_lines):
-        net = three_lines
-        det = build_detour(chart, net, net.vertices[0], 0, 0.02, 0.5)
-        others = np.vstack([net.curves[1].samples, net.curves[2].samples])
-        with pytest.raises(D0TooLarge):
-            conformal_factor_for(det, chart, d0=0.4, other_strand_points=others)
 
 
 class TestSplit:

@@ -5,7 +5,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from geolab.errors import ChartUnavailable, PointOffSurface, ConfigInvalid
 from geolab.surfaces import (
-    ConformalFactor,
     SurfaceModel,
     christoffel_batch,
     conformal_geodesic_curvature,
@@ -38,7 +37,6 @@ def make_sphere_polar_chart() -> SurfaceModel:
         name="sphere_polar",
         chart_metric_fn=metric,
         chart_domain=(1e-3, np.pi - 1e-3, 0.0, 2 * np.pi),
-        chart_periodic=(False, True),
     )
 
 
@@ -226,13 +224,8 @@ class TestChartCurvature:
         assert np.max(np.abs(K_polar - 1.0)) < 1e-6
 
     def test_levelset_conformal_factor_raises(self, mk4):
-        factor = ConformalFactor(
-            value=lambda pts: np.full(pts.shape[0], 0.1),
-            center=np.zeros(3),
-            radius=1.0,
-        )
         with pytest.raises(ChartUnavailable):
-            mk4.with_conformal_factor(factor)
+            mk4.with_conformal_factor(lambda pts: np.full(pts.shape[:-1], 0.1))
 
 
 class TestChristoffel:
@@ -257,26 +250,13 @@ class TestChristoffel:
 
     def test_constant_conformal_factor_keeps_flat(self):
         chart = make_flat_chart()
-        factor = ConformalFactor(
-            value=lambda pts: np.full(pts.shape[0], 0.37),
-            center=np.zeros(2),
-            radius=1e9,
-        )
-        rescaled = chart.with_conformal_factor(factor)
+        rescaled = chart.with_conformal_factor(lambda pts: np.full(pts.shape[:-1], 0.37))
         gam = christoffel_batch(rescaled, np.array([0.2, -0.1])[None])[0]
         assert np.max(np.abs(gam)) < 1e-9
 
     def test_levelset_raises(self, mk4):
         with pytest.raises(ChartUnavailable):
             christoffel_batch(mk4, np.array([0.0, 0.0])[None])[0]
-
-
-def _ball_factor():
-    return ConformalFactor(
-        value=lambda pts: np.sin(pts[:, 0]) * pts[:, 1] + 1.0,
-        center=np.zeros(2),
-        radius=1.0,
-    )
 
 
 def _splitting_factor(rng):
@@ -302,23 +282,19 @@ def _splitting_factor(rng):
 
 
 def _two_factor_chart():
-    shifted = ConformalFactor(
-        value=lambda pts: np.cos(pts[:, 1]) - pts[:, 0],
-        center=np.array([0.3, 0.0]),
-        radius=0.8,
+    chart = make_flat_chart().with_conformal_factor(
+        lambda pts: np.sin(pts[..., 0]) * pts[..., 1] + 1.0
     )
-    chart = make_flat_chart().with_conformal_factor(_ball_factor())
-    return chart.with_conformal_factor(shifted).factor_value
+    chart = chart.with_conformal_factor(lambda pts: np.cos(pts[..., 1]) - pts[..., 0])
+    return chart.factor_value
 
 
 class TestConformalFactorShape:
-    @pytest.mark.parametrize("case", ["ball_factor", "splitting_factor", "chart_two_factors"])
+    @pytest.mark.parametrize("case", ["splitting_factor", "chart_two_factors"])
     def test_stacked_points_match_flat_call(self, case):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-1.0, 1.0, size=(4, 3, 2))
-        if case == "ball_factor":
-            f = _ball_factor()
-        elif case == "splitting_factor":
+        if case == "splitting_factor":
             f, tube_pts = _splitting_factor(rng)
             pts = tube_pts.reshape(4, 3, 2)
         else:
@@ -350,8 +326,7 @@ class TestConformalCurvatureLaw:
             r = np.linalg.norm(pts, axis=-1)
             return 0.2 * plateau(r - 0.5, 0.05, 0.4)
 
-        factor = ConformalFactor(value=fval, center=np.zeros(2), radius=1.5)
-        rescaled = chart.with_conformal_factor(factor)
+        rescaled = chart.with_conformal_factor(fval)
         th = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
         pts = 0.5 * np.stack([np.cos(th), np.sin(th)], axis=1)
         base_curve = curve_from_samples(chart, pts)

@@ -10,6 +10,9 @@ configurations (``compare_outputs.CLI_CONFIGS``), every script in
 (default 0).  Then it prints each function and method defined in
 ``src/geolab`` that none of them called, as ``path:line qualname``, and
 their count.  Lambdas, comprehensions and class bodies are not counted.
+Before the counts it lists each exception class of ``src/geolab/errors.py``
+that no ``raise`` statement under ``src/geolab`` raises, itself or through
+a subclass, as ``errors.py:LINE Name``; this part reads the source only.
 Its last line is the number of lines in ``src/geolab``, as ``wc -l``
 counts them.
 CHECKOUT defaults to the repository holding this script.
@@ -22,6 +25,7 @@ caching is off, and perfbench's modules are imported, not run.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import inspect
 import os
@@ -50,6 +54,32 @@ def defined_functions(package: Path) -> dict:
                 if const.co_flags & inspect.CO_NEWLOCALS and not const.co_name.startswith("<"):
                     found[(str(path), const.co_firstlineno)] = const.co_qualname
     return found
+
+
+def unraised_errors(package: Path) -> list:
+    """(line, name) of each class in ``errors.py`` that no ``raise`` in the
+    package raises, neither itself nor any subclass defined there."""
+    classes = {
+        node.name: node
+        for node in ast.parse((package / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+
+    def lineage(name):
+        """The class and its bases in errors.py, up to the root."""
+        yield name
+        for base in classes[name].bases:
+            if isinstance(base, ast.Name) and base.id in classes:
+                yield from lineage(base.id)
+
+    covered = {cls for name in raised & classes.keys() for cls in lineage(name)}
+    return sorted((node.lineno, name) for name, node in classes.items() if name not in covered)
 
 
 def operations(checkout: Path, seed: int):
@@ -108,6 +138,8 @@ def main(argv=None) -> int:
     unreached = sorted(key for key in functions if key not in reached)
     for path, line in unreached:
         print(f"{Path(path).relative_to(checkout)}:{line} {functions[path, line]}")
+    for line, name in unraised_errors(checkout / "src" / "geolab"):
+        print(f"errors.py:{line} {name}")
     print(f"{len(unreached)} of {len(functions)} functions unreached")
     package = checkout / "src" / "geolab"
     lines = sum(len(path.read_text().splitlines()) for path in package.rglob("*.py"))
