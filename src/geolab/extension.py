@@ -83,6 +83,14 @@ def _profile_samples(curves: Sequence[GeodesicCurve], specs: Sequence) -> List[n
 # ---------------------------------------------------------------------------
 
 
+def _box_rows(pts: np.ndarray, lo, hi) -> np.ndarray:
+    """Rows of ``pts`` inside the box lo <= x <= hi, ascending."""
+    inside = np.ones(pts.shape[0], dtype=bool)
+    for x, a, b in zip(pts.T, lo, hi):
+        inside &= (x >= a) & (x <= b)
+    return np.flatnonzero(inside)
+
+
 class _CurveFrame:
     """Nearest-point queries plus tangent/normal frames along one curve."""
 
@@ -128,10 +136,7 @@ class _CurveFrame:
         # those lie outside the samples' bounding box grown by 2 r and skip
         # the tree (r is at least one sample spacing, so rounding in the box
         # test cannot drop a point the tree would keep)
-        inside = np.ones(pts.shape[0], dtype=bool)
-        for x, lo, hi in zip(pts.T, self._box[0] - 2.0 * r, self._box[1] + 2.0 * r):
-            inside &= (x >= lo) & (x <= hi)
-        rows = np.flatnonzero(inside)
+        rows = _box_rows(pts, self._box[0] - 2.0 * r, self._box[1] + 2.0 * r)
         dist, idx = self.tree.query(pts[rows], distance_upper_bound=r)
         hit = np.isfinite(dist)
         rows, i = rows[hit], idx[hit]
@@ -218,14 +223,21 @@ class AmbientField:
                 out=n_s, where=(norm > 1e-9)[:, None],
             )
             out[live] += (cut * phi_s)[:, None] * transported
+        reach = 7.0 * self.eta / 8.0
         for data in self.crossing_data:
-            r = coord_norm(pts - data["position"])
-            psi = plateau(r, 5.0 * self.eta / 8.0, 7.0 * self.eta / 8.0)
-            live = np.flatnonzero(psi > 0)
+            # psi > 0 only within reach of the vertex, so only the points in
+            # its box of half-width reach, grown by a margin that rounding in
+            # the box test and in r cannot cross, get r and psi
+            p = data["position"]
+            half = reach + 1e-9 * (reach + np.abs(p).max())
+            rows = _box_rows(pts, p - half, p + half)
+            psi = plateau(coord_norm(pts[rows] - p), 5.0 * self.eta / 8.0, reach)
+            alive = psi > 0
+            live, psi = rows[alive], psi[alive]
             if not live.size:
                 continue
             Y = self._crossing_field(data, pts[live], Nx[live])
-            out[live] = out[live] + psi[live][:, None] * (Y - out[live])
+            out[live] = out[live] + psi[:, None] * (Y - out[live])
         # the field is tangent along the curves; keep it tangent everywhere
         out -= coord_sum(out * Nx)[:, None] * Nx
         return out

@@ -14,7 +14,10 @@ loop per row.  Each stage sum, and the continuous extension, is one
 temporary.  The flows take and return points as rows, transposing once
 per call.  A flow samples whole steps: its sample count is a multiple of
 SAMPLES_PER_STEP, each step ends on a sample (the hook's state) and the
-samples inside a step come from its 7th-order continuous extension.  The
+samples inside a step come from its 7th-order continuous extension.  A flow
+keeps only its step-end states while it runs; a path is built from them
+afterwards (``dop853_dense``), so the shooting can keep the states of the
+flows it accepts and build their paths once, without another flow.  The
 level-set hook re-projects the point onto the surface and renormalizes the
 tangential speed, which keeps the constraint and energy drift at roundoff
 level; the chart hook checks the chart domain.  The flows are batched over
@@ -52,6 +55,8 @@ COARSE_STEPS = 512  # flow samples per seed in the coarse Newton phase
 COVER_TOL = 1e-7  # Fourier amplitude that counts as a mode, relative to the loop's extent
 SEED_BAND = 0.6  # mk seeds lie in |x3| <= SEED_BAND * zmax
 PROBE_SAMPLES = 16  # points of a cloud hausdorff_distance tries before all of them
+DENSE_CHUNK = 32  # most DOP853 steps per batch when dop853_dense builds a path
+DENSE_BATCH = 512  # most batch rows (steps times rows) of such a batch
 
 
 @dataclass
@@ -293,45 +298,101 @@ def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols
     Returns (y, path).  With ``n_samples`` > 0, a multiple of ``n_steps``,
     path holds the leading ``path_cols`` columns at n_samples + 1 uniform
     times, shape (rows, n_samples + 1, path_cols), n_samples / n_steps per
-    step.  A step's last sample is the state ``after_step`` returned; the
-    others come from its 7th-order continuous extension and are left to the
-    caller.  Otherwise path is None.  Raises ValueError when n_samples is
-    not a multiple of n_steps.
+    step: the flow keeps only the state ``after_step`` returned at each step
+    end, and ``dop853_dense`` builds the path from those states once the
+    last step is taken.  Otherwise path is None.  Raises ValueError when
+    n_samples is not a multiple of n_steps.
     """
     if n_samples % n_steps:
         raise ValueError("n_samples must be a multiple of n_steps")
     y = np.asarray(y, dtype=float)
+    if n_samples:
+        after_step, ends = _recording(after_step, y, n_steps, slice(None))
     # each row's step, spelt out to the state's shape so that scaling a
     # stage multiplies arrays of one shape
     h = np.asarray(T, dtype=float).reshape(-1) / n_steps * np.ones_like(y)
     hK = np.empty((16,) + y.shape)  # stage derivatives times the step
-
-    def stage(s):  # y + sum_t a_st h K_t
-        return y + np.einsum("t,tcr->cr", _DOP_A[s, :s], hK[:s])
-
-    c, per, rows = path_cols, n_samples // n_steps, y.shape[1]
-    path = np.empty((rows, n_samples + 1, c)) if n_samples else None
-    if n_samples:
-        path[:, 0] = y[:c].T
-        a, b = _dense_weights(np.arange(1, per) / per)  # a step's inner samples
     np.multiply(rhs(y), h, out=hK[0])
     for i in range(n_steps):
         for s in range(1, 12):
-            np.multiply(rhs(stage(s)), h, out=hK[s])
-        y1 = after_step(i, stage(12))
-        if n_samples or i + 1 < n_steps:
-            np.multiply(rhs(y1), h, out=hK[12])
-        if n_samples:
-            for s in range(13, 16):
-                np.multiply(rhs(stage(s)), h, out=hK[s])
-            # h sum_t b_t(x) K_t at the inner samples, as (rows, samples, columns)
-            dense = np.einsum("tn,tcr->rnc", b, hK[_DENSE_STAGES, :c])
-            y0, j = y[:c].T[:, None], i * per
-            path[:, j + 1 : j + per] = y0 + (y1[:c].T[:, None] - y0) * a[:, None] + dense
-            path[:, j + per] = y1[:c].T
-        hK[0] = hK[12]
-        y = y1
-    return y, path
+            np.multiply(rhs(_stage(y, hK, s)), h, out=hK[s])
+        y = after_step(i, _stage(y, hK, 12))
+        if i + 1 < n_steps:
+            np.multiply(rhs(y), h, out=hK[0])
+    if not n_samples:
+        return y, None
+    return y, dop853_dense(rhs, ends, T, n_samples // n_steps, path_cols)
+
+
+def _stage(y, hK, s):
+    """y + sum_t a_st h K_t over the stages t < s of ``hK``."""
+    return y + np.einsum("t,tcr->cr", _DOP_A[s, :s], hK[:s])
+
+
+def _recording(after_step, y, n_steps, keep):
+    """``after_step`` that also stores the states it returns for the rows
+    ``keep``, and the array (columns, kept rows, n_steps + 1) they go into,
+    whose first entry is already the start state ``y``."""
+    ends = np.empty(y[:, keep].shape + (n_steps + 1,))
+    ends[..., 0] = y[:, keep]
+
+    def hook(i, y):
+        y = after_step(i, y)
+        ends[..., i + 1] = y[:, keep]
+        return y
+
+    return hook, ends
+
+
+def dop853_dense(rhs, ends, T, per: int, cols: int):
+    """Path of a ``dop853_integrate`` flow rebuilt from its step-end states.
+
+    ``ends`` has shape (columns, rows, steps + 1): each row's state at the
+    start and at every step end, as ``after_step`` returned it, and ``T``
+    the flow's span (a scalar or one per row).  Every stage of every step is
+    evaluated again, a chunk of steps at a time as the rows of one batch
+    (one batch row per step of a row), from the two states around the step.
+    Each batch row is bit-identical to its own 1-row call, so the stages are
+    the flow's own: stage 0 is the right-hand side at the stored step start
+    and the stored step end stands for the projected stage 12.  A chunk has
+    at most DENSE_CHUNK steps and DENSE_BATCH batch rows, so its stage stack
+    and temporaries, about 270 floats per batch row against 3 x 16 of a
+    level-set path, stay below the paths built and near 1 MB at most.
+
+    Returns the leading ``cols`` columns at ``per`` samples per step, shape
+    (rows, per * steps + 1, cols).  A step's last sample is its end state;
+    the others come from its 7th-order continuous extension.
+    """
+    n_cols, rows, n_steps = ends.shape[0], ends.shape[1], ends.shape[2] - 1
+    spans = np.asarray(T, dtype=float).reshape(-1) * np.ones(rows)
+    path = np.empty((rows, per * n_steps + 1, cols))
+    path[:, 0] = ends[:cols, :, 0].T
+    steps = path[:, 1:].reshape(rows, n_steps, per, cols)
+    a, b = _dense_weights(np.arange(1, per) / per)  # a step's inner samples
+    chunk = max(1, min(DENSE_CHUNK, DENSE_BATCH // max(rows, 1)))
+    for i0 in range(0, n_steps, chunk):
+        k = min(chunk, n_steps - i0)
+        # the batch rows are (row, step) pairs, row-major
+        y0 = ends[:, :, i0 : i0 + k].reshape(n_cols, rows * k)
+        y1 = ends[:, :, i0 + 1 : i0 + k + 1].reshape(n_cols, rows * k)
+        h = np.repeat(spans, k) / n_steps * np.ones_like(y0)
+        hK = np.empty((16,) + y0.shape)
+        np.multiply(rhs(y0), h, out=hK[0])
+        for s in range(1, 12):
+            np.multiply(rhs(_stage(y0, hK, s)), h, out=hK[s])
+        np.multiply(rhs(y1), h, out=hK[12])
+        for s in range(13, 16):
+            np.multiply(rhs(_stage(y0, hK, s)), h, out=hK[s])
+        # h sum_t b_t(x) K_t at the inner samples, as (batch rows, samples, columns)
+        dense = np.einsum("tn,tcr->rnc", b, hK[_DENSE_STAGES, :cols])
+        # the bits of p0 + (p1 - p0) a + dense (addition commutes), formed in the path
+        p0, p1 = (z[:cols].T.reshape(rows, k, 1, cols) for z in (y0, y1))
+        block = steps[:, i0 : i0 + k]
+        np.multiply(p1 - p0, a[:, None], out=block[:, :, :-1])
+        block[:, :, :-1] += p0
+        block[:, :, :-1] += dense.reshape(rows, k, per - 1, cols)
+        block[:, :, -1:] = p1
+    return path
 
 
 def _flow_steps(n_steps: int) -> int:
@@ -347,27 +408,9 @@ def _newton_onto(surface: SurfaceModel, P):
     return P - (surface.level(P) / np.einsum("...i,...i->...", g, g))[..., None] * g
 
 
-def flow_levelset(
-    surface: SurfaceModel,
-    P0: np.ndarray,
-    V0: np.ndarray,
-    T: np.ndarray,
-    n_steps: int = DEFAULT_STEPS,
-    store_path: bool = False,
-):
-    """Batched geodesic flow for arclength T (per seed).  Unit-speed state.
-
-    ``n_steps`` is the number of sample intervals, a positive multiple of
-    SAMPLES_PER_STEP.  The flow takes one fixed DOP853 step per
-    SAMPLES_PER_STEP samples and projects the state onto F = 0 after every
-    step.  The samples inside a step come from its continuous extension and
-    are projected the same way.
-
-    Returns (P1, V1) or (P1, V1, path) with path of shape (m, n_steps+1, 3).
-    Raises ValueError for any other ``n_steps``.
-    """
-    y = np.vstack([np.atleast_2d(np.asarray(a, dtype=float)).T for a in (P0, V0)])
-    n_int = _flow_steps(n_steps)
+def _levelset_flow(surface: SurfaceModel):
+    """The geodesic right-hand side of a level set and its step-end
+    projection, both on (columns, rows) states (P, V)."""
     # F, grad F and diag(Hess F) on points as columns, from the constants of
     # the factorization SurfaceModel documents: its methods take points as
     # rows, and each would cost a call per stage
@@ -400,17 +443,64 @@ def flow_levelset(
         V = V - np.add.reduce(V * g, 0) / gg * g
         return np.concatenate((P - F / gg * g, V / np.sqrt(np.add.reduce(V * V, 0))))
 
-    y, path = dop853_integrate(rhs, y, T, n_int, reproject, store_path and n_steps, 3)
+    return rhs, reproject
+
+
+def flow_levelset(
+    surface: SurfaceModel,
+    P0: np.ndarray,
+    V0: np.ndarray,
+    T: np.ndarray,
+    n_steps: int = DEFAULT_STEPS,
+    store_path: bool = False,
+    ends_of=None,
+):
+    """Batched geodesic flow for arclength T (per seed).  Unit-speed state.
+
+    ``n_steps`` is the number of sample intervals, a positive multiple of
+    SAMPLES_PER_STEP.  The flow takes one fixed DOP853 step per
+    SAMPLES_PER_STEP samples and projects the state onto F = 0 after every
+    step.  A stored path is built from the step-end states once the flow
+    ends (``levelset_path``).
+
+    Returns (P1, V1) or (P1, V1, path) with path of shape (m, n_steps+1, 3).
+    With ``ends_of``, an index of rows (an array or a slice) and no path, it
+    returns (P1, V1, ends) with ends the (P, V) states of those rows at the
+    start and every step end, shape (6, rows, n_steps / SAMPLES_PER_STEP +
+    1), from which ``levelset_path`` builds the rows' paths later.  Raises
+    ValueError for an ``n_steps`` that is not a positive multiple of
+    SAMPLES_PER_STEP.
+    """
+    y = np.vstack([np.atleast_2d(np.asarray(a, dtype=float)).T for a in (P0, V0)])
+    n_int = _flow_steps(n_steps)
+    rhs, step_end = _levelset_flow(surface)
+    keep = slice(None) if store_path else ends_of
+    if keep is not None:
+        step_end, ends = _recording(step_end, y, n_int, keep)
+    y = dop853_integrate(rhs, y, T, n_int, step_end)[0]
     P1, V1 = y[:3].T, y[3:].T
-    if not store_path:
-        return P1, V1
+    if store_path:
+        return P1, V1, levelset_path(surface, ends, T)
+    return (P1, V1) if keep is None else (P1, V1, ends)
+
+
+def levelset_path(surface: SurfaceModel, ends: np.ndarray, T) -> np.ndarray:
+    """Paths of ``flow_levelset`` rows from their step-end states.
+
+    ``ends`` (6, rows, steps + 1) as ``flow_levelset`` returns it for
+    ``ends_of``, ``T`` the rows' spans.  The samples inside each step come
+    from its continuous extension (``dop853_dense``) and are projected onto
+    F = 0 by one Newton step.  Returns (rows, SAMPLES_PER_STEP * steps + 1,
+    3), the bits of the rows' ``store_path`` flow.
+    """
+    path = dop853_dense(_levelset_flow(surface)[0], ends, T, SAMPLES_PER_STEP, 3)
     # the samples inside the steps, a row at a time so that the temporaries
     # stay one row in size; the path holds points as rows
-    steps = path[:, 1:].reshape(path.shape[0], n_int, SAMPLES_PER_STEP, 3)
+    steps = path[:, 1:].reshape(path.shape[0], ends.shape[2] - 1, SAMPLES_PER_STEP, 3)
     for row in steps:
         inner = row[:, :-1]
         inner[...] = _newton_onto(surface, inner)
-    return P1, V1, path
+    return path
 
 
 def flow_chart(
@@ -490,6 +580,14 @@ def shoot_closed_batch(
     degenerate, and ``shots``: the rows where ok, in seed order, as arrays
     p0, v0, period and the shot's final flow on DEFAULT_STEPS samples, its
     end velocity v1 and its path of shape (n_ok, DEFAULT_STEPS + 1, 3).
+
+    A row's final flow is the last one its residual was taken from.  For a
+    row the polish stopped, that is the unperturbed row of the polish flow
+    that stopped it, whose step-end states the flow keeps; the rows that
+    ran out of polish iterations (their unknowns moved after their last
+    flow) run one more DEFAULT_STEPS flow.  The paths of all shots are then
+    built from those states by ``levelset_path``, the bits of a
+    ``store_path`` flow of each shot's p0, v0 and period.
     """
     P_seed = np.atleast_2d(np.asarray(seeds_p, dtype=float))
     V_seed = np.atleast_2d(np.asarray(seeds_v, dtype=float))
@@ -507,7 +605,7 @@ def shoot_closed_batch(
     resid = np.full(m, np.inf)
     EPS = 1e-7
 
-    def residual(xv, seed_idx, steps, store_path=False):
+    def residual(xv, seed_idx, steps, ends_of=None):
         """xv: (q,3) unknowns for seeds seed_idx (q,)."""
         tau, theta, dT = xv[:, 0], xv[:, 1], xv[:, 2]
         Ps, Vs, Ts = P_seed[seed_idx], V_seed[seed_idx], T0[seed_idx]
@@ -515,20 +613,23 @@ def shoot_closed_batch(
         e1, e2, _ = _frames_at(surface, P0, Vs)
         V0 = np.cos(theta)[:, None] * e1 + np.sin(theta)[:, None] * e2
         T = np.maximum(Ts + dT, 0.3 * Ts)
-        flow = flow_levelset(surface, P0, V0, T, steps, store_path)
+        flow = flow_levelset(surface, P0, V0, T, steps, ends_of=ends_of)
         P1, V1 = flow[:2]
         d = P1 - P0
         a1 = np.arctan2(np.sum(V1 * e2, axis=1), np.sum(V1 * e1, axis=1))
         ang = np.arctan2(np.sin(a1 - theta), np.cos(a1 - theta))
         r = [np.sum(d * e1, axis=1), np.sum(d * e2, axis=1), ang * T / (2 * np.pi)]
-        return np.stack(r, axis=1), P0, V0, T, flow
+        return np.stack(r, axis=1), T, (None if ends_of is None else flow[2])
 
+    final = {}  # seed row -> step-end states and span of its final flow
     active = np.ones(m, dtype=bool)
     for phase_steps, phase_iters, phase_tol in (
         (COARSE_STEPS, max_iter, 1e-9),
         (DEFAULT_STEPS, 8, 1e-13),
     ):
         prev_rn = np.full(m, np.inf)
+        # a polish flow keeps the states of its unperturbed rows
+        keep = slice(0, None, 4) if phase_steps == DEFAULT_STEPS else None
         for _ in range(phase_iters):
             if not active.any():
                 break
@@ -538,7 +639,8 @@ def shoot_closed_batch(
             xs = np.repeat(x[idx], 4, axis=0)
             for col in range(3):
                 xs[4 * np.arange(q) + 1 + col, col] += EPS
-            r_all = residual(xs, np.repeat(idx, 4), phase_steps)[0].reshape(q, 4, 3)
+            r_all, T, ends = residual(xs, np.repeat(idx, 4), phase_steps, keep)
+            r_all = r_all.reshape(q, 4, 3)
             r0 = r_all[:, 0]
             rn = np.linalg.norm(r0, axis=1)
             resid[idx] = rn
@@ -546,6 +648,9 @@ def shoot_closed_batch(
             done = (rn < phase_tol) | ((rn < 1e-9) & (rn > 0.5 * prev_rn[idx]))
             prev_rn[idx] = rn
             active[idx[done]] = False
+            if keep is not None:
+                for j in np.flatnonzero(done):
+                    final[idx[j]] = ends[:, j].copy(), T[4 * j]
             live = ~done
             if not live.any():
                 continue
@@ -568,20 +673,31 @@ def shoot_closed_batch(
         if phase_steps == COARSE_STEPS:
             active = resid < 1e-6  # only polish seeds the coarse phase closed
 
-    # the final flow keeps paths, so it runs only on the seeds that can pass
+    # only the seeds that can pass need a final flow, and only those whose
+    # unknowns moved after their last one need a new flow
     rows = np.flatnonzero(resid <= 1e-10)
-    r_final, P0, V0, T, (_, V1, path) = residual(x[rows], rows, DEFAULT_STEPS, True)
-    resid[rows] = np.linalg.norm(r_final, axis=1)
-    good = (resid[rows] <= 1e-10) & (np.abs(surface.level(P0)) < 1e-11)
+    moved = np.array([r for r in rows if r not in final], dtype=int)
+    if moved.size:
+        r_final, T, ends = residual(x[moved], moved, DEFAULT_STEPS, slice(None))
+        resid[moved] = np.linalg.norm(r_final, axis=1)
+        final.update((r, (ends[:, j], T[j])) for j, r in enumerate(moved))
+    P0 = np.array([final[r][0][:3, 0] for r in rows]).reshape(-1, 3)
+    rows = rows[(resid[rows] <= 1e-10) & (np.abs(surface.level(P0)) < 1e-11)]
     ok = np.zeros(m, dtype=bool)
-    ok[rows[good]] = True
-    shots = {"p0": P0, "v0": V0, "period": T, "v1": V1, "path": path}
-    return {
-        "ok": ok,
-        "residual": resid,
-        "degenerate": degenerate,
-        "shots": shots if good.all() else {k: v[good] for k, v in shots.items()},
+    ok[rows] = True
+    ends = np.empty((6, rows.size, DEFAULT_STEPS // SAMPLES_PER_STEP + 1))
+    T = np.empty(rows.size)
+    for j, r in enumerate(rows):
+        ends[:, j], T[j] = final.pop(r)
+    del final  # the states kept for rows that failed, before the paths are built
+    shots = {
+        "p0": ends[:3, :, 0].T.copy(),
+        "v0": ends[3:, :, 0].T.copy(),
+        "period": T,
+        "v1": ends[3:, :, -1].T.copy(),
+        "path": levelset_path(surface, ends, T),
     }
+    return {"ok": ok, "residual": resid, "degenerate": degenerate, "shots": shots}
 
 
 def _primitive_loop(loop: np.ndarray):
@@ -795,6 +911,23 @@ def hausdorff_distance(a, b, bound: float = np.inf, tree_a=None, tree_b=None) ->
             return np.inf
     tree_a = cKDTree(a) if tree_a is None else tree_a
     return float(max(d_ab, tree_a.query(b, distance_upper_bound=bound)[0].max()))
+
+
+def aligned_bound(a, b) -> float:
+    """An upper bound on the Hausdorff distance of two loops of equal sample
+    count, inf for unequal counts.
+
+    Any bijection sigma of the samples bounds the distance by max_i
+    |a_i - b_sigma(i)|.  The bound is the smaller such max over the two
+    cyclic alignments that start at b's sample nearest to a[0], one per
+    orientation: for two samplings of one image it is about the half sample
+    spacing the phases differ by.
+    """
+    if len(a) != len(b):
+        return np.inf
+    forward = np.roll(b, -int(np.argmin(coord_norm(b - a[0]))), axis=0)
+    backward = np.roll(forward[::-1], 1, axis=0)
+    return float(min(coord_norm(a - c).max() for c in (forward, backward)))
 
 
 _PLASTIC = 1.32471795724474602596  # root of x^3 = x + 1

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import SeedBudgetExhausted
 from .geodesics import (
     DEFAULT_STEPS,
+    aligned_bound,
     curves_from_shots,
     hausdorff_distance,
     level_circle_radius2,
@@ -175,22 +176,7 @@ def mk_multiplicity_experiment(
     curves = curves_from_shots(surface, {key: v[keep] for key, v in out.pop("shots").items()})
     found = [(int(row % n_seeds), cur) for row, cur in zip(rows, curves)]
 
-    # deduplicate by Hausdorff distance between primitive images, one KD-tree per curve
-    from scipy.spatial import cKDTree
-
-    classes, trees = [], []
-    for seed_idx, cur in found:
-        tree = cKDTree(cur.samples)
-        for cls, cls_tree in zip(classes, trees):
-            if abs(cls["curve"].length - cur.length) < 0.05 and hausdorff_distance(
-                cls["curve"].samples, cur.samples, dedup_tol, cls_tree, tree
-            ) <= dedup_tol:
-                cls["members"] += 1
-                break
-        else:
-            classes.append({"curve": cur, "members": 1, "first_seed": seed_idx})
-            trees.append(tree)
-    del trees  # left alive through the spectra, the trees add about 0.6 MB to peak memory
+    classes = image_classes(found, dedup_tol)
 
     # sorted once here so records and kept curves share the length order;
     # lengths within 1e-9 relative tie (the k = 4 meridians agree to 1e-14,
@@ -274,6 +260,46 @@ def mk_multiplicity_experiment(
         # side channel for plot/CSV writers; not part of the JSON payload
         report["_curves"] = [cls["curve"] for cls in classes]
     return report
+
+
+def image_classes(found, tol: float) -> list:
+    """Classes of the ``found`` (seed, GeodesicCurve) pairs by image.
+
+    In order, each curve joins the first class whose curve is within 0.05 of
+    its length and within Hausdorff distance ``tol`` of its samples, or
+    opens a class.  A pair is accepted at once when its ``aligned_bound`` is
+    below tol (1 - 1e-9), a margin that keeps rounding from accepting a pair
+    the exact distance rejects; every other pair gets the exact
+    ``hausdorff_distance``, with each curve's KD-tree built the first time
+    such a check needs it.  So every decision is the exact distance's.
+    Returns the classes in order of opening, as dicts with the class curve,
+    its ``members`` count and the ``first_seed`` that opened it.
+    """
+    from scipy.spatial import cKDTree
+
+    trees = {}  # id of a curve -> its KD-tree
+
+    def tree(cur):
+        if id(cur) not in trees:
+            trees[id(cur)] = cKDTree(cur.samples)
+        return trees[id(cur)]
+
+    def same_image(a, b):
+        if not abs(a.length - b.length) < 0.05:
+            return False
+        if aligned_bound(a.samples, b.samples) < tol * (1.0 - 1e-9):
+            return True
+        return hausdorff_distance(a.samples, b.samples, tol, tree(a), tree(b)) <= tol
+
+    classes = []
+    for seed_idx, cur in found:
+        for cls in classes:
+            if same_image(cls["curve"], cur):
+                cls["members"] += 1
+                break
+        else:
+            classes.append({"curve": cur, "members": 1, "first_seed": seed_idx})
+    return classes
 
 
 def plane_ellipse_circumference(b: float, c: float) -> float:

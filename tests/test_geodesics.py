@@ -9,6 +9,7 @@ from scipy.special import ellipe
 
 from geolab.errors import DegenerateJacobian, LeftChartDomain, NoConvergence
 from geolab.geodesics import (
+    DEFAULT_STEPS,
     SAMPLES_PER_STEP,
     _DENSE_STAGES,
     _DOP_A,
@@ -382,15 +383,39 @@ class TestCloseGeodesic:
         )
         assert abs(cur.length - 8.0 * ellipe(0.75)) < 1e-12
 
-    def test_every_accepted_shot_is_a_geodesic(self, mk4):
+    @pytest.fixture(scope="class")
+    def batch(self, mk4):
+        pts, dirs = mk_seed_directions(mk4, 40, 7)
+        return shoot_closed_batch(mk4, pts, dirs, np.full(40, 0.999 * 4 * np.pi))
+
+    def test_every_accepted_shot_is_a_geodesic(self, mk4, batch):
         # a seam mismatch r shows as curvature ~ r (n / L)^2 at the seam, so
         # shots must be polished below the 1e-10 acceptance residual
-        pts, dirs = mk_seed_directions(mk4, 40, 7)
-        out = shoot_closed_batch(mk4, pts, dirs, np.full(40, 0.999 * 4 * np.pi))
-        curves = curves_from_shots(mk4, out["shots"])
-        assert len(curves) == np.count_nonzero(out["ok"]) > 0
+        curves = curves_from_shots(mk4, batch["shots"])
+        assert len(curves) == np.count_nonzero(batch["ok"]) > 0
         for cur in curves:
             require_geodesic(cur)
+
+    def test_shot_paths_are_their_own_flows(self, mk4, batch):
+        # the batch has rows the polish stops, whose paths are built from
+        # the polish flow, and rows that run out of polish iterations and
+        # take one more flow; the one row of test_equator's close_geodesic
+        # stops in the polish
+        single = shoot_closed_batch(
+            mk4, np.array([[1.0, 0.05, 0.02]]), np.array([[-0.05, 1.0, 0.01]]), np.array([6.2])
+        )
+        for out in (batch, single):
+            shots = out["shots"]
+            assert shots["path"].shape == (np.count_nonzero(out["ok"]), DEFAULT_STEPS + 1, 3)
+            rows = zip(*(shots[k] for k in ("p0", "v0", "period", "v1", "path")))
+            for p0, v0, period, v1, path in rows:
+                _, fresh_v1, fresh = flow_levelset(
+                    mk4, p0, v0, np.array([period]), DEFAULT_STEPS, store_path=True
+                )
+                assert np.array_equal(path, fresh[0])
+                assert np.array_equal(v1, fresh_v1[0])
+                # and it is the accepted flow, not a perturbed one
+                assert np.linalg.norm(path[-1] - p0) + np.linalg.norm(v1 - v0) < 1e-9
 
     def test_round_sphere_any_seed(self, sphere):
         cur = close_geodesic(

@@ -3,17 +3,19 @@ import json
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 from scipy.special import ellipe
 
 from geolab import widths
 from geolab.errors import SeedBudgetExhausted
-from geolab.geodesics import shoot_closed_batch
+from geolab.geodesics import GeodesicCurve, aligned_bound, hausdorff_distance, shoot_closed_batch
 from geolab.surfaces import make_mk, make_sphere
 from geolab.widths import (
     WidthBound,
     _multiplicity_attribution,
     ellipsoid_experiment,
     guth_p_sweepout_bound,
+    image_classes,
     level_circle_sweepout,
     mk_multiplicity_experiment,
     plane_ellipse_circumference,
@@ -173,3 +175,79 @@ class TestMkExperiment:
 
     def test_json_serializable(self, report):
         json.dumps(report, sort_keys=True)
+
+
+def _exact_classes(found, tol):
+    """The image classes by the exact distance alone: a KD-tree per found
+    curve and ``hausdorff_distance`` for every pair within 0.05 in length."""
+    classes, trees = [], []
+    for seed_idx, cur in found:
+        tree = cKDTree(cur.samples)
+        for cls, cls_tree in zip(classes, trees):
+            if abs(cls["curve"].length - cur.length) < 0.05 and hausdorff_distance(
+                cls["curve"].samples, cur.samples, tol, cls_tree, tree
+            ) <= tol:
+                cls["members"] += 1
+                break
+        else:
+            classes.append({"curve": cur, "members": 1, "first_seed": seed_idx})
+            trees.append(tree)
+    return classes
+
+
+@pytest.mark.parametrize("k, n_seeds, seed", [(4.0, 40, 7), (100.0, 24, 4711)])
+def test_image_classes_match_the_exact_loop(monkeypatch, k, n_seeds, seed):
+    # the experiment's own found curves, classed both ways
+    seen = []
+
+    def both(found, tol):
+        classes = image_classes(found, tol)
+        seen.append((list(classes), _exact_classes(found, tol)))  # the caller sorts its list
+        return classes
+
+    monkeypatch.setattr(widths, "image_classes", both)
+    mk_multiplicity_experiment(k, 1.0, n_seeds=n_seeds, seed=seed, spectra=False)
+    ((classes, oracle),) = seen
+    assert len(classes) == len(oracle) >= (7 if k == 4.0 else 1)
+    for cls, ref in zip(classes, oracle):
+        assert cls["curve"] is ref["curve"]
+        assert (cls["members"], cls["first_seed"]) == (ref["members"], ref["first_seed"])
+
+
+def _loop(coeffs, theta):
+    """Real loop sum_j Re(coeffs[j] e^{i j theta}), coeffs of shape (B, 3)."""
+    return (np.exp(1j * np.outer(theta, np.arange(coeffs.shape[0]))) @ coeffs).real
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(16, 400),
+    phase=st.floats(0.0, 1.0),
+    reverse=st.booleans(),
+    noise=st.sampled_from([0.0, 1e-9, 1e-3, 0.2, 3.0]),
+    extra=st.sampled_from([0, 0, 0, 1, -1, 9]),
+    slack=st.floats(-3e-9, 3e-9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_image_classes_decide_as_the_exact_distance(n, phase, reverse, noise, extra, slack, seed):
+    # b samples a's loop from another start point, in either orientation,
+    # moved by noise (in sample spacings) and on n + extra samples; the
+    # tolerances lie within a few 1e-9 of the aligned bound's acceptance
+    # limit and of the exact distance, where rounding could decide
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    nb = n + extra
+    a = _loop(coeffs, 2 * np.pi * np.arange(n) / n)
+    b = _loop(coeffs, (-1.0 if reverse else 1.0) * 2 * np.pi * (np.arange(nb) / nb + phase))
+    b += noise * (np.linalg.norm(coeffs) * 2 * np.pi / n) * rng.normal(size=b.shape)
+    exact, bound = hausdorff_distance(a, b), aligned_bound(a, b)
+    if extra:
+        assert bound == np.inf
+    else:
+        assert bound >= exact * (1.0 - 1e-12)
+    pair = [GeodesicCurve(x, 1.0, 0.0, None) for x in (a, b)]
+    for limit in (exact, bound / (1.0 - 1e-9)):
+        tol = limit * (1.0 + slack)
+        if np.isfinite(tol) and tol > 0:
+            joined = len(image_classes(list(enumerate(pair)), tol)) == 1
+            assert joined == (hausdorff_distance(a, b, tol) <= tol)

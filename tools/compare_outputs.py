@@ -13,9 +13,11 @@ eight commands with no flags (its defaults); ten invalid inputs that exit
 surface type or its default surface (``mk-experiment --a 0.96,1.0,1.04``,
 ``ellipsoid-experiment --k 4``, ``mk-experiment --mu 2``); one run whose
 equator curvature lies below the spectral zero-tolerance floor
-(``mk-experiment --k 9 --mu 2 --n-seeds 16 --seed 2``); the extension on
-three great circles (``extend-field --builtin three-circles``, six
-crossings); and the reductions of order 3, 4 and 8 of concurrent lines in
+(``mk-experiment --k 9 --mu 2 --n-seeds 16 --seed 2``); one run of the
+shape of the benchmark's ``mk-k100`` operation, where every final row of the
+shooting stops in the polish (``mk-experiment --k 100 --n-seeds 24 --seed
+4711``); the extension on three great circles (``extend-field --builtin
+three-circles``, six crossings); and the reductions of order 3, 4 and 8 of concurrent lines in
 a curved chart (``sphere_exp_chart(1.2)``) and in the CLI's flat chart
 (``make_flat_chart(2.6, 2.6)``), each reduced by ``reduce_vertex_fully``
 and written with its final vertex records to ``reduction.json``.
@@ -86,6 +88,7 @@ SURFACE_CONFIGS = [
     ["mk-experiment", "--mu", "2"],
     ["mk-experiment", "--k", "9", "--mu", "2", "--n-seeds", "16", "--seed", "2"],
 ]
+BENCH_CONFIGS = [["mk-experiment", "--k", "100", "--n-seeds", "24", "--seed", "4711"]]
 NETWORK_CONFIGS = [["extend-field", "--builtin", "three-circles"]]
 CHART_ORDERS = (3, 4, 8)
 CHARTS = ("chart", "flat")  # sphere_exp_chart(1.2), make_flat_chart(2.6, 2.6)
@@ -118,7 +121,10 @@ out.mkdir(parents=True, exist_ok=True)
 
 def configurations():
     """(name, interpreter arguments); each run appends its output directory."""
-    for argv in CLI_CONFIGS + DEFAULT_CONFIGS + ERROR_CONFIGS + SURFACE_CONFIGS + NETWORK_CONFIGS:
+    for argv in (
+        CLI_CONFIGS + DEFAULT_CONFIGS + ERROR_CONFIGS + SURFACE_CONFIGS + BENCH_CONFIGS
+        + NETWORK_CONFIGS
+    ):
         yield " ".join(argv), ["-m", "geolab.cli", *argv, "--out"]
     for chart in CHARTS:
         for order in CHART_ORDERS:
