@@ -433,8 +433,8 @@ def flow_network_length(
     surface = network.ambient_surface
     max_drift = DRIFT_TOL * max(1.0, surface.diameter())
 
-    def field(y):  # the stepper's state holds the points as columns
-        return ambient_field(y.T).T
+    def field(y, out):  # the stepper's state holds the points as columns
+        out[...] = ambient_field(y.T).T
 
     def reproject(i, y):
         # points as rows in memory: surface.level sums through einsum, whose

@@ -9,8 +9,10 @@ fixed-step DOP853 stepper (Hairer, Norsett & Wanner, Solving ODEs I,
 II.5-II.6), which holds the state column-major, (columns, rows), also in
 the right-hand side and the hook: each coordinate of all rows is one
 contiguous vector, so every ufunc runs one loop over the rows, not a 3-wide
-loop per row.  Each stage sum, and the continuous extension, is one
-``np.einsum`` over the contiguous stack of stages, with no stages x state
+loop per row.  A right-hand side writes f(y) into its stage slot,
+``rhs(y, out)``, so a stage allocates nothing.  Each stage sum, and the
+continuous extension, is one einsum over the contiguous stack of stages,
+with no stages x state
 temporary.  The flows take and return points as rows, transposing once
 per call.  A flow samples whole steps: its sample count is a multiple of
 SAMPLES_PER_STEP, each step ends on a sample (the hook's state) and the
@@ -39,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy._core.multiarray import c_einsum  # np.einsum at optimize=False; see dop853_integrate
 
 from .errors import (
     DegenerateJacobian,
@@ -275,25 +278,78 @@ def _dense_weights(x):
     return W[0] - W[1] + 2.0 * W[2], np.add.reduce(terms, 0)
 
 
+class _Stages:
+    """The workspace of one DOP853 flow: the stage stack hK, one stage-sum
+    buffer and the views the stages read, built once for a step h of the
+    state's shape (columns, rows).
+
+    ``rhs(y, out)`` writes f(y) into the stage slot ``out``; the slot is then
+    scaled by h in place, the bits of f(y) * h.
+    """
+
+    def __init__(self, rhs, h):
+        self.rhs, self.h = rhs, h
+        self.hK = np.empty((16,) + h.shape)  # stage derivatives times the step
+        self.state = np.empty(h.shape)  # y + sum_t a_st h K_t of the stage being taken
+        self.slots = list(self.hK)
+        self.sums = [(_DOP_A[s, :s], self.hK[:s]) for s in range(16)]
+
+    def slope(self, s, y):
+        """hK[s] = h f(y)."""
+        slot = self.slots[s]
+        self.rhs(y, slot)
+        np.multiply(slot, self.h, out=slot)
+
+    def stages(self, y, first, stop):
+        """Stages first, ..., stop - 1 of the step that starts at y.
+
+        Each stage sum is one ``c_einsum`` of the tableau row with the
+        contiguous stack ``hK[:s]``; its state y + sum is formed in the
+        stage-sum buffer, which ``rhs`` reads and does not keep.
+        """
+        state, h, rhs = self.state, self.h, self.rhs
+        for s in range(first, stop):
+            c_einsum("t,tcr->cr", *self.sums[s], out=state)
+            np.add(y, state, out=state)
+            slot = self.slots[s]
+            rhs(state, slot)
+            np.multiply(slot, h, out=slot)
+
+    def step_end(self, y):
+        """y + sum_t a_12,t h K_t, the step's end, as a fresh array (the
+        bits of y + sum; addition commutes)."""
+        end = c_einsum("t,tcr->cr", *self.sums[12])
+        end += y
+        return end
+
+
 def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols=0):
-    """Fixed-step DOP853 for y' = rhs(y), y of shape (columns, rows).
+    """Fixed-step DOP853 for y' = f(y), y of shape (columns, rows).
 
     The state is column-major: y[k] is coordinate k of every row, one
     contiguous vector, so the ufuncs of ``rhs`` and ``after_step`` run one
     inner loop over the rows rather than a short loop over the coordinates
-    of each row.  Both take and return (columns, rows) arrays.  Takes
-    ``n_steps`` steps of T / n_steps, with ``T`` a scalar or one span per
-    row.  ``after_step(i, y)`` runs at the end of step i and returns the
-    state to continue from (a projection, a domain check); the right-hand
-    side there is the next step's first stage (FSAL).  Each stage sum is one
-    ``np.einsum`` of the tableau row with the contiguous stage stack
-    ``hK[:s]``: it iterates the stages in an outer loop, in tableau order,
-    and adds one product per stage to every (column, row) element, so each
-    row is bit-identical to its own 1-row call.  ``optimize`` stays at its
-    default False: the optimized path can hand the contraction to BLAS
-    ``tensordot``, which sums in its own order.  The same holds for ``rhs``
-    and ``after_step`` only if they sum over the columns in a fixed order
-    (``np.add.reduce`` over axis 0; einsum on a transposed view is not).
+    of each row.  ``rhs(y, out)`` writes f(y), of y's (columns, rows) shape,
+    into ``out``, a stage slot of the call's workspace, and returns nothing;
+    it keeps no reference to ``y`` or ``out``, because both are overwritten
+    by later stages.  Takes ``n_steps`` steps of T / n_steps, with ``T`` a
+    scalar or one span per row.  ``after_step(i, y)`` runs at the end of
+    step i and returns the state to continue from (a projection, a domain
+    check); the y it is handed is a fresh array, never the stage-sum buffer,
+    so a hook may return its input.  The right-hand side at that state is
+    the next step's first stage (FSAL).  The call owns one workspace
+    (``_Stages``): the stage stack, scaled by the step in place, and one
+    stage-sum buffer.  Each stage sum is one einsum contraction of the
+    tableau row with the contiguous stage stack ``hK[:s]``: it iterates the
+    stages in an outer loop, in tableau order, and adds one product per
+    stage to every (column, row) element, so each row is bit-identical to
+    its own 1-row call.  That is numpy's C ``c_einsum``, which ``np.einsum``
+    runs at its default optimize=False, called directly to skip about
+    1 us of Python dispatch per stage; the optimized path can hand the
+    contraction to BLAS ``tensordot``, which sums in its own order.  The
+    same holds for ``rhs`` and ``after_step`` only if they sum over the
+    columns in a fixed order (``np.add.reduce`` over axis 0, not einsum on
+    a transposed view).
 
     Returns (y, path).  With ``n_samples`` > 0, a multiple of ``n_steps``,
     path holds the leading ``path_cols`` columns at n_samples + 1 uniform
@@ -311,22 +367,16 @@ def dop853_integrate(rhs, y, T, n_steps: int, after_step, n_samples=0, path_cols
     # each row's step, spelt out to the state's shape so that scaling a
     # stage multiplies arrays of one shape
     h = np.asarray(T, dtype=float).reshape(-1) / n_steps * np.ones_like(y)
-    hK = np.empty((16,) + y.shape)  # stage derivatives times the step
-    np.multiply(rhs(y), h, out=hK[0])
+    work = _Stages(rhs, h)
+    work.slope(0, y)
     for i in range(n_steps):
-        for s in range(1, 12):
-            np.multiply(rhs(_stage(y, hK, s)), h, out=hK[s])
-        y = after_step(i, _stage(y, hK, 12))
+        work.stages(y, 1, 12)
+        y = after_step(i, work.step_end(y))
         if i + 1 < n_steps:
-            np.multiply(rhs(y), h, out=hK[0])
+            work.slope(0, y)
     if not n_samples:
         return y, None
     return y, dop853_dense(rhs, ends, T, n_samples // n_steps, path_cols)
-
-
-def _stage(y, hK, s):
-    """y + sum_t a_st h K_t over the stages t < s of ``hK``."""
-    return y + np.einsum("t,tcr->cr", _DOP_A[s, :s], hK[:s])
 
 
 def _recording(after_step, y, n_steps, keep):
@@ -370,21 +420,20 @@ def dop853_dense(rhs, ends, T, per: int, cols: int):
     steps = path[:, 1:].reshape(rows, n_steps, per, cols)
     a, b = _dense_weights(np.arange(1, per) / per)  # a step's inner samples
     chunk = max(1, min(DENSE_CHUNK, DENSE_BATCH // max(rows, 1)))
+    work = None
     for i0 in range(0, n_steps, chunk):
         k = min(chunk, n_steps - i0)
+        if work is None or work.h.shape[1] != rows * k:  # the first chunk and a short last one
+            work = _Stages(rhs, np.repeat(spans, k) / n_steps * np.ones((n_cols, rows * k)))
         # the batch rows are (row, step) pairs, row-major
         y0 = ends[:, :, i0 : i0 + k].reshape(n_cols, rows * k)
         y1 = ends[:, :, i0 + 1 : i0 + k + 1].reshape(n_cols, rows * k)
-        h = np.repeat(spans, k) / n_steps * np.ones_like(y0)
-        hK = np.empty((16,) + y0.shape)
-        np.multiply(rhs(y0), h, out=hK[0])
-        for s in range(1, 12):
-            np.multiply(rhs(_stage(y0, hK, s)), h, out=hK[s])
-        np.multiply(rhs(y1), h, out=hK[12])
-        for s in range(13, 16):
-            np.multiply(rhs(_stage(y0, hK, s)), h, out=hK[s])
+        work.slope(0, y0)
+        work.stages(y0, 1, 12)
+        work.slope(12, y1)
+        work.stages(y0, 13, 16)
         # h sum_t b_t(x) K_t at the inner samples, as (batch rows, samples, columns)
-        dense = np.einsum("tn,tcr->rnc", b, hK[_DENSE_STAGES, :cols])
+        dense = np.einsum("tn,tcr->rnc", b, work.hK[_DENSE_STAGES, :cols])
         # the bits of p0 + (p1 - p0) a + dense (addition commutes), formed in the path
         p0, p1 = (z[:cols].T.reshape(rows, k, 1, cols) for z in (y0, y1))
         block = steps[:, i0 : i0 + k]
@@ -410,7 +459,16 @@ def _newton_onto(surface: SurfaceModel, P):
 
 def _levelset_flow(surface: SurfaceModel):
     """The geodesic right-hand side of a level set and its step-end
-    projection, both on (columns, rows) states (P, V)."""
+    projection, both on (columns, rows) states (P, V).
+
+    The right-hand side writes f(y) into the stage slot it is handed.  It
+    evaluates, in this order, W = y * y; g = grad F (times q =
+    (x_i^2)^(mu_i - 1) off a quadric, and then W times (q^2, q)); W times
+    the weights w; |g|^2 and -sum_i h_i v_i^2 as the sums of W's two
+    halves; f = (v, g * (-sum_i h_i v_i^2 / |g|^2)).  Each operation is one
+    ufunc writing into buffers kept per row count, so a stage allocates
+    nothing and concatenates nothing.
+    """
     # F, grad F and diag(Hess F) on points as columns, from the constants of
     # the factorization SurfaceModel documents: its methods take points as
     # rows, and each would cost a call per stage
@@ -423,14 +481,37 @@ def _levelset_flow(surface: SurfaceModel):
         q = None if expo is None else PP**expo
         return (gc * P if q is None else gc * P * q), q
 
-    def rhs(y):  # gamma'' = lambda grad F, lambda = -sum_i h_i v_i^2 / |g|^2
-        W = y * y
-        g, q = grad(y[:3], W[:3])
-        if q is not None:
-            W *= np.concatenate((q * q, q))
-        W *= w
-        gg, minus_hvv = np.add.reduce(W.reshape(2, 3, -1), 1)
-        return np.concatenate((y[3:], g * (minus_hvv / gg)))
+    by_rows = {}  # row count -> the right-hand side's buffers and their views
+
+    def buffers(rows):
+        W, S = np.empty((6, rows)), np.empty((2, rows))
+        # the constants spelt out to the rows, so that each ufunc meets
+        # operands of one shape: a broadcast operand costs a slower loop setup
+        w_rows, gc_rows = np.repeat(w, rows, 1), np.repeat(gc, rows, 1)
+        expo_rows = None if expo is None else np.repeat(expo, rows, 1)
+        return (W, W[:3], W[3:], W.reshape(2, 3, rows), S, S[0], S[1],
+                np.empty((3, rows)), np.empty((3, rows)), w_rows, gc_rows, expo_rows)
+
+    def rhs(y, out):  # gamma'' = lambda grad F, lambda = -sum_i h_i v_i^2 / |g|^2
+        rows = y.shape[1]
+        try:
+            bufs = by_rows[rows]
+        except KeyError:
+            bufs = by_rows[rows] = buffers(rows)
+        W, PP, VV, sums, S, gg, lam, g, q, w_rows, gc_rows, expo_rows = bufs
+        np.multiply(y, y, W)
+        np.multiply(gc_rows, y[:3], g)
+        if expo is not None:  # q = (x_i^2)^(mu_i - 1): g times q, P^2 times q^2, V^2 times q
+            np.power(PP, expo_rows, q)
+            g *= q
+            VV *= q
+            q *= q
+            PP *= q
+        W *= w_rows
+        np.add.reduce(sums, 1, None, S)  # |g|^2 and -sum_i h_i v_i^2
+        np.divide(lam, gg, lam)
+        out[:3] = y[3:]
+        np.multiply(g, lam, out[3:])
 
     def reproject(i, y):
         # one Newton projection onto F = 0 squares the step's |F|; the
@@ -527,10 +608,11 @@ def flow_chart(
     y = np.vstack([np.atleast_2d(np.asarray(a, dtype=float)).T for a in (x0, v0)])
     n_int = _flow_steps(n_steps)
 
-    def rhs(y):
+    def rhs(y, out):
         x, v = y[:2], y[2:]
         gam = christoffel_batch(surface, x.T)
-        return np.concatenate((v, -np.einsum("ncab,an,bn->cn", gam, v, v)))
+        out[:2] = v
+        np.negative(np.einsum("ncab,an,bn->cn", gam, v, v), out=out[2:])
 
     def in_domain(i, y):
         if not surface.in_chart_domain(y[:2].T):

@@ -170,10 +170,13 @@ def mk_multiplicity_experiment(
     pts, dirs = np.tile(pts, (2, 1)), np.tile(dirs, (2, 1))
     guesses = np.repeat([2.0 * np.pi, min(cap, 4.0 * np.pi) * 0.999], n_seeds)
     out = shoot_closed_batch(surface, pts, dirs, guesses)
-    keep = out["shots"]["period"] <= cap + 1e-6
+    shots = out.pop("shots")
+    keep = shots["period"] <= cap + 1e-6
     rows = np.flatnonzero(out["ok"])[keep]
-    # popped, so the unfiltered shot paths (0.1 MB each) are freed before the spectra
-    curves = curves_from_shots(surface, {key: v[keep] for key, v in out.pop("shots").items()})
+    # each curve is built on its own row of the shots' one path array and only
+    # those under the cap are kept: masking the shots first would copy every
+    # kept path (0.1 MB each) while the unmasked ones still live
+    curves = [cur for cur, kept in zip(curves_from_shots(surface, shots), keep) if kept]
     found = [(int(row % n_seeds), cur) for row, cur in zip(rows, curves)]
 
     classes = image_classes(found, dedup_tol)

@@ -9,24 +9,30 @@ from scipy.special import ellipe
 
 from geolab.errors import DegenerateJacobian, LeftChartDomain, NoConvergence
 from geolab.geodesics import (
+    COARSE_STEPS,
     DEFAULT_STEPS,
+    DENSE_BATCH,
+    DENSE_CHUNK,
     SAMPLES_PER_STEP,
     _DENSE_STAGES,
     _DOP_A,
     _DOP_D,
     _dense_weights,
     _length_from_speeds,
+    _levelset_flow,
     _primitive_loop,
     close_geodesic,
     curve_from_samples,
     curves_from_shots,
     curve_length,
     curve_speeds,
+    dop853_dense,
     dop853_integrate,
     flow_chart,
     flow_levelset,
     geodesic_curvature_profile,
     hausdorff_distance,
+    levelset_path,
     low_discrepancy_seeds,
     mk_seed_directions,
     require_geodesic,
@@ -224,18 +230,21 @@ def _solve_ivp_geodesic(derivatives, p0, v0, T, n):
     return sol.y.T
 
 
-def _harmonic(y):
+def _harmonic(y, out):
     """y'' = -y as a first-order system in (y, y'), one column per row."""
-    return np.stack([y[1], -y[0]])
+    out[0] = y[1]
+    np.negative(y[0], out=out[1])
 
 
 def _cos_sin(t):
     return np.stack([np.cos(t), -np.sin(t)], axis=-1)
 
 
-def _rigid_body(y):
+def _rigid_body(y, out):
     """Euler's equations of a free rigid body, one column per row."""
-    return np.stack([y[1] * y[2], -y[0] * y[2], -0.5 * y[0] * y[1]])
+    np.multiply(y[1], y[2], out=out[0])
+    np.multiply(-y[0], y[2], out=out[1])
+    np.multiply(-0.5 * y[0], y[1], out=out[2])
 
 
 def _unit(i, y):
@@ -252,15 +261,22 @@ def _stage_sum(weights, stages):
 
 def _dop853_step_oracle(rhs, y, T, after_step, per, cols):
     """One DOP853 step of span T with its per - 1 inner samples, every stage
-    sum written out as a loop over the stages in tableau order."""
+    sum written out as a loop over the stages in tableau order, and every
+    right-hand side written into an array of its own."""
+
+    def f(z):
+        out = np.empty_like(z)
+        rhs(z, out)
+        return out
+
     h = np.broadcast_to(T, y.shape)
-    hK = [rhs(y) * h]
+    hK = [f(y) * h]
     for s in range(1, 12):
-        hK.append(rhs(y + _stage_sum(_DOP_A[s, :s], hK)) * h)
+        hK.append(f(y + _stage_sum(_DOP_A[s, :s], hK)) * h)
     y1 = after_step(0, y + _stage_sum(_DOP_A[12, :12], hK))
-    hK.append(rhs(y1) * h)
+    hK.append(f(y1) * h)
     for s in range(13, 16):
-        hK.append(rhs(y + _stage_sum(_DOP_A[s, :s], hK)) * h)
+        hK.append(f(y + _stage_sum(_DOP_A[s, :s], hK)) * h)
     a, b = _dense_weights(np.arange(1, per) / per)
     dense_stages = [hK[t][:cols] for t in _DENSE_STAGES]
     path = [y[:cols]]
@@ -352,6 +368,92 @@ class TestDop853:
         )
         assert np.array_equal(y1, oracle_y1)
         assert np.array_equal(path, oracle_path)
+
+
+def _levelset_rhs_formula(surface, y):
+    """The level-set right-hand side as a formula returning a new array:
+    gamma'' = lambda grad F, lambda = -sum_i h_i v_i^2 / |grad F|^2, on a
+    (P, V) state of shape (6, rows)."""
+    gc = surface._grad_c[:, None]
+    expo = None if surface._expo is None else surface._expo[:, None]
+    w = np.concatenate((surface._grad_c**2, -surface._hess_c))[:, None]
+    W = y * y
+    q = None if expo is None else W[:3] ** expo
+    g = gc * y[:3] if q is None else gc * y[:3] * q
+    if q is not None:
+        W *= np.concatenate((q * q, q))
+    W *= w
+    gg, minus_hvv = np.add.reduce(W.reshape(2, 3, -1), 1)
+    return np.concatenate((y[3:], g * (minus_hvv / gg)))
+
+
+def _column_states(surface, rows, seed, speed=1.0):
+    p0, v0 = _tangent_seeds(surface, rows, seed)
+    return np.vstack([p0.T, speed * v0.T])
+
+
+_KERNEL_SURFACES = {"mk4": make_mk(4.0), "mk-mu2": make_mk(9.0, 2.0)}
+
+
+class TestStageKernel:
+    @pytest.mark.parametrize("rows", [1, WIDE_ROWS])
+    @pytest.mark.parametrize("name", ["mk4", "mk-mu2"])
+    def test_levelset_rhs_matches_the_formula(self, name, rows):
+        # one right-hand side, called on states of several row counts and
+        # into a slot full of other values, writes the formula's bits each time
+        surface = _KERNEL_SURFACES[name]
+        rhs = _levelset_flow(surface)[0]
+        for seed, n, speed in ((1, rows, 1.0), (2, 3, 0.7), (3, rows, 1.3)):
+            y = _column_states(surface, n, seed, speed)
+            out = np.full_like(y, np.nan)
+            assert rhs(y, out) is None
+            assert np.array_equal(out, _levelset_rhs_formula(surface, y))
+
+    @pytest.mark.parametrize("n_steps", [COARSE_STEPS, DEFAULT_STEPS])
+    @pytest.mark.parametrize("name", ["mk4", "mk-mu2"])
+    def test_flow_rows_without_path_equal_single_rows(self, name, n_steps):
+        # the shooting's shape: no path, step-end states kept for some rows
+        surface = _KERNEL_SURFACES[name]
+        p0, v0 = _tangent_seeds(surface, WIDE_ROWS, seed=4)
+        T = np.linspace(2 * np.pi, 4 * np.pi, WIDE_ROWS)
+        keep = slice(0, None, 4)
+        P1, V1, ends = flow_levelset(surface, p0, v0, T, n_steps, ends_of=keep)
+        for i in range(WIDE_ROWS):
+            alone = flow_levelset(surface, p0[i], v0[i], T[i : i + 1], n_steps, ends_of=[0])
+            assert np.array_equal(P1[i], alone[0][0])
+            assert np.array_equal(V1[i], alone[1][0])
+            if i % 4 == 0:
+                assert np.array_equal(ends[:, i // 4], alone[2][:, 0])
+
+    def test_one_rhs_over_flows_of_several_row_counts(self, mk4):
+        # the right-hand side keeps buffers per row count across calls
+        rhs, reproject = _levelset_flow(mk4)
+        for rows, seed in ((5, 1), (1, 2), (WIDE_ROWS, 3), (5, 4)):
+            y0 = _column_states(mk4, rows, seed)
+            T = np.linspace(1.0, 3.0, rows)
+            reused = dop853_integrate(rhs, y0, T, 8, reproject, 8 * SAMPLES_PER_STEP, 3)
+            fresh_rhs = _levelset_flow(mk4)[0]
+            fresh = dop853_integrate(fresh_rhs, y0, T, 8, reproject, 8 * SAMPLES_PER_STEP, 3)
+            for a, b in zip(reused, fresh):
+                assert np.array_equal(a, b)
+
+    def test_path_with_a_short_last_chunk(self, mk4):
+        # 63 steps of WIDE_ROWS rows are batched 13 steps at a time, the last
+        # chunk 11 steps; a single row takes 32 and then 31
+        n_samples = 63 * SAMPLES_PER_STEP
+        assert 63 % (DENSE_BATCH // WIDE_ROWS) and DENSE_BATCH // WIDE_ROWS < DENSE_CHUNK
+        p0, v0 = _tangent_seeds(mk4, WIDE_ROWS, seed=6)
+        T = np.linspace(3.0, 12.5, WIDE_ROWS)
+        ends = flow_levelset(mk4, p0, v0, T, n_samples, ends_of=slice(None))[2]
+        path = levelset_path(mk4, ends, T)
+        rhs = _levelset_flow(mk4)[0]
+        twice = [dop853_dense(rhs, ends, T, SAMPLES_PER_STEP, 3) for _ in range(2)]
+        for i in range(WIDE_ROWS):
+            alone = levelset_path(mk4, ends[:, i : i + 1], T[i : i + 1])
+            assert np.array_equal(path[i], alone[0])
+            _, _, fresh = flow_levelset(mk4, p0[i], v0[i], T[i : i + 1], n_samples, True)
+            assert np.array_equal(path[i], fresh[0])
+        assert np.array_equal(twice[0], twice[1])
 
 
 class TestCloseGeodesic:

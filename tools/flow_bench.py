@@ -5,9 +5,12 @@
 The flow layer of the benchmark, one seed and batched.  The cases are
 ``flow_levelset`` on mk k = 4 from the seeds of ``mk_seed_directions`` (seed
 7), with spans alternating 2 pi and 4 pi near the multiplicity experiment's
-two period guesses, on 1, 4, 72, 192 and 320 rows over 512 samples, 4, 72
-and 168 rows over 4096 samples and 41 rows over 4096 samples with the path
-stored; ``flow_chart`` in ``sphere_exp_chart(1.2)`` on 1 and 8 rows over
+two period guesses, on 1, 4, 72, 192 and 320 rows over 512 samples, 1, 4, 72
+and 168 rows over 4096 samples (1 row is the shape of ``close_geodesic``'s
+final flow) and 41 rows over 4096 samples with the path stored; the same on
+mk k = 9, mu = 2 (the x3^4 level set, whose right-hand side takes the
+powers (x_i^2)^(mu_i - 1)) on 64 rows over 512 samples, the coarse flows of
+``find-geodesics --k 9 --mu 2 --n-seeds 16``; ``flow_chart`` in ``sphere_exp_chart(1.2)`` on 1 and 8 rows over
 512 samples with the path stored; and the ambient-field flow of
 ``extend-field``: ``flow_network_length`` by +0.005 and -0.005 under the
 field of constant profile 1 (delta 2) on two great circles of 4096 samples
@@ -41,8 +44,9 @@ REPEATS = 5  # timed calls of each case per process
 # (name, flow, rows, samples, store_path)
 CASES = [
     *((f"levelset {m}x512", "levelset", m, 512, False) for m in (1, 4, 72, 192, 320)),
-    *((f"levelset {m}x4096", "levelset", m, 4096, False) for m in (4, 72, 168)),
+    *((f"levelset {m}x4096", "levelset", m, 4096, False) for m in (1, 4, 72, 168)),
     ("levelset 41x4096 path", "levelset", 41, 4096, True),
+    ("levelset mu=2 64x512", "levelset mu=2", 64, 512, False),
     *((f"chart {m}x512 path", "chart", m, 512, True) for m in (1, 8)),
     ("field 2x4096 +-0.005", "field", 2, 4096, False),
 ]
@@ -58,13 +62,15 @@ from geolab.networks import GeodesicNetwork
 from geolab.surfaces import make_mk, make_sphere, sphere_exp_chart
 
 cases, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
-mk, chart, sphere = make_mk(4.0), sphere_exp_chart(1.2), make_sphere()
+levelsets = {"levelset": make_mk(4.0), "levelset mu=2": make_mk(9.0, 2.0)}
+chart, sphere = sphere_exp_chart(1.2), make_sphere()
 
 def call(flow, rows, samples, store):  # one case: a function returning its output arrays
-    if flow == "levelset":
-        p, v = mk_seed_directions(mk, rows, 7)
+    if flow in levelsets:
+        surface = levelsets[flow]
+        p, v = mk_seed_directions(surface, rows, 7)
         T = np.where(np.arange(rows) % 2, 4 * np.pi, 2 * np.pi)
-        return lambda: flow_levelset(mk, p, v, T, samples, store_path=store)
+        return lambda: flow_levelset(surface, p, v, T, samples, store_path=store)
     if flow == "chart":
         a = np.pi * np.arange(rows) / rows
         x0 = 0.3 * np.stack([np.cos(3 * a), np.sin(5 * a)], axis=1)
