@@ -12,8 +12,8 @@ contiguous vector, so every ufunc runs one loop over the rows, not a 3-wide
 loop per row.  A right-hand side writes f(y) into its stage slot,
 ``rhs(y, out)``, so a stage allocates nothing.  Each stage sum, and the
 continuous extension, is one einsum over the contiguous stack of stages,
-with no stages x state
-temporary.  The flows take and return points as rows, transposing once
+with no stages x state temporary.  The flows take and return points as
+rows, transposing once
 per call.  A flow samples whole steps: its sample count is a multiple of
 SAMPLES_PER_STEP, each step ends on a sample (the hook's state) and the
 samples inside a step come from its 7th-order continuous extension.  A flow

@@ -7,11 +7,12 @@ The flow layer of the benchmark, one seed and batched.  The cases are
 7), with spans alternating 2 pi and 4 pi near the multiplicity experiment's
 two period guesses, on 1, 4, 72, 192 and 320 rows over 512 samples, 1, 4, 72
 and 168 rows over 4096 samples (1 row is the shape of ``close_geodesic``'s
-final flow) and 41 rows over 4096 samples with the path stored; the same on
-mk k = 9, mu = 2 (the x3^4 level set, whose right-hand side takes the
-powers (x_i^2)^(mu_i - 1)) on 64 rows over 512 samples, the coarse flows of
-``find-geodesics --k 9 --mu 2 --n-seeds 16``; ``flow_chart`` in ``sphere_exp_chart(1.2)`` on 1 and 8 rows over
-512 samples with the path stored; and the ambient-field flow of
+final flow) and 41 rows over 4096 samples with the path stored;
+``flow_levelset`` on mk k = 9, mu = 2 (whose right-hand side takes the
+powers (x_i^2)^(mu_i - 1)) on 64 rows over 512 samples, the coarse flows
+of ``find-geodesics --k 9 --mu 2 --n-seeds 16``; ``flow_chart`` in
+``sphere_exp_chart(1.2)`` on 1 and 8 rows over 512 samples with the path
+stored; and the ambient-field flow of
 ``extend-field``: ``flow_network_length`` by +0.005 and -0.005 under the
 field of constant profile 1 (delta 2) on two great circles of 4096 samples
 that cross at (+-1, 0, 0), the network ``extend-field --builtin
